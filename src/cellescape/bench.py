@@ -84,7 +84,7 @@ def run_benchmark(
             dist = WienerStep(dt=dt, dim=element.dim)
             det = escape_probability_det(element, dist, qconfig)
             mc = escape_probability_mc(
-                element, dist, McConfig(particles=particles, seed=seed), workers=workers
+                element, dist, McConfig(particles=particles, seed=seed, runs=1), workers=workers
             )
             reference = REFERENCE_DET[name][j]
             sigma = theoretical_stat_error(det.value, particles)

@@ -7,9 +7,17 @@ Subcommands:
   1D, Monte Carlo in any dimension).
 * ``bench``      -- the full benchmark grid with pass/fail marks.
 
-Exit codes: 0 success, 2 malformed input (the message names the offending
-field), 3 solver failure (a partial report is still printed), 4 unsupported
-method/geometry combination.
+Exit codes, one table for every command:
+
+* 0 success; 1 ``bench`` only, when some grid cell fails its check.
+* 2 malformed input, with ``error: ...`` naming the field on stderr and no
+  traceback: ``InputError``, ``DegenerateElement``, ``DimensionMismatch``,
+  ``EmptyInterval``, an unreadable input file, or a ``--tol``,
+  ``--particles``, ``--seed`` or ``--runs`` value the configs reject.
+* 3 solver failure, with a partial report: ``ToleranceNotMet`` keeps the
+  best deterministic value (``--method both`` still runs Monte Carlo), any
+  other library error is reported as ``solver_failure``.
+* 4 unsupported method: deterministic transition outside 1D.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -29,10 +37,9 @@ from .errors import (
     DimensionMismatch,
     EmptyInterval,
     InputError,
-    QuadratureFailure,
     ToleranceNotMet,
 )
-from .geometry import ElementKind, element_to_dict, load_element
+from .geometry import build_affine_map, element_from_dict, element_to_dict
 from .montecarlo import (
     McConfig,
     empirical_stat_error,
@@ -82,17 +89,32 @@ def _provenance(seed: int | None) -> dict:
     }
 
 
-def _load_inputs(args, paths: list[str]):
-    elements = [load_element(p) for p in paths]
-    dims = {e.dim for e in elements}
-    if len(dims) != 1:
-        raise InputError("vertices", "geometry files have different dimensions")
-    with open(args.distribution) as fh:
+class _Unsupported(Exception):
+    """The requested method does not support the given geometry."""
+
+
+def _read_json(args, option: str):
+    """The JSON document in the file named by ``--<option>``."""
+    path = getattr(args, option)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(option, f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise InputError(option, f"invalid JSON: {exc}") from None
+
+
+def _load_inputs(args, options: tuple[str, ...]):
+    elements = [element_from_dict(_read_json(args, option)) for option in options]
+    for element in elements:
         try:
-            dist_data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("distribution", f"invalid JSON: {exc}") from None
-    dist = distribution_from_dict(dist_data, dim=elements[0].dim)
+            build_affine_map(element)
+        except DegenerateElement as exc:
+            raise InputError("vertices", str(exc)) from None
+    if len({e.dim for e in elements}) != 1:
+        raise InputError("vertices", "geometry files have different dimensions")
+    dist = distribution_from_dict(_read_json(args, "distribution"), dim=elements[0].dim)
     return elements, dist
 
 
@@ -104,20 +126,13 @@ def _mc_config(args) -> McConfig:
     return McConfig(particles=args.particles, seed=args.seed, runs=args.runs)
 
 
-def _mc_results(element, dist, args) -> dict:
-    config = _mc_config(args)
-    if config.runs > 1:
-        estimates = repeat_escape_probability_mc(element, dist, config, workers=args.workers)
-        result = estimates[0].to_dict()
-        values = [e.value for e in estimates]
-        result["run_values"] = values
-        result["empirical_error"] = empirical_stat_error(values)
-        return result
-    return escape_probability_mc(element, dist, config, workers=args.workers).to_dict()
+def _reject(exc: Exception, code: int = EXIT_BAD_INPUT) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
-def _emit(report: RunReport, args) -> None:
-    text = json.dumps(report.to_dict(), indent=2)
+def _emit(data: dict, args) -> None:
+    text = json.dumps(data, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -135,63 +150,85 @@ def _warn_expensive(results: dict) -> None:
         )
 
 
-def cmd_escape(args) -> int:
-    try:
-        (element,), dist = _load_inputs(args, [args.geometry])
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> int:
+    """Load the inputs, build the configs, run the requested solves, emit the report.
 
-    request = {
-        "geometry": element_to_dict(element),
-        "distribution": distribution_to_dict(dist),
-        "method": args.method,
-        "tol": args.tol,
-        "particles": args.particles,
-        "seed": args.seed,
-        "runs": args.runs,
-    }
+    ``options`` name the geometry files.  ``solve_det(*elements, dist,
+    config)`` returns a ``ProbabilityEstimate`` and ``solve_mc`` with the
+    same arguments a result dict.  Every exception is mapped to its exit
+    code here, by the table in the module docstring.
+    """
+    try:
+        quad_config, mc_config = _quad_config(args), _mc_config(args)
+    except ValueError as exc:
+        return _reject(exc)
     results: dict = {}
     status = "ok"
     code = EXIT_OK
     try:
+        elements, dist = _load_inputs(args, options)
+        request = {option: element_to_dict(e) for option, e in zip(options, elements)}
+        request.update(
+            distribution=distribution_to_dict(dist),
+            method=args.method,
+            tol=args.tol,
+            particles=args.particles,
+            seed=args.seed,
+            runs=args.runs,
+        )
         if args.method in ("det", "both"):
-            results["deterministic"] = escape_probability_det(
-                element, dist, _quad_config(args)
-            ).to_dict()
+            try:
+                results["deterministic"] = solve_det(*elements, dist, quad_config).to_dict()
+            except ToleranceNotMet as exc:
+                results["deterministic"] = {
+                    "value": exc.value,
+                    "error_estimate": exc.error_estimate,
+                    "method": "deterministic",
+                }
+                status = f"tolerance_not_met: {exc}"
+                code = EXIT_SOLVER_FAILURE
         if args.method in ("mc", "both"):
-            results["monte_carlo"] = _mc_results(element, dist, args)
-        if args.method == "both":
-            det_v = results["deterministic"]["value"]
-            mc_v = results["monte_carlo"]["value"]
-            four_sigma = 4.0 * theoretical_stat_error(det_v, args.particles)
-            results["comparison"] = {
-                "difference": mc_v - det_v,
-                "four_sigma": four_sigma,
-                "within_four_sigma": abs(mc_v - det_v) <= four_sigma,
-            }
-    except ToleranceNotMet as exc:
-        results["deterministic"] = {
-            "value": exc.value,
-            "error_estimate": exc.error_estimate,
-            "method": "deterministic",
-        }
-        status = f"tolerance_not_met: {exc}"
-        code = EXIT_SOLVER_FAILURE
-    except (QuadratureFailure, CellEscapeError) as exc:
+            results["monte_carlo"] = solve_mc(*elements, dist, mc_config)
+    except _Unsupported as exc:
+        return _reject(exc, EXIT_UNSUPPORTED)
+    except (InputError, DegenerateElement, DimensionMismatch, EmptyInterval) as exc:
+        return _reject(exc)
+    except CellEscapeError as exc:
         status = f"solver_failure: {exc}"
         code = EXIT_SOLVER_FAILURE
+    if code == EXIT_OK and args.method == "both":
+        det_v = results["deterministic"]["value"]
+        mc_v = results["monte_carlo"]["value"]
+        four_sigma = 4.0 * theoretical_stat_error(det_v, args.particles)
+        results["comparison"] = {
+            "difference": mc_v - det_v,
+            "four_sigma": four_sigma,
+            "within_four_sigma": abs(mc_v - det_v) <= four_sigma,
+        }
 
     report = RunReport(
-        command="escape",
+        command=args.command,
         request=request,
         results=results,
         provenance=_provenance(args.seed),
         status=status,
     )
-    _emit(report, args)
+    _emit(report.to_dict(), args)
     _warn_expensive(results)
     return code
+
+
+def cmd_escape(args) -> int:
+    def solve_mc(element, dist, config) -> dict:
+        if config.runs == 1:
+            return escape_probability_mc(element, dist, config, workers=args.workers).to_dict()
+        estimates = repeat_escape_probability_mc(element, dist, config, workers=args.workers)
+        result = estimates[0].to_dict()
+        result["run_values"] = [e.value for e in estimates]
+        result["empirical_error"] = empirical_stat_error(result["run_values"])
+        return result
+
+    return _solve_and_report(args, ("geometry",), escape_probability_det, solve_mc)
 
 
 def _segment_interval(element) -> tuple[float, float]:
@@ -200,65 +237,28 @@ def _segment_interval(element) -> tuple[float, float]:
 
 
 def cmd_transition(args) -> int:
-    try:
-        (source, target), dist = _load_inputs(args, [args.source, args.target])
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    def solve_det(source, target, dist, config):
+        if source.dim != 1:
+            raise _Unsupported("deterministic transition supported in 1D only")
+        return transition_probability_det_1d(
+            _segment_interval(source), _segment_interval(target), dist, config
+        )
 
-    if args.method == "det" and source.dim != 1:
-        print("error: deterministic transition supported in 1D only", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-
-    request = {
-        "source": element_to_dict(source),
-        "target": element_to_dict(target),
-        "distribution": distribution_to_dict(dist),
-        "method": args.method,
-        "tol": args.tol,
-        "particles": args.particles,
-        "seed": args.seed,
-    }
-    results: dict = {}
-    status = "ok"
-    code = EXIT_OK
-    try:
-        if args.method == "det":
-            results["deterministic"] = transition_probability_det_1d(
-                _segment_interval(source), _segment_interval(target), dist, _quad_config(args)
-            ).to_dict()
-        else:
-            results["monte_carlo"] = transition_probability_mc(
-                source, target, dist, _mc_config(args), workers=args.workers
-            ).to_dict()
-    except ToleranceNotMet as exc:
-        results["deterministic"] = {
-            "value": exc.value,
-            "error_estimate": exc.error_estimate,
-            "method": "deterministic",
-        }
-        status = f"tolerance_not_met: {exc}"
-        code = EXIT_SOLVER_FAILURE
-    except (EmptyInterval, DimensionMismatch, DegenerateElement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except CellEscapeError as exc:
-        status = f"solver_failure: {exc}"
-        code = EXIT_SOLVER_FAILURE
-
-    report = RunReport(
-        command="transition",
-        request=request,
-        results=results,
-        provenance=_provenance(args.seed),
-        status=status,
+    return _solve_and_report(
+        args,
+        ("source", "target"),
+        solve_det,
+        lambda source, target, dist, config: transition_probability_mc(
+            source, target, dist, config, workers=args.workers
+        ).to_dict(),
     )
-    _emit(report, args)
-    _warn_expensive(results)
-    return code
 
 
 def cmd_bench(args) -> int:
+    try:
+        _quad_config(args), _mc_config(args)  # reject bad flags before the grid runs
+    except ValueError as exc:
+        return _reject(exc)
     progress = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     artifact = run_benchmark(
         particles=args.particles,
@@ -267,14 +267,8 @@ def cmd_bench(args) -> int:
         workers=args.workers,
         progress=progress,
     )
-    text = json.dumps(artifact, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(render_benchmark(artifact))
-    else:
-        print(text)
-        print(render_benchmark(artifact), file=sys.stderr)
+    _emit(artifact, args)
+    print(render_benchmark(artifact), file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK if artifact["summary"]["failed"] == 0 else 1
 
 

@@ -82,7 +82,8 @@ class StepDistribution(ABC):
         """Upper bound on the probability mass inside ``|dx| <= radius``."""
         raise NotImplementedError
 
-    def _check_steps(self, steps) -> np.ndarray:
+    def _check_steps(self, steps) -> tuple[np.ndarray, bool]:
+        """The steps as an ``(m, dim)`` array, and whether one step was given."""
         arr = np.asarray(steps, dtype=float)
         scalar = arr.ndim == 1
         if scalar:
@@ -91,8 +92,7 @@ class StepDistribution(ABC):
             raise DimensionMismatch(
                 f"steps must have {self.dim} component(s), got shape {arr.shape}"
             )
-        self._scalar_input = scalar
-        return arr
+        return arr, scalar
 
 
 def _check_dim(n: int) -> int:
@@ -113,10 +113,10 @@ class WienerStep(StepDistribution):
         self.typical_scale = math.sqrt(self.dt)
 
     def density(self, steps) -> float | np.ndarray:
-        arr = self._check_steps(steps)
+        arr, scalar = self._check_steps(steps)
         norm2 = np.einsum("ij,ij->i", arr, arr)
         out = (2.0 * math.pi * self.dt) ** (-self.dim / 2.0) * np.exp(-norm2 / (2.0 * self.dt))
-        return float(out[0]) if self._scalar_input else out
+        return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return math.sqrt(self.dt) * rng.standard_normal((int(size), self.dim))
@@ -194,7 +194,7 @@ class VelocityJumpStep(StepDistribution):
         return value
 
     def density(self, steps) -> float | np.ndarray:
-        arr = self._check_steps(steps)
+        arr, scalar = self._check_steps(steps)
         radii = np.linalg.norm(arr, axis=1)
         if np.any(radii < ORIGIN_THRESHOLD):
             raise OriginSingularity(
@@ -204,7 +204,7 @@ class VelocityJumpStep(StepDistribution):
         out = np.empty(len(arr))
         for i, r in enumerate(radii):
             out[i] = prefactor * self._mixture_integral(self.rate * float(r))
-        return float(out[0]) if self._scalar_input else out
+        return float(out[0]) if scalar else out
 
     def origin_ball_mass_bound(self, radius: float) -> float:
         """Mass of ``|v T| <= radius``: the exponential average of the chi CDF.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,16 +34,15 @@ __all__ = [
     "empirical_stat_error",
 ]
 
-_UINT64_MASK = (1 << 64) - 1
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo run configuration.
 
     ``chunk`` is the number of particles per independent random stream;
     it is part of the reproducibility contract (changing it changes the
-    streams and therefore the estimate).
+    streams and therefore the estimate).  Run ``r`` of
+    :func:`repeat_escape_probability_mc` uses seed ``seed + r``, so every
+    seed from ``seed`` to ``seed + runs - 1`` must lie in ``[0, 2**64)``.
     """
 
     particles: int = 10**6
@@ -58,10 +57,14 @@ class McConfig:
             raise ValueError("runs must be at least 1")
         if self.chunk < 1:
             raise ValueError("chunk must be at least 1")
+        if not 0 <= self.seed <= 2**64 - self.runs:
+            raise ValueError(
+                f"seed must lie in [0, 2**64 - runs] = [0, {2**64 - self.runs}], got {self.seed}"
+            )
 
 
 def _chunk_stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _UINT64_MASK, index], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -79,44 +82,13 @@ def _run_chunks(count_fn, config: McConfig, workers: int) -> int:
         return sum(counts)
 
 
-def escape_probability_mc(
-    element: MeshElement, dist, config: McConfig | None = None, workers: int = 1
-) -> ProbabilityEstimate:
-    """Estimate the escape probability with N independent particles.
+def _landing_estimate(source, target, dist, config, workers, complement) -> ProbabilityEstimate:
+    """Fraction of particles started in ``source`` that land in ``target``.
 
-    Each particle starts uniformly inside the element, takes one sampled
-    step, and counts as escaped when its new position is not inside
-    (boundary-inclusive containment).  The reported error estimate is the
-    binomial standard deviation at the estimated value.
+    With ``complement`` it is the fraction that does not land there.  The
+    reported error estimate is the binomial standard deviation at the
+    estimated value.
     """
-    config = config or McConfig()
-    if not dist.has_sampler:
-        raise SamplerUnavailable(
-            f"{type(dist).__name__} offers no sampler; use the deterministic solver"
-        )
-    if dist.dim != element.dim:
-        raise DimensionMismatch(
-            f"distribution dimension {dist.dim} != element dimension {element.dim}"
-        )
-    start = time.perf_counter()
-    amap = build_affine_map(element)
-    cell = element.reference_cell
-
-    def count_escaped(index: int, m: int) -> int:
-        rng = _chunk_stream(config.seed, index)
-        positions = amap.to_global(_sample_reference(cell, rng, m))
-        moved = positions + dist.sample(rng, m)
-        inside = _reference_contains(cell, amap.to_local(moved))
-        return int(m - inside.sum())
-
-    escaped = _run_chunks(count_escaped, config, workers)
-    return _finalize(escaped, config, start)
-
-
-def transition_probability_mc(
-    source: MeshElement, target: MeshElement, dist, config: McConfig | None = None, workers: int = 1
-) -> ProbabilityEstimate:
-    """Estimate the probability of moving from ``source`` into ``target``."""
     config = config or McConfig()
     if not dist.has_sampler:
         raise SamplerUnavailable(
@@ -136,17 +108,14 @@ def transition_probability_mc(
     src_cell = source.reference_cell
     tgt_cell = target.reference_cell
 
-    def count_entered(index: int, m: int) -> int:
+    def count_landed(index: int, m: int) -> int:
         rng = _chunk_stream(config.seed, index)
         positions = src_map.to_global(_sample_reference(src_cell, rng, m))
         moved = positions + dist.sample(rng, m)
         return int(_reference_contains(tgt_cell, tgt_map.to_local(moved)).sum())
 
-    entered = _run_chunks(count_entered, config, workers)
-    return _finalize(entered, config, start)
-
-
-def _finalize(successes: int, config: McConfig, start: float) -> ProbabilityEstimate:
+    landed = _run_chunks(count_landed, config, workers)
+    successes = config.particles - landed if complement else landed
     value = successes / config.particles
     bound = None
     if successes == 0 or successes == config.particles:
@@ -163,6 +132,26 @@ def _finalize(successes: int, config: McConfig, start: float) -> ProbabilityEsti
     )
 
 
+def escape_probability_mc(
+    element: MeshElement, dist, config: McConfig | None = None, workers: int = 1
+) -> ProbabilityEstimate:
+    """Estimate the escape probability with N independent particles.
+
+    Each particle starts uniformly inside the element, takes one sampled
+    step, and counts as escaped when its new position is not inside
+    (boundary-inclusive containment): the complement of the element's
+    self-transition count.
+    """
+    return _landing_estimate(element, element, dist, config, workers, complement=True)
+
+
+def transition_probability_mc(
+    source: MeshElement, target: MeshElement, dist, config: McConfig | None = None, workers: int = 1
+) -> ProbabilityEstimate:
+    """Estimate the probability of moving from ``source`` into ``target``."""
+    return _landing_estimate(source, target, dist, config, workers, complement=False)
+
+
 def repeat_escape_probability_mc(
     element: MeshElement, dist, config: McConfig | None = None, workers: int = 1
 ) -> list[ProbabilityEstimate]:
@@ -172,13 +161,10 @@ def repeat_escape_probability_mc(
     a single :func:`escape_probability_mc` call with the same config.
     """
     config = config or McConfig()
-    out = []
-    for r in range(config.runs):
-        cfg = McConfig(
-            particles=config.particles, seed=config.seed + r, runs=1, chunk=config.chunk
-        )
-        out.append(escape_probability_mc(element, dist, cfg, workers=workers))
-    return out
+    return [
+        escape_probability_mc(element, dist, replace(config, seed=config.seed + r, runs=1), workers=workers)
+        for r in range(config.runs)
+    ]
 
 
 def theoretical_stat_error(p: float, n: int) -> float:

@@ -187,12 +187,6 @@ def _evaluate(f, lo, hi, frame: _Frame):
     return high, np.abs(high - low)
 
 
-def _best_state(frame: _Frame, lo, hi, high, err):
-    value = frame.acc_value + float(high.sum())
-    error = frame.acc_error + float(err.sum())
-    return value, error
-
-
 def _refine(f, lo, hi, high, err, budget, total_volume, config, frame: _Frame):
     """Accept or split boxes until the pending set is empty.
 
@@ -217,8 +211,9 @@ def _refine(f, lo, hi, high, err, budget, total_volume, config, frame: _Frame):
         if lo.shape[0] == 0:
             break
         if frame.n_splits + lo.shape[0] > config.max_subdivisions:
-            value, error = _best_state(frame, lo, hi, high, err)
-            raise ToleranceNotMet(value, error)
+            raise ToleranceNotMet(
+                frame.acc_value + float(high.sum()), frame.acc_error + float(err.sum())
+            )
         frame.n_splits += lo.shape[0]
         widths = hi - lo
         axis = np.argmax(widths, axis=1)
@@ -299,7 +294,7 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
 def _split_corner_cube(box: Box, radius: float) -> tuple[list[Box], Box]:
     """Split off the cube of half-width ``radius`` at the origin corner.
 
-    The stay-support orthants all have one corner at the origin.  Returns
+    Every orthant has one corner at the origin.  Returns
     the remainder, decomposed into ``n`` boxes with disjoint interiors
     (piece k restricts axes before k to the corner strip and axis k to the
     rest), together with the corner cube itself.
@@ -327,58 +322,107 @@ def _split_corner_cube(box: Box, radius: float) -> tuple[list[Box], Box]:
     return pieces, corner
 
 
-def _seed_boxes(element: MeshElement, dist, amap) -> tuple[list[Box], float]:
-    """Initial subdivision of the stay support, plus the excluded-mass bound.
+def _origin_boxes(orthants, dist, op_norm: float) -> tuple[list[Box], float]:
+    """Boxes covering orthant cubes, refined toward their corner at the origin.
 
-    Origin-corner boxes are refined geometrically down to the local scale
-    of the step density so that its core cannot fall between the quadrature
-    nodes of the first generation.  For origin-singular densities the
-    innermost cube of half-width ``ORIGIN_EXCLUSION_RADIUS`` is dropped and
-    its worst-case probability mass is returned as an error contribution.
+    Each orthant's corner cube is halved geometrically down to the local
+    scale of the step density, so that its core cannot fall between the
+    quadrature nodes of the first generation.  For origin-singular
+    densities the innermost cube of half-width ``ORIGIN_EXCLUSION_RADIUS``
+    is left out (an orthant no wider than it yields no box) and its
+    worst-case probability mass is returned as an error contribution.
+    ``op_norm`` is the 2-norm of the local-to-global step map.
     """
-    n = element.dim
-    op_norm = float(np.linalg.norm(amap.matrix, 2))
     singular = bool(getattr(dist, "singular_at_origin", False))
-
-    levels = 0
     scale = getattr(dist, "typical_scale", None)
-    if scale is not None:
-        local_scale = scale / op_norm
-        if local_scale < 1.0:
-            levels = int(math.ceil(math.log2(1.0 / local_scale)))
-    levels = min(levels, 45)
-    if singular:
-        # keep the innermost box wider than the cube that will be excluded
-        levels = min(levels, int(math.log2(0.5 / ORIGIN_EXCLUSION_RADIUS)))
-
+    local_scale = math.inf if scale is None else scale / op_norm
     boxes: list[Box] = []
-    extra_error = 0.0
-    for orthant in support_subdomains(element.reference_cell).boxes:
-        corner = orthant
-        width = 1.0
+    for orthant in orthants:
+        extent = float(orthant.hi[0] - orthant.lo[0])
+        if singular and extent <= ORIGIN_EXCLUSION_RADIUS:
+            continue
+        levels = 0
+        if extent > local_scale:
+            levels = min(45, int(math.ceil(math.log2(extent / local_scale))))
+        if singular:
+            # keep the innermost box wider than the cube that will be excluded
+            levels = min(levels, int(math.log2(0.5 * extent / ORIGIN_EXCLUSION_RADIUS)))
+        corner, width = orthant, extent
         for _ in range(levels):
             width *= 0.5
             pieces, corner = _split_corner_cube(corner, width)
             boxes.extend(pieces)
         if singular:
-            pieces, _ = _split_corner_cube(corner, ORIGIN_EXCLUSION_RADIUS)
-            boxes.extend(pieces)
+            boxes.extend(_split_corner_cube(corner, ORIGIN_EXCLUSION_RADIUS)[0])
         else:
             boxes.append(corner)
-    if singular:
-        global_radius = op_norm * ORIGIN_EXCLUSION_RADIUS * math.sqrt(n)
+    extra_error = 0.0
+    if singular and orthants:
+        global_radius = op_norm * ORIGIN_EXCLUSION_RADIUS * math.sqrt(orthants[0].dim)
         extra_error = float(dist.origin_ball_mass_bound(global_radius))
     return boxes, extra_error
 
 
-def _stay_integrand(element: MeshElement, dist, amap):
-    cell = element.reference_cell
+def _transition_boxes(a, b, c, d, dist) -> tuple[list[Box], float]:
+    """Subdivide the transition window ``[c - b, d - a]``, in ascending order.
 
-    def f(local_steps: np.ndarray) -> np.ndarray:
-        global_steps = amap.global_step(local_steps)
-        return stay_fraction(cell, local_steps) * dist.density(global_steps) * amap.abs_det
+    A window containing the zero step is split into the orthants
+    ``[c - b, 0]`` and ``[0, d - a]``, each refined by the origin ladder.
+    The kinks of the conditional factor, at ``c - a`` and ``d - b``, then
+    become box edges.
+    """
+    w0, w1 = c - b, d - a
+    if w0 <= 0.0 <= w1:
+        orthants = [Box(lo=[lo], hi=[hi]) for lo, hi in ((w0, 0.0), (0.0, w1)) if lo < hi]
+        boxes, extra_error = _origin_boxes(orthants, dist, 1.0)
+        boxes.sort(key=lambda box: box.lo[0])
+    else:
+        boxes, extra_error = [Box(lo=[w0], hi=[w1])], 0.0
+    kinks = sorted({c - a, d - b})
+    split = []
+    for box in boxes:
+        left, right = float(box.lo[0]), float(box.hi[0])
+        inner = [x for x in kinks if left < x < right]
+        split.extend(Box(lo=[lo], hi=[hi]) for lo, hi in zip([left, *inner], [*inner, right]))
+    return split, extra_error
 
-    return f
+
+def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement: bool) -> ProbabilityEstimate:
+    """The deterministic solve shared by the escape and transition solvers.
+
+    ``prepare()`` returns the integrand, its initial boxes and the mass
+    bound of the excluded origin neighbourhood.  The probability is the
+    integral, or its complement ``1 - integral`` when ``complement`` is
+    set, clamped into ``[0, 1]``.  A ``ToleranceNotMet`` is re-raised with
+    that probability of its best value, and with the excluded mass added to
+    its error.
+    """
+    config = config or QuadratureConfig()
+    if not dist.has_density:
+        raise DensityUnavailable(
+            f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
+        )
+    if dist.dim != dim:
+        raise DimensionMismatch(
+            f"distribution dimension {dist.dim} != element dimension {dim}"
+        )
+    start = time.perf_counter()
+    f, boxes, extra_error = prepare()
+
+    def probability(integral: float) -> float:
+        return min(1.0, max(0.0, 1.0 - integral if complement else integral))
+
+    try:
+        integral, quad_error, n_evals = _integrate_boxes(f, boxes, config)
+    except ToleranceNotMet as exc:
+        raise ToleranceNotMet(probability(exc.value), exc.error_estimate + extra_error) from None
+    return ProbabilityEstimate(
+        value=probability(integral),
+        error_estimate=quad_error + extra_error,
+        method="deterministic",
+        cost=n_evals,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:
@@ -397,35 +441,21 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     DensityUnavailable, DimensionMismatch, ToleranceNotMet,
     NonFiniteIntegrand; DegenerateElement propagates from the geometry.
     """
-    config = config or QuadratureConfig()
-    if not dist.has_density:
-        raise DensityUnavailable(
-            f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
-        )
-    if dist.dim != element.dim:
-        raise DimensionMismatch(
-            f"distribution dimension {dist.dim} != element dimension {element.dim}"
-        )
-    start = time.perf_counter()
-    amap = build_affine_map(element)
-    boxes, extra_error = _seed_boxes(element, dist, amap)
 
-    f = _stay_integrand(element, dist, amap)
-    try:
-        stay, quad_error, n_evals = _integrate_boxes(f, boxes, config)
-    except ToleranceNotMet as exc:
-        best = min(1.0, max(0.0, 1.0 - exc.value))
-        raise ToleranceNotMet(best, exc.error_estimate + extra_error) from None
+    cell = element.reference_cell
 
-    raw = 1.0 - stay
-    value = min(1.0, max(0.0, raw))
-    return ProbabilityEstimate(
-        value=value,
-        error_estimate=quad_error + extra_error,
-        method="deterministic",
-        cost=n_evals,
-        wall_time=time.perf_counter() - start,
-    )
+    def prepare():
+        amap = build_affine_map(element)
+        op_norm = float(np.linalg.norm(amap.matrix, 2))
+        boxes, extra_error = _origin_boxes(support_subdomains(cell).boxes, dist, op_norm)
+
+        def f(local_steps: np.ndarray) -> np.ndarray:
+            global_steps = amap.global_step(local_steps)
+            return stay_fraction(cell, local_steps) * dist.density(global_steps) * amap.abs_det
+
+        return f, boxes, extra_error
+
+    return _solve(dist, element.dim, config, prepare, complement=True)
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:
@@ -434,79 +464,22 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     Integrates the conditional transition probability times the step
     density over the compact window ``[c - b, d - a]``.  The piecewise-
     linear kinks of the conditional factor at ``c - a`` and ``d - b`` seed
-    the initial subdivision.
+    the initial subdivision, and the zero step gets the same origin ladder
+    and exclusion as the escape solver.
     """
-    config = config or QuadratureConfig()
-    if not dist.has_density:
-        raise DensityUnavailable(
-            f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
-        )
-    if dist.dim != 1:
-        raise DimensionMismatch("deterministic transition is supported in 1D only")
     a, b = float(source[0]), float(source[1])
     c, d = float(target[0]), float(target[1])
-    if b <= a:
-        raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
-    if d <= c:
-        raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
 
-    start = time.perf_counter()
-    boxes, extra_error = _transition_boxes(a, b, c, d, dist)
+    def prepare():
+        if b <= a:
+            raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
+        if d <= c:
+            raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
+        boxes, extra_error = _transition_boxes(a, b, c, d, dist)
 
-    def f(steps: np.ndarray) -> np.ndarray:
-        dx = steps[:, 0]
-        return conditional_transition_1d((a, b), (c, d), dx) * dist.density(steps)
+        def f(steps: np.ndarray) -> np.ndarray:
+            return conditional_transition_1d((a, b), (c, d), steps[:, 0]) * dist.density(steps)
 
-    try:
-        value, error, n_evals = _integrate_boxes(f, boxes, config)
-    except ToleranceNotMet as exc:
-        best = min(1.0, max(0.0, exc.value))
-        raise ToleranceNotMet(best, exc.error_estimate + extra_error) from None
-    value = min(1.0, max(0.0, value))
-    return ProbabilityEstimate(
-        value=value,
-        error_estimate=error + extra_error,
-        method="deterministic",
-        cost=n_evals,
-        wall_time=time.perf_counter() - start,
-    )
+        return f, boxes, extra_error
 
-
-def _transition_boxes(a, b, c, d, dist) -> tuple[list[Box], float]:
-    """Subdivide the transition window ``[c - b, d - a]``.
-
-    Kinks of the conditional factor (at ``c - a`` and ``d - b``) become box
-    edges, the density peak at zero gets a geometric edge ladder down to
-    the law's typical scale, and for origin-singular densities the
-    neighbourhood ``[-1e-8, 1e-8]`` is excluded with its mass bound
-    reported as an error contribution.
-    """
-    w0, w1 = c - b, d - a
-    edges = {w0, w1}
-    edges.update(x for x in (c - a, d - b, 0.0) if w0 < x < w1)
-    covers_zero = w0 <= 0.0 <= w1
-    scale = getattr(dist, "typical_scale", None)
-    if covers_zero and scale is not None:
-        for limit in (w0, w1):
-            room = abs(limit)
-            if room > scale:
-                levels = min(45, int(math.ceil(math.log2(room / scale))))
-                edges.update(
-                    math.copysign(room * 0.5**k, limit) for k in range(1, levels + 1)
-                )
-    extra_error = 0.0
-    excluded = 0.0
-    if covers_zero and getattr(dist, "singular_at_origin", False):
-        excluded = ORIGIN_EXCLUSION_RADIUS
-        edges = {e for e in edges if abs(e) >= excluded or e in (w0, w1)}
-        edges.update(x for x in (-excluded, excluded) if w0 < x < w1)
-        extra_error = float(dist.origin_ball_mass_bound(excluded))
-    ordered = sorted(edges)
-    boxes = []
-    for left, right in zip(ordered[:-1], ordered[1:]):
-        if right <= left:
-            continue
-        if excluded and left >= -excluded and right <= excluded:
-            continue
-        boxes.append(Box(lo=np.array([left]), hi=np.array([right])))
-    return boxes, extra_error
+    return _solve(dist, 1, config, prepare, complement=False)

@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cellescape
 from cellescape.cli import RunReport, main
 
 from oracles import segment_escape_wiener, transition_1d_trapezoid
@@ -28,6 +33,10 @@ def files(tmp_path):
         "vjump": write("vjump.json", {"law": "velocity_jump", "lambda": 1.0}),
         "broken_geometry": write("broken.json", {"kind": "triangle"}),
         "broken_distribution": write("broken_dist.json", {"law": "wiener"}),
+        "degenerate": write(
+            "degenerate.json", {"kind": "triangle", "vertices": [[0, 0], [1, 1], [2, 2]]}
+        ),
+        "missing": str(tmp_path / "missing.json"),
         "tmp_path": tmp_path,
     }
 
@@ -213,3 +222,83 @@ class TestBenchCommand:
             return artifact
 
         assert strip_volatile(out1) == strip_volatile(out2)
+
+
+def _tolerance_not_met(monkeypatch):
+    # force an unreachable budget so the deterministic solver must give up
+    from cellescape import QuadratureConfig
+    import cellescape.cli as cli_module
+
+    monkeypatch.setattr(
+        cli_module, "_quad_config",
+        lambda args: QuadratureConfig(abs_tol=1e-13, rel_tol=0.0, max_subdivisions=2),
+    )
+
+
+def _non_finite(monkeypatch):
+    from cellescape import NonFiniteIntegrand
+    import cellescape.cli as cli_module
+
+    def fail(*args):
+        raise NonFiniteIntegrand("integrand returned NaN or infinity")
+
+    monkeypatch.setattr(cli_module, "escape_probability_det", fail)
+
+
+ESCAPE = ["escape", "--geometry", "segment", "--distribution", "wiener"]
+
+# (argv with file keys, patch, exit code, field named on stderr or report status)
+EXIT_CODE_TABLE = {
+    "escape-degenerate-triangle": (
+        ["escape", "--geometry", "degenerate", "--distribution", "wiener"], None, 2, "vertices"),
+    "transition-degenerate-triangle": (
+        ["transition", "--source", "degenerate", "--target", "degenerate",
+         "--distribution", "wiener", "--method", "mc"], None, 2, "vertices"),
+    "missing-geometry": (
+        ["escape", "--geometry", "missing", "--distribution", "wiener"], None, 2, "geometry"),
+    "missing-source": (
+        ["transition", "--source", "missing", "--target", "next", "--distribution", "wiener"],
+        None, 2, "source"),
+    "missing-distribution": (
+        ["escape", "--geometry", "segment", "--distribution", "missing"], None, 2, "distribution"),
+    "particles-0": (ESCAPE + ["--particles", "0"], None, 2, "particles"),
+    "runs-0": (ESCAPE + ["--runs", "0"], None, 2, "runs"),
+    "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),
+    "seed-negative": (ESCAPE + ["--seed", "-1"], None, 2, "seed"),
+    "bench-particles-0": (["bench", "--particles", "0"], None, 2, "particles"),
+    "tolerance-not-met-both": (
+        ["escape", "--geometry", "tetrahedron", "--distribution", "wiener",
+         "--method", "both", "--particles", "20000"],
+        _tolerance_not_met, 3, "tolerance_not_met"),
+    "other-library-error": (ESCAPE + ["--method", "det"], _non_finite, 3, "solver_failure"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODE_TABLE)
+def test_exit_code_table(capsys, files, monkeypatch, case):
+    argv, patch, expected, named = EXIT_CODE_TABLE[case]
+    if patch is not None:
+        patch(monkeypatch)
+    code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 3:
+        report = json.loads(out)
+        assert report["status"].startswith(named)
+        if "--method" in argv and argv[argv.index("--method") + 1] == "both":
+            assert set(report["results"]) == {"deterministic", "monte_carlo"}
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
+
+def test_entry_point_reports_missing_file(files):
+    src = str(Path(cellescape.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellescape.cli", "escape",
+         "--geometry", files["missing"], "--distribution", files["wiener"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "geometry" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -219,3 +221,33 @@ class TestConfig:
             distribution_from_dict({"law": "levy"}, dim=1)
         with pytest.raises(InputError, match="dt"):
             distribution_from_dict({"law": "wiener", "dt": "fast"}, dim=1)
+
+
+class TestThreadSafety:
+    def test_shared_law_returns_the_type_each_caller_asked_for(self):
+        # one thread passes single steps and expects floats, the other
+        # batches and expects arrays; a flag stored on the law mixes them up
+        law = WienerStep(dt=1.0, dim=1)
+        wrong = []
+
+        def hammer(steps, expected):
+            for _ in range(3000):
+                if not isinstance(law.density(steps), expected):
+                    wrong.append(expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(np.array([0.5]), float)),
+                threading.Thread(target=hammer, args=(np.zeros((4, 1)), np.ndarray)),
+                threading.Thread(target=hammer, args=(np.array([-0.5]), float)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -111,6 +111,16 @@ class TestDeterminism:
         b = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=5, chunk=2**12))
         assert a.value != b.value  # different streams, both valid estimates
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=seed, runs=1)
+
+    def test_every_run_seed_must_fit_in_uint64(self):
+        assert McConfig(seed=2**64 - 3, runs=3).seed == 2**64 - 3
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=2**64 - 3, runs=4)
+
     def test_distinct_seeds_differ(self, benchmark_elements):
         seg = benchmark_elements["segment"]
         dist = WienerStep(dt=1.0, dim=1)
@@ -145,6 +155,17 @@ class TestTransitionMc:
             tet, far, WienerStep(dt=1e-4, dim=3), McConfig(particles=10**6, seed=11)
         )
         assert est.value == 0.0
+
+    @pytest.mark.parametrize(
+        "kind", ["segment", "triangle", "parallelogram", "tetrahedron", "parallelepiped"]
+    )
+    def test_escape_count_is_particles_minus_self_transitions(self, benchmark_elements, kind):
+        element = benchmark_elements[kind]
+        dist = WienerStep(dt=0.1, dim=element.dim)
+        config = McConfig(particles=30001, seed=13, runs=1, chunk=4096)
+        escaped = escape_probability_mc(element, dist, config).value * config.particles
+        stayed = transition_probability_mc(element, element, dist, config).value * config.particles
+        assert round(escaped) == config.particles - round(stayed)
 
     def test_dimension_mismatch(self, benchmark_elements):
         with pytest.raises(DimensionMismatch):

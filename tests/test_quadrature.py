@@ -234,6 +234,12 @@ class TestTransitionDeterministic:
         dist = WienerStep(dt=1.0, dim=1)
         est = transition_probability_det_1d((0, 2), (0, 2), dist)
         assert est.value == pytest.approx(1.0 - segment_escape_wiener(2.0, 1.0), abs=1e-8)
+        # the same identity under an origin-singular law, where both solvers
+        # exclude the zero step and report its mass
+        dist = VelocityJumpStep(rate=1.0, dim=1)
+        stay = transition_probability_det_1d((0, 1), (0, 1), dist)
+        escape = escape_probability_det(mesh_element("segment", [[0.0], [1.0]]), dist)
+        assert abs(escape.value - (1.0 - stay.value)) <= escape.error_estimate + stay.error_estimate
 
     def test_requires_1d(self):
         with pytest.raises(DimensionMismatch):
