@@ -12,7 +12,8 @@ Exit codes, one table for every command:
 * 0 success; 1 ``bench`` only, when some grid cell fails its check.
 * 2 malformed input, with ``error: ...`` naming the field on stderr and no
   traceback: ``InputError``, ``DegenerateElement``, ``DimensionMismatch``,
-  ``EmptyInterval``, an unreadable input file, or a ``--tol``,
+  ``EmptyInterval``, an unreadable input file, an ``--output`` file that
+  cannot be written (checked before any solve), or a ``--tol``,
   ``--particles``, ``--seed`` or ``--runs`` value the configs reject.
 * 3 solver failure, with a partial report: ``ToleranceNotMet`` keeps the
   best deterministic value (``--method both`` still runs Monte Carlo), any
@@ -39,7 +40,7 @@ from .errors import (
     InputError,
     ToleranceNotMet,
 )
-from .geometry import build_affine_map, element_from_dict, element_to_dict
+from .geometry import element_from_dict, element_to_dict
 from .montecarlo import (
     McConfig,
     empirical_stat_error,
@@ -107,11 +108,6 @@ def _read_json(args, option: str):
 
 def _load_inputs(args, options: tuple[str, ...]):
     elements = [element_from_dict(_read_json(args, option)) for option in options]
-    for element in elements:
-        try:
-            build_affine_map(element)
-        except DegenerateElement as exc:
-            raise InputError("vertices", str(exc)) from None
     if len({e.dim for e in elements}) != 1:
         raise InputError("vertices", "geometry files have different dimensions")
     dist = distribution_from_dict(_read_json(args, "distribution"), dim=elements[0].dim)
@@ -129,6 +125,22 @@ def _mc_config(args) -> McConfig:
 def _reject(exc: Exception, code: int = EXIT_BAD_INPUT) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+def _check_output(args) -> None:
+    """Reject an ``--output`` file that cannot be written, before any solve runs.
+
+    The check opens the file for appending, so a file that did not exist
+    is created empty.
+    """
+    if args.output:
+        try:
+            with open(args.output, "a"):
+                pass
+        except OSError as exc:
+            raise InputError(
+                "output", f"cannot write the --output file {args.output}: {exc.strerror or exc}"
+            ) from None
 
 
 def _emit(data: dict, args) -> None:
@@ -166,6 +178,7 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
     status = "ok"
     code = EXIT_OK
     try:
+        _check_output(args)
         elements, dist = _load_inputs(args, options)
         request = {option: element_to_dict(e) for option, e in zip(options, elements)}
         request.update(
@@ -257,7 +270,8 @@ def cmd_transition(args) -> int:
 def cmd_bench(args) -> int:
     try:
         _quad_config(args), _mc_config(args)  # reject bad flags before the grid runs
-    except ValueError as exc:
+        _check_output(args)
+    except (ValueError, InputError) as exc:
         return _reject(exc)
     progress = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     artifact = run_benchmark(

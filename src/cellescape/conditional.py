@@ -121,9 +121,10 @@ class StayRegion:
     """Axis-aligned boxes covering the support of the stay fraction.
 
     The boxes have pairwise disjoint interiors and the stay fraction
-    vanishes identically outside their union.  On each box the integrand
-    is smooth up to kink sets of measure zero, which adaptive quadrature
-    resolves by further subdivision.
+    vanishes identically outside their union.  On a simplex cell the stay
+    fraction has kinks inside the boxes.  The deterministic solver does not
+    use this cover: it integrates over cones from the zero step, on which
+    the stay fraction is smooth.
     """
 
     cell: ReferenceCell
@@ -144,5 +145,7 @@ def support_subdomains(cell: ReferenceCell) -> StayRegion:
     The stay fraction is zero as soon as any local step component exceeds
     1 in magnitude, so the orthants of ``[-1, 1]^n`` cover its support for
     every cell kind (2 intervals in 1D, 4 quadrants in 2D, 8 octants in 3D).
+    The deterministic solver no longer integrates over this orthant cover;
+    see :mod:`cellescape.quadrature`.
     """
     return StayRegion(cell=cell, boxes=_orthant_boxes(cell.dim))

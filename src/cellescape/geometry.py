@@ -163,6 +163,9 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
     InputError
         Wrong vertex count, wrong coordinate dimension, non-finite
         coordinates, or redundant vertices that contradict the implied ones.
+    DegenerateElement
+        Spanning edges that are linearly dependent, by the check of
+        :func:`build_affine_map`.
     """
     try:
         kind = ElementKind(kind)
@@ -199,7 +202,9 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
                 f"supplied {kind.value} vertices are inconsistent with the "
                 f"vertices implied by the spanning ones",
             )
-    return MeshElement(kind=kind, vertices=full)
+    element = MeshElement(kind=kind, vertices=full)
+    build_affine_map(element)
+    return element
 
 
 def element_from_dict(data: dict) -> MeshElement:
@@ -294,7 +299,7 @@ def build_affine_map(element: MeshElement) -> AffineMap:
     eps = 1e-14 * scale**n
     if not np.isfinite(det) or abs(det) <= eps:
         raise DegenerateElement(
-            f"{element.kind.value} spanning edges are linearly dependent "
+            f"{element.kind.value} vertices are degenerate: spanning edges are linearly dependent "
             f"(|det| = {abs(det):.3e} <= {eps:.3e})"
         )
     return AffineMap.from_matrix(matrix, a.copy())

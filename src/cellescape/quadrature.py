@@ -3,13 +3,20 @@
 The escape probability is computed by integrating the *stay* probability in
 reference-cell coordinates,
 
-    stay = integral over [-1,1]^n of stay_fraction(U, xi) p(A xi) |det A| dxi,
+    stay = integral of stay_fraction(U, d) p(A d) |det A| dd,
 
-and returning ``1 - stay``.  The stay integrand has compact support (the
-sign-orthant boxes of ``[-1, 1]^n``), so no infinite-domain truncation is
-ever needed.  Each box is handled by an embedded 7/15 Gauss-Kronrod pair
-(tensorized in 2D/3D); a box whose rule disagreement exceeds its share of
-the remaining error budget is split along its longest axis.
+and returning ``1 - stay``.  The stay fraction vanishes outside a compact
+support (the hexagon or cuboctahedron ``U - U`` for a simplex, ``[-1, 1]^n``
+for a box), so no infinite-domain truncation is ever needed.  The support
+is a union of cones from the zero step, one over each facet piece, and the
+stay fraction is smooth on each cone: on a simplex it is ``(1 - t)^n`` in
+the radial coordinate ``t``.  Each cone is mapped onto the unit box
+``(t, w)`` by ``d = t b(w)``, with Duffy's collapse on triangular facets,
+so no kink of the integrand crosses a box.  The radial axis is split
+geometrically toward the zero step.  Each box is handled by an embedded
+7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box whose rule
+disagreement exceeds its share of the remaining error budget is split along
+its longest axis.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditional import conditional_transition_1d, stay_fraction, support_subdomains
+from .conditional import conditional_transition_1d, stay_fraction
 from .errors import (
     DensityUnavailable,
     DimensionMismatch,
@@ -28,7 +35,7 @@ from .errors import (
     NonFiniteIntegrand,
     ToleranceNotMet,
 )
-from .geometry import Box, MeshElement, build_affine_map
+from .geometry import Box, MeshElement, ReferenceCell, build_affine_map
 
 __all__ = [
     "QuadratureConfig",
@@ -235,6 +242,8 @@ def _integrate_boxes(f, boxes, config: QuadratureConfig):
     Returns ``(value, error_estimate, n_evals)`` with
     ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
     """
+    if not boxes:
+        return 0.0, 0.0, 0
     frame = _Frame()
     lo = np.array([b.lo for b in boxes], dtype=float)
     hi = np.array([b.hi for b in boxes], dtype=float)
@@ -291,97 +300,176 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
     return value, error
 
 
-def _split_corner_cube(box: Box, radius: float) -> tuple[list[Box], Box]:
-    """Split off the cube of half-width ``radius`` at the origin corner.
+def _bit_vectors(n: int) -> list[list[int]]:
+    return [[(mask >> i) & 1 for i in range(n)] for mask in range(2**n)]
 
-    Every orthant has one corner at the origin.  Returns
-    the remainder, decomposed into ``n`` boxes with disjoint interiors
-    (piece k restricts axes before k to the corner strip and axis k to the
-    rest), together with the corner cube itself.
+
+def _support_facets(cell: ReferenceCell) -> list[np.ndarray]:
+    """Vertex lists of the facet pieces of the stay support of ``cell``.
+
+    On a simplex the support is the difference body ``U - U``: its vertices
+    are the differences of the cell's vertices, and its facets lie on the
+    planes ``c . d = 1`` with ``c`` in ``{0, 1}^n`` or ``{0, -1}^n``, ``c != 0``
+    (a hexagon in 2D, a cuboctahedron in 3D).  The stay fraction
+    ``(1 - g(d))^n`` has the gauge ``g(d) = max_c c . d`` of that body, which
+    is linear on the cone over each facet.  On a box the support is
+    ``[-1, 1]^n`` and ``prod(1 - |d_i|)`` is smooth on the cone over each
+    facet piece cut off by the coordinate planes.
     """
-    n = box.dim
-    sign = np.where(box.hi > 0.0, 1.0, -1.0)
-    pieces = []
+    n = cell.dim
+    eye = np.eye(n)
+    if cell.is_simplex:
+        corners = np.vstack([np.zeros(n), eye])
+        vertices = np.array([p - q for i, p in enumerate(corners) for j, q in enumerate(corners) if i != j])
+        normals = [sign * np.array(bits) for sign in (1, -1) for bits in _bit_vectors(n) if any(bits)]
+        return [vertices[vertices @ c == 1.0] for c in normals]
+    facets = []
     for k in range(n):
-        lo = box.lo.copy()
-        hi = box.hi.copy()
-        for j in range(k):
-            if sign[j] > 0.0:
-                hi[j] = radius
-            else:
-                lo[j] = -radius
-        if sign[k] > 0.0:
-            lo[k] = radius
-        else:
-            hi[k] = -radius
-        pieces.append(Box(lo=lo, hi=hi))
-    corner = Box(
-        lo=np.where(sign > 0.0, 0.0, -radius),
-        hi=np.where(sign > 0.0, radius, 0.0),
+        for bits in _bit_vectors(n):
+            signs = 1.0 - 2.0 * np.array(bits)
+            others = [signs[j] * eye[j] for j in range(n) if j != k]
+            facets.append(np.array([
+                signs[k] * eye[k] + sum(w * e for w, e in zip(picks, others))
+                for picks in _bit_vectors(n - 1)
+            ]))
+    return facets
+
+
+@dataclass(frozen=True)
+class _Cones:
+    """The stay support of one reference cell as cones from the zero step.
+
+    Cone ``k`` is ``d = t b(w)`` for ``(t, w)`` in ``[0, 1]^n``, where
+    ``b(w) = (1, w_1, s w_2) @ frames[k]`` (in 3D; ``(1, w_1)`` in 2D,
+    ``(1,)`` in 1D) runs over one facet piece.  The frame's rows are a
+    vertex of the piece and its ``n - 1`` edges; on a triangular facet the
+    second edge starts at the end of the first and ``s = w_1`` (Duffy's
+    collapse onto the vertex), on a parallelogram both start at the vertex
+    and ``s = 1``.  The Jacobian of the map is ``t^(n-1) s abs_det[k]``,
+    and ``radius`` bounds ``|b|``.
+    """
+
+    frames: np.ndarray  # (cones, n, n)
+    collapse: np.ndarray  # (cones,) bool
+    abs_det: np.ndarray  # (cones,)
+    radius: float
+
+    def boxes(self, breaks: list[float]) -> list[Box]:
+        """One box per cone and radial interval between ``breaks``.
+
+        Cone ``k`` holds the box coordinates ``(k + t, w)``.
+        """
+        facet = self.frames.shape[1] - 1
+        return [
+            Box(lo=[k + lo] + [0.0] * facet, hi=[k + hi] + [1.0] * facet)
+            for k in range(len(self.frames))
+            for lo, hi in zip(breaks[:-1], breaks[1:])
+        ]
+
+    def steps(self, x: np.ndarray):
+        """Local steps at the box coordinates ``x``, and the map's Jacobian there.
+
+        The points of one box share a cone and arrive in one run, so each
+        run is mapped by a single matrix product.
+        """
+        m, n = x.shape
+        k = x[:, 0].astype(np.intp)
+        t = x[:, 0] - k
+        coef = np.empty((m, n))
+        coef[:, 0] = t
+        for j in range(1, n):
+            np.multiply(x[:, j], t, out=coef[:, j])
+        jac = self.abs_det[k] * t ** (n - 1)
+        if self.collapse.any():
+            squeeze = np.where(self.collapse[k], x[:, 1], 1.0)
+            coef[:, 2] *= squeeze
+            jac *= squeeze
+        steps = np.empty((m, n))
+        cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, m]):
+            np.matmul(coef[lo:hi], self.frames[k[lo]], out=steps[lo:hi])
+        return steps, jac
+
+
+def _cones(cell: ReferenceCell) -> _Cones:
+    facets = _support_facets(cell)
+    frames = []
+    for vertices in facets:
+        rel = vertices[1:] - vertices[0]
+        if len(rel) == 3:  # a parallelogram: keep two edges, drop the diagonal
+            rel = rel[[not np.array_equal(2.0 * r, rel.sum(axis=0)) for r in rel]]
+        elif len(rel) == 2:  # a triangle: the second edge runs from the end of the first
+            rel = np.array([rel[0], rel[1] - rel[0]])
+        frames.append(np.vstack([vertices[0], rel]))
+    frames = np.array(frames)
+    return _Cones(
+        frames=frames,
+        collapse=np.array([len(vertices) == 3 for vertices in facets]),
+        abs_det=np.abs(np.linalg.det(frames)),
+        radius=max(float(np.linalg.norm(vertices, axis=1).max()) for vertices in facets),
     )
-    return pieces, corner
 
 
-def _origin_boxes(orthants, dist, op_norm: float) -> tuple[list[Box], float]:
-    """Boxes covering orthant cubes, refined toward their corner at the origin.
+_CONE_CACHE = {cell: _cones(cell) for cell in ReferenceCell}
 
-    Each orthant's corner cube is halved geometrically down to the local
-    scale of the step density, so that its core cannot fall between the
-    quadrature nodes of the first generation.  For origin-singular
-    densities the innermost cube of half-width ``ORIGIN_EXCLUSION_RADIUS``
-    is left out (an orthant no wider than it yields no box) and its
-    worst-case probability mass is returned as an error contribution.
-    ``op_norm`` is the 2-norm of the local-to-global step map.
+
+def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
+    """Ascending breakpoints of the radial interval ``[0, extent]``.
+
+    The interval is halved geometrically toward the zero step, down to the
+    local scale of the step density, so that a density core cannot fall
+    between the quadrature nodes of the first generation.  For
+    origin-singular densities the breakpoints start at
+    ``ORIGIN_EXCLUSION_RADIUS`` instead of 0, the innermost interval stays
+    at least twice that wide, and an extent no larger than it yields no
+    interval.  ``op_norm`` is the 2-norm of the local-to-global step map.
     """
     singular = bool(getattr(dist, "singular_at_origin", False))
+    floor = ORIGIN_EXCLUSION_RADIUS if singular else 0.0
+    if extent <= floor:
+        return []
     scale = getattr(dist, "typical_scale", None)
     local_scale = math.inf if scale is None else scale / op_norm
-    boxes: list[Box] = []
-    for orthant in orthants:
-        extent = float(orthant.hi[0] - orthant.lo[0])
-        if singular and extent <= ORIGIN_EXCLUSION_RADIUS:
-            continue
-        levels = 0
-        if extent > local_scale:
-            levels = min(45, int(math.ceil(math.log2(extent / local_scale))))
-        if singular:
-            # keep the innermost box wider than the cube that will be excluded
-            levels = min(levels, int(math.log2(0.5 * extent / ORIGIN_EXCLUSION_RADIUS)))
-        corner, width = orthant, extent
-        for _ in range(levels):
-            width *= 0.5
-            pieces, corner = _split_corner_cube(corner, width)
-            boxes.extend(pieces)
-        if singular:
-            boxes.extend(_split_corner_cube(corner, ORIGIN_EXCLUSION_RADIUS)[0])
-        else:
-            boxes.append(corner)
-    extra_error = 0.0
-    if singular and orthants:
-        global_radius = op_norm * ORIGIN_EXCLUSION_RADIUS * math.sqrt(orthants[0].dim)
-        extra_error = float(dist.origin_ball_mass_bound(global_radius))
-    return boxes, extra_error
+    levels = 0
+    if extent > local_scale:
+        levels = min(45, int(math.ceil(math.log2(extent / local_scale))))
+    if singular:
+        levels = min(levels, int(math.log2(0.5 * extent / ORIGIN_EXCLUSION_RADIUS)))
+    return [floor] + [extent * 0.5**j for j in range(levels, -1, -1)]
+
+
+def _excluded_mass(dist, stretch: float) -> float:
+    """Mass bound of an excluded neighbourhood of the zero step.
+
+    The neighbourhood lies within ``stretch * ORIGIN_EXCLUSION_RADIUS`` of
+    the zero step in global coordinates.  Laws regular at the origin
+    exclude nothing.
+    """
+    if getattr(dist, "singular_at_origin", False):
+        return float(dist.origin_ball_mass_bound(stretch * ORIGIN_EXCLUSION_RADIUS))
+    return 0.0
 
 
 def _transition_boxes(a, b, c, d, dist) -> tuple[list[Box], float]:
     """Subdivide the transition window ``[c - b, d - a]``, in ascending order.
 
     A window containing the zero step is split into the orthants
-    ``[c - b, 0]`` and ``[0, d - a]``, each refined by the origin ladder.
+    ``[c - b, 0]`` and ``[0, d - a]``, each laddered by ``_radial_breaks``.
     The kinks of the conditional factor, at ``c - a`` and ``d - b``, then
     become box edges.
     """
     w0, w1 = c - b, d - a
     if w0 <= 0.0 <= w1:
-        orthants = [Box(lo=[lo], hi=[hi]) for lo, hi in ((w0, 0.0), (0.0, w1)) if lo < hi]
-        boxes, extra_error = _origin_boxes(orthants, dist, 1.0)
-        boxes.sort(key=lambda box: box.lo[0])
+        left = _radial_breaks(-w0, dist, 1.0)
+        right = _radial_breaks(w1, dist, 1.0)
+        pieces = [(-hi, -lo) for lo, hi in reversed(list(zip(left[:-1], left[1:])))]
+        pieces += zip(right[:-1], right[1:])
+        extra_error = _excluded_mass(dist, 1.0)
     else:
-        boxes, extra_error = [Box(lo=[w0], hi=[w1])], 0.0
+        pieces, extra_error = [(w0, w1)], 0.0
     kinks = sorted({c - a, d - b})
     split = []
-    for box in boxes:
-        left, right = float(box.lo[0]), float(box.hi[0])
+    for left, right in pieces:
         inner = [x for x in kinks if left < x < right]
         split.extend(Box(lo=[lo], hi=[hi]) for lo, hi in zip([left, *inner], [*inner, right]))
     return split, extra_error
@@ -429,12 +517,16 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     """Deterministic escape probability of one step from the element.
 
     Integrates the stay probability over the compact stay support in local
-    coordinates and returns its complement, clamped into ``[0, 1]``.
+    coordinates, as a union of cones from the zero step on each of which
+    the stay fraction is smooth, and returns its complement, clamped into
+    ``[0, 1]``.
 
-    For densities flagged ``singular_at_origin``, a cube of half-width
-    1e-8 (local coordinates) around the zero step is excluded from the
-    integration domain and the law's worst-case mass bound for the excluded
-    neighbourhood is added to the error estimate.
+    For densities flagged ``singular_at_origin``, the support scaled by
+    1e-8 (the radial coordinate ``t < 1e-8`` of every cone) is excluded
+    from the integration domain: for a box cell the cube of half-width
+    1e-8, for a simplex the hexagon or cuboctahedron of that scale.  The
+    law's worst-case mass bound for the ball around it is added to the
+    error estimate.
 
     Raises
     ------
@@ -443,17 +535,19 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     """
 
     cell = element.reference_cell
+    cones = _CONE_CACHE[cell]
 
     def prepare():
         amap = build_affine_map(element)
         op_norm = float(np.linalg.norm(amap.matrix, 2))
-        boxes, extra_error = _origin_boxes(support_subdomains(cell).boxes, dist, op_norm)
+        boxes = cones.boxes(_radial_breaks(1.0, dist, op_norm))
 
-        def f(local_steps: np.ndarray) -> np.ndarray:
+        def f(x: np.ndarray) -> np.ndarray:
+            local_steps, jac = cones.steps(x)
             global_steps = amap.global_step(local_steps)
-            return stay_fraction(cell, local_steps) * dist.density(global_steps) * amap.abs_det
+            return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
-        return f, boxes, extra_error
+        return f, boxes, _excluded_mass(dist, op_norm * cones.radius)
 
     return _solve(dist, element.dim, config, prepare, complement=True)
 
@@ -465,7 +559,8 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     density over the compact window ``[c - b, d - a]``.  The piecewise-
     linear kinks of the conditional factor at ``c - a`` and ``d - b`` seed
     the initial subdivision, and the zero step gets the same origin ladder
-    and exclusion as the escape solver.
+    and exclusion as the escape solver.  A window that lies wholly inside
+    the excluded neighbourhood gives 0, with the excluded mass as its error.
     """
     a, b = float(source[0]), float(source[1])
     c, d = float(target[0]), float(target[1])

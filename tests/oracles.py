@@ -2,8 +2,10 @@
 
 Everything here is deliberately brute force and shares no code with the
 library paths it checks: overlap fractions come from counting grid-cell
-centers, 1D integrals from dense trapezoid sums, and the segment escape
-probability from a hand-derived closed form.
+centers, 1D integrals from dense trapezoid sums, the segment escape
+probability from a hand-derived closed form, and simplex escape
+probabilities from iterated Gauss-Legendre sums in Cartesian coordinates
+whose panels end at every kink of the stay fraction.
 """
 
 import math
@@ -138,6 +140,109 @@ def vjump_cdf_from_density(density_fn, x_max=80.0, n_points=2500):
         return np.interp(x, xs, cdf, left=0.0, right=1.0)
 
     return F
+
+
+# ---------------------------------------------------------------------------
+# Simplex escape oracle: iterated Gauss-Legendre in Cartesian local
+# coordinates, per sign orthant, with every kink plane of the stay fraction
+# (and every line where two of them cross) as an explicit breakpoint.
+# ---------------------------------------------------------------------------
+
+def _plane_key(h, r):
+    lead = h[np.flatnonzero(np.abs(h) > 1e-12)[0]]
+    return tuple(np.round(np.append(h, r) / lead, 9))
+
+
+def _eliminate_last(planes):
+    """Planes of the first j-1 coordinates along which the integral over the
+    last coordinate can kink: the planes free of it, and the projections of
+    the crossings of every pair that involve it."""
+    free = [(h[:-1], r) for h, r in planes if h[-1] == 0.0]
+    tied = [(h / h[-1], r / h[-1]) for h, r in planes if h[-1] != 0.0]
+    for i, (h1, r1) in enumerate(tied):
+        for h2, r2 in tied[i + 1:]:
+            free.append((h1[:-1] - h2[:-1], r1 - r2))
+    unique = {}
+    for h, r in free:
+        if np.any(np.abs(h) > 1e-12):
+            unique.setdefault(_plane_key(h, r), (h, r))
+    return list(unique.values())
+
+
+def _side(d):
+    """Side length of the simplex U ∩ (U - d), negative where they are disjoint."""
+    return 1.0 - np.maximum(0.0, d.sum(axis=1)) + np.minimum(0.0, d).sum(axis=1)
+
+
+def _orthant_stay_integral(signs, integrand, order, width):
+    n = len(signs)
+    x, w = np.polynomial.legendre.leggauss(order)
+    pos = np.array([s > 0 for s in signs], dtype=float)
+    neg = 1.0 - pos
+    # the kinks of the side inside the orthant, and the orthant faces
+    planes = [(np.ones(n), 0.0)]
+    if pos.any():
+        planes.append((pos, 1.0))
+    if neg.any():
+        planes.append((neg, -1.0))
+    for i, s in enumerate(signs):
+        planes += [(np.eye(n)[i], 0.0), (np.eye(n)[i], float(s))]
+    levels = [planes]
+    for _ in range(n - 1):
+        levels.append(_eliminate_last(levels[-1]))
+    levels.reverse()  # levels[j]: planes over the coordinates 0..j
+    points = np.zeros((1, 0))
+    weights = np.ones(1)
+    for j in range(n):
+        lo, hi = min(0.0, signs[j]), max(0.0, signs[j])
+        # grid lines keep every panel narrower than the density's scale
+        grid = np.arange(lo, hi + width, width)
+        cand = [np.full(len(points), v) for v in grid]
+        for h, r in levels[j]:
+            if h[j] != 0.0:
+                cand.append((r - points @ h[:j]) / h[j])
+        edges = np.sort(np.clip(np.column_stack(cand), lo, hi), axis=1)
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+        nodes = (mid + half * x).reshape(len(points), -1)
+        node_w = (half * w).reshape(len(points), -1)
+        keep = node_w > 0.0
+        rows = np.repeat(np.arange(len(points)), keep.sum(axis=1))
+        points = np.column_stack([points[rows], nodes[keep]])
+        weights = weights[rows] * node_w[keep]
+        # the side only shrinks as the remaining coordinates leave 0
+        alive = _side(points) > 0.0
+        points, weights = points[alive], weights[alive]
+    return float(weights @ integrand(points))
+
+
+def simplex_escape_wiener(vertices, dt, order=8, width=None):
+    """Escape probability of a triangle or tetrahedron under N(0, dt I) steps.
+
+    Integrates the stay fraction times the step density in reference-cell
+    coordinates with tensor Gauss-Legendre, one orthant at a time; the kink
+    planes of the stay fraction and their crossings are panel edges, so every
+    panel integrand is smooth.  Returns ``(value, error)``: the value at
+    ``order + 4`` nodes per panel and its distance to the value at ``order``.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    n = vertices.shape[1]
+    matrix = (vertices[1:] - vertices[0]).T
+    det = abs(np.linalg.det(matrix))
+    if width is None:
+        width = 0.5 * math.sqrt(dt) / np.linalg.norm(matrix, 2)
+
+    def integrand(d):
+        g = d @ matrix.T
+        density = (2.0 * math.pi * dt) ** (-n / 2.0) * np.exp(-(g * g).sum(axis=1) / (2.0 * dt))
+        return np.maximum(0.0, _side(d)) ** n * density * det
+
+    orthants = [[1.0 - 2.0 * ((mask >> i) & 1) for i in range(n)] for mask in range(2**n)]
+    values = [
+        1.0 - sum(_orthant_stay_integral(s, integrand, q, width) for s in orthants)
+        for q in (order, order + 4)
+    ]
+    return values[1], abs(values[1] - values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ def files(tmp_path):
             "degenerate.json", {"kind": "triangle", "vertices": [[0, 0], [1, 1], [2, 2]]}
         ),
         "missing": str(tmp_path / "missing.json"),
+        "unwritable": str(tmp_path / "no-such-directory" / "report.json"),
         "tmp_path": tmp_path,
     }
 
@@ -266,6 +267,8 @@ EXIT_CODE_TABLE = {
     "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),
     "seed-negative": (ESCAPE + ["--seed", "-1"], None, 2, "seed"),
     "bench-particles-0": (["bench", "--particles", "0"], None, 2, "particles"),
+    "output-unwritable": (
+        ESCAPE + ["--method", "det", "--output", "unwritable"], _non_finite, 2, "--output"),
     "tolerance-not-met-both": (
         ["escape", "--geometry", "tetrahedron", "--distribution", "wiener",
          "--method", "both", "--particles", "20000"],

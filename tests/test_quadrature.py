@@ -20,10 +20,10 @@ from cellescape import (
     stay_fraction,
     transition_probability_det_1d,
 )
-from cellescape.quadrature import _WG7, _WGK, _XGK
+from cellescape.quadrature import _CONE_CACHE, _WG7, _WGK, _XGK, _integrate_boxes
 
 from conftest import random_element
-from oracles import segment_escape_wiener, transition_1d_trapezoid
+from oracles import segment_escape_wiener, simplex_escape_wiener, transition_1d_trapezoid
 
 
 def box(lo, hi):
@@ -114,6 +114,42 @@ class TestIntegrateAdaptive:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+
+
+class TestCones:
+    @pytest.mark.parametrize("cell", list(ReferenceCell))
+    def test_stay_integrates_to_cell_measure(self, cell):
+        # the integral of V(U ∩ (U - d)) / V(U) over all steps d is V(U)
+        cones = _CONE_CACHE[cell]
+
+        def f(x):
+            local_steps, jac = cones.steps(x)
+            return stay_fraction(cell, local_steps) * jac
+
+        value, _, _ = _integrate_boxes(f, cones.boxes([0.0, 1.0]), QuadratureConfig(abs_tol=1e-12))
+        assert value == pytest.approx(cell.measure, abs=1e-12)
+
+    def test_benchmark_tetrahedron_cost_guard(self, benchmark_elements):
+        # a tenth of the 31,981,500 evaluations the orthant tiling needed
+        est = escape_probability_det(benchmark_elements["tetrahedron"], WienerStep(dt=0.1, dim=3))
+        assert est.cost < 3_198_150
+
+
+class TestErrorEstimateHonesty:
+    """The reported error covers the distance to a kink-aware brute-force oracle."""
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
+    def test_benchmark_triangle(self, benchmark_elements, dt):
+        tri = benchmark_elements["triangle"]
+        est = escape_probability_det(tri, WienerStep(dt=dt, dim=2))
+        oracle, oracle_error = simplex_escape_wiener(tri.vertices, dt)
+        assert abs(est.value - oracle) <= est.error_estimate + oracle_error
+
+    def test_benchmark_tetrahedron(self, benchmark_elements):
+        tet = benchmark_elements["tetrahedron"]
+        est = escape_probability_det(tet, WienerStep(dt=1.0, dim=3), QuadratureConfig(abs_tol=1e-4))
+        oracle, oracle_error = simplex_escape_wiener(tet.vertices, 1.0)
+        assert abs(est.value - oracle) <= est.error_estimate + oracle_error
 
 
 class TestEscapeDeterministic:
@@ -240,6 +276,13 @@ class TestTransitionDeterministic:
         stay = transition_probability_det_1d((0, 1), (0, 1), dist)
         escape = escape_probability_det(mesh_element("segment", [[0.0], [1.0]]), dist)
         assert abs(escape.value - (1.0 - stay.value)) <= escape.error_estimate + stay.error_estimate
+
+    def test_window_inside_origin_exclusion(self):
+        # every step that lands is excluded: no box is left to integrate
+        dist = VelocityJumpStep(1.0, 1)
+        est = transition_probability_det_1d((0, 5e-9), (0, 5e-9), dist)
+        assert est.value == 0.0
+        assert est.error_estimate == dist.origin_ball_mass_bound(1e-8)
 
     def test_requires_1d(self):
         with pytest.raises(DimensionMismatch):
