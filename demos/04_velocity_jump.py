@@ -21,7 +21,8 @@ from cellescape import (
 
 law = VelocityJumpStep(rate=1.0, dim=1)
 
-# The mixture density is evaluated by adaptive quadrature on demand:
+# The mixture density is a 1D integral over the travel time, taken for a
+# whole batch of steps at once by one fixed quadrature rule:
 for x in (0.1, 0.5, 1.0, 3.0):
     print(f"density at |dx| = {x}: {law.density([x]):.6f}")
 

@@ -83,9 +83,7 @@ def run_benchmark(
         for j, dt in enumerate(DT_GRID):
             dist = WienerStep(dt=dt, dim=element.dim)
             det = escape_probability_det(element, dist, qconfig)
-            mc = escape_probability_mc(
-                element, dist, McConfig(particles=particles, seed=seed, runs=1), workers=workers
-            )
+            mc = escape_probability_mc(element, dist, McConfig(particles=particles, seed=seed), workers=workers)
             reference = REFERENCE_DET[name][j]
             sigma = theoretical_stat_error(det.value, particles)
             det_ok = abs(det.value - reference) <= DET_TOLERANCE

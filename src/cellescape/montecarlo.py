@@ -6,7 +6,8 @@ that end up outside (escape) or inside the target (transition).  The value
 is a multiple of 1/N -- quantized, but unbiased.
 
 Particles are processed in fixed-size chunks, each driven by its own
-counter-based Philox stream keyed by ``(seed, chunk index)``.  Chunk
+counter-based Philox stream keyed by ``(seed, chunk index)``; the repeated
+runs of one configuration start that stream at distinct counters.  Chunk
 results are exact integer counts, so the estimate is a deterministic
 function of the configuration and independent of how many workers process
 the chunks.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +39,13 @@ __all__ = [
 class McConfig:
     """Monte Carlo run configuration.
 
-    ``chunk`` is the number of particles per independent random stream;
-    it is part of the reproducibility contract (changing it changes the
-    streams and therefore the estimate).  Run ``r`` of
-    :func:`repeat_escape_probability_mc` uses seed ``seed + r``, so every
-    seed from ``seed`` to ``seed + runs - 1`` must lie in ``[0, 2**64)``.
+    ``seed`` is any integer in ``[0, 2**64)``.  ``chunk`` is the number of
+    particles per independent random stream; it is part of the
+    reproducibility contract (changing it changes the streams and therefore
+    the estimate).  Run ``r`` of :func:`repeat_escape_probability_mc` keeps
+    the seed and starts every chunk's stream at the counter ``r * 2**192``,
+    so run 0 is the single-call estimate and no run of one seed repeats a
+    run of another.
     """
 
     particles: int = 10**6
@@ -57,15 +60,15 @@ class McConfig:
             raise ValueError("runs must be at least 1")
         if self.chunk < 1:
             raise ValueError("chunk must be at least 1")
-        if not 0 <= self.seed <= 2**64 - self.runs:
-            raise ValueError(
-                f"seed must lie in [0, 2**64 - runs] = [0, {2**64 - self.runs}], got {self.seed}"
-            )
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
-def _chunk_stream(seed: int, index: int) -> np.random.Generator:
+def _chunk_stream(seed: int, index: int, run: int = 0) -> np.random.Generator:
+    """Philox keyed by ``(seed, chunk index)``, its counter's top word set to the run."""
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, 0, run], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def _run_chunks(count_fn, config: McConfig, workers: int) -> int:
@@ -82,12 +85,12 @@ def _run_chunks(count_fn, config: McConfig, workers: int) -> int:
         return sum(counts)
 
 
-def _landing_estimate(source, target, dist, config, workers, complement) -> ProbabilityEstimate:
+def _landing_estimate(source, target, dist, config, workers, complement, run=0) -> ProbabilityEstimate:
     """Fraction of particles started in ``source`` that land in ``target``.
 
-    With ``complement`` it is the fraction that does not land there.  The
-    reported error estimate is the binomial standard deviation at the
-    estimated value.
+    With ``complement`` it is the fraction that does not land there.
+    ``run`` selects the streams of one repeated run.  The reported error
+    estimate is the binomial standard deviation at the estimated value.
     """
     config = config or McConfig()
     if not dist.has_sampler:
@@ -109,7 +112,7 @@ def _landing_estimate(source, target, dist, config, workers, complement) -> Prob
     tgt_cell = target.reference_cell
 
     def count_landed(index: int, m: int) -> int:
-        rng = _chunk_stream(config.seed, index)
+        rng = _chunk_stream(config.seed, index, run)
         positions = src_map.to_global(_sample_reference(src_cell, rng, m))
         moved = positions + dist.sample(rng, m)
         return int(_reference_contains(tgt_cell, tgt_map.to_local(moved)).sum())
@@ -155,14 +158,15 @@ def transition_probability_mc(
 def repeat_escape_probability_mc(
     element: MeshElement, dist, config: McConfig | None = None, workers: int = 1
 ) -> list[ProbabilityEstimate]:
-    """Run the escape estimator ``config.runs`` times with distinct seeds.
+    """Run the escape estimator ``config.runs`` times with independent streams.
 
-    Run ``r`` uses seed ``config.seed + r``, so the first entry reproduces
-    a single :func:`escape_probability_mc` call with the same config.
+    Run ``r`` keeps ``config.seed`` and starts its streams at the Philox
+    counter ``r * 2**192``, so the first entry reproduces a single
+    :func:`escape_probability_mc` call with the same config.
     """
     config = config or McConfig()
     return [
-        escape_probability_mc(element, dist, replace(config, seed=config.seed + r, runs=1), workers=workers)
+        _landing_estimate(element, element, dist, config, workers, complement=True, run=r)
         for r in range(config.runs)
     ]
 

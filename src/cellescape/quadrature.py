@@ -183,7 +183,11 @@ def _evaluate(f, lo, hi, frame: _Frame):
     pts, wh, wl = _RULE_CACHE[n]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid[:, None, :] + half[:, None, :] * pts[None, :, :]
+    # one coordinate at a time: a broadcast over the length-n axis runs as
+    # numpy inner loops of length n <= 3
+    x = np.empty((lo.shape[0], len(pts), n))
+    for j in range(n):
+        x[:, :, j] = mid[:, j, None] + half[:, j, None] * pts[:, j]
     values = np.asarray(f(x.reshape(-1, n)), dtype=float).reshape(lo.shape[0], -1)
     frame.n_evals += values.size
     if not np.all(np.isfinite(values)):

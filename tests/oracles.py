@@ -3,14 +3,17 @@
 Everything here is deliberately brute force and shares no code with the
 library paths it checks: overlap fractions come from counting grid-cell
 centers, 1D integrals from dense trapezoid sums, the segment escape
-probability from a hand-derived closed form, and simplex escape
+probability from a hand-derived closed form, simplex escape
 probabilities from iterated Gauss-Legendre sums in Cartesian coordinates
-whose panels end at every kink of the stay fraction.
+whose panels end at every kink of the stay fraction, and the velocity-jump
+mixture integrals from adaptive QUADPACK runs on short panels in ``log u``.
 """
 
 import math
+import warnings
 
 import numpy as np
+from scipy import integrate, special
 from scipy.stats import norm
 
 
@@ -117,6 +120,61 @@ def vjump_density_trapezoid(x, rate=1.0, dim=1, panels=10**6, t_max=60.0):
         )
     g[~np.isfinite(g)] = 0.0
     return float(np.trapezoid(g, t))
+
+
+def _log_u_panels(lo, hi, peak):
+    """Panel edges of width at most 1/2 from ``lo`` to ``hi``, one of them at ``peak``."""
+    return np.unique(np.concatenate([np.arange(lo, hi, 0.5), [hi, min(max(peak, lo), hi)]]))
+
+
+def _quad_panels(f, edges):
+    total = 0.0
+    with warnings.catch_warnings():
+        # panels far below the peak cannot reach epsrel against their own tiny values
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def vjump_radial_integral(s, dim):
+    """``I_n(s) = integral_0^inf u^-n exp(-u - s^2 / (2 u^2)) du`` by panel quadrature.
+
+    The velocity-jump density is ``rate^n (2 pi)^(-n/2) I_n(rate |dx|)``.  The
+    integral is taken in ``v = log u`` over ``[log s - 6, log(80 + 3 s)]``
+    with QUADPACK on panels of width 1/2, one edge at the integrand's peak
+    (the root of ``u^3 + (n - 1) u^2 = s^2``), whose log-value is factored out.
+    """
+    roots = np.roots([1.0, dim - 1.0, 0.0, -s * s])
+    peak = float(max(r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0))
+    log_peak = -peak - s * s / (2.0 * peak * peak) - (dim - 1) * math.log(peak)
+
+    def f(v):
+        u = math.exp(v)
+        return math.exp(-u - s * s / (2.0 * u * u) - (dim - 1) * v - log_peak)
+
+    edges = _log_u_panels(math.log(s) - 6.0, math.log(80.0 + 3.0 * s), math.log(peak))
+    return _quad_panels(f, edges) * math.exp(log_peak)
+
+
+def vjump_origin_ball_mass(radius, rate, dim):
+    """``P(|v T| <= radius)`` for ``T ~ Exp(rate)``, ``v ~ N(0, I_n)``.
+
+    That is ``E[F(radius^2 / T^2)]``, with ``F`` the chi-square CDF of
+    ``|v|^2`` with ``n`` degrees of freedom.  It is taken in ``v = log(rate T)``
+    by panel quadrature down to 45 e-folds below ``rate * radius``; the mass
+    of the shorter flights, where ``F`` is 1 to double precision, is added in
+    closed form.
+    """
+    rho = rate * radius
+    lo = math.log(rho) - 45.0
+    edges = _log_u_panels(lo, math.log(80.0 + 3.0 * rho), math.log(rho))
+    tail = -math.expm1(-math.exp(lo))
+
+    def f(v):
+        return math.exp(v - math.exp(v)) * special.chdtr(dim, (rho * math.exp(-v)) ** 2)
+
+    return tail + _quad_panels(f, edges)
 
 
 def vjump_cdf_from_density(density_fn, x_max=80.0, n_points=2500):

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.stats import kstest, norm
 
+import cellescape
 from cellescape import (
     DensityUnavailable,
     DimensionMismatch,
@@ -20,7 +24,12 @@ from cellescape import (
     distribution_to_dict,
 )
 
-from oracles import vjump_cdf_from_density, vjump_density_trapezoid
+from oracles import (
+    vjump_cdf_from_density,
+    vjump_density_trapezoid,
+    vjump_origin_ball_mass,
+    vjump_radial_integral,
+)
 
 
 def random_rotation(n, rng):
@@ -123,6 +132,19 @@ class TestVelocityJumpDensity:
     def test_trapezoid_oracle(self):
         vj = VelocityJumpStep(rate=1.0, dim=1)
         assert vj.density([1.0]) == pytest.approx(vjump_density_trapezoid(1.0), abs=1e-8)
+        # every dimension, from far inside the origin singularity to the far
+        # tail, against panel quadrature; the rate scales s = rate * |dx|
+        s = np.geomspace(1e-12, 1e3, 31)
+        for n in (1, 2, 3):
+            vj = VelocityJumpStep(rate=2.0, dim=n)
+            steps = np.zeros((len(s), n))
+            steps[:, -1] = s / 2.0
+            oracle = [2.0**n * (2.0 * math.pi) ** (-n / 2.0) * vjump_radial_integral(x, n) for x in s]
+            assert np.allclose(vj.density(steps), oracle, rtol=1e-9, atol=0.0)
+        # small-s asymptotes: I_2(s) -> sqrt(pi / 2) / s and I_3(s) -> 1 / s^2
+        for n, limit in ((2, math.sqrt(math.pi / 2.0) / 1e-10), (3, 1e20)):
+            value = VelocityJumpStep(rate=1.0, dim=n).density(np.full(n, 1e-10 / math.sqrt(n)))
+            assert value * (2.0 * math.pi) ** (n / 2.0) == pytest.approx(limit, rel=1e-8)
 
     def test_origin_singularity(self):
         vj = VelocityJumpStep(rate=1.0, dim=1)
@@ -155,9 +177,27 @@ class TestVelocityJumpDensity:
         x = np.geomspace(1e-12, 2e-8, 2000)
         mass = 2.0 * np.trapezoid(vj.density(x[:, None]), x)
         assert bound >= mass
+        # in every dimension it must dominate the mass, and stay within 1e-6 of it
+        for n in (1, 2, 3):
+            vj = VelocityJumpStep(rate=1.0, dim=n)
+            assert vj.origin_ball_mass_bound(0.0) == 0.0
+            for radius in np.geomspace(1e-10, 1.0, 11):
+                mass = vjump_origin_ball_mass(radius, 1.0, n)
+                assert mass <= vj.origin_ball_mass_bound(radius) <= mass * (1.0 + 1e-6)
 
 
 class TestValidation:
+    def test_import_leaves_out_scipy_stats_and_integrate(self):
+        code = (
+            "import sys, cellescape; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        src = str(Path(cellescape.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_parameter_checks(self):
         with pytest.raises(InputError):
             WienerStep(dt=0.0, dim=1)

@@ -116,10 +116,20 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="seed"):
             McConfig(seed=seed, runs=1)
 
-    def test_every_run_seed_must_fit_in_uint64(self):
+    def test_every_run_seed_must_fit_in_uint64(self, benchmark_elements):
         assert McConfig(seed=2**64 - 3, runs=3).seed == 2**64 - 3
-        with pytest.raises(ValueError, match="seed"):
-            McConfig(seed=2**64 - 3, runs=4)
+        # runs are told apart by the stream counter, not the seed, so the
+        # largest seed runs any number of repeats
+        config = McConfig(particles=1000, seed=2**64 - 1, runs=10)
+        runs = repeat_escape_probability_mc(benchmark_elements["segment"], WienerStep(dt=1.0, dim=1), config)
+        assert len(runs) == 10 and len({r.value for r in runs}) > 1
+
+    def test_repeated_runs_do_not_alias_other_seeds(self, benchmark_elements):
+        seg = benchmark_elements["segment"]
+        dist = WienerStep(dt=1.0, dim=1)
+        run_1 = repeat_escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=7, runs=2))[1]
+        next_seed = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=8))
+        assert run_1.value != next_seed.value
 
     def test_distinct_seeds_differ(self, benchmark_elements):
         seg = benchmark_elements["segment"]

@@ -238,6 +238,16 @@ class TestEscapeDeterministic:
         bound = 4.0 * theoretical_stat_error(det.value, 200000) + det.error_estimate
         assert abs(mc.value - det.value) <= bound
 
+    def test_velocity_jump_3d_matches_monte_carlo(self, benchmark_elements):
+        from cellescape import McConfig, escape_probability_mc, theoretical_stat_error
+
+        tet = benchmark_elements["tetrahedron"]
+        vj = VelocityJumpStep(rate=1.0, dim=3)
+        det = escape_probability_det(tet, vj, QuadratureConfig(abs_tol=1e-4))
+        mc = escape_probability_mc(tet, vj, McConfig(particles=10**6, seed=31))
+        bound = 4.0 * theoretical_stat_error(det.value, 10**6) + det.error_estimate
+        assert abs(mc.value - det.value) <= bound
+
     def test_tolerance_not_met_reports_escape_scale_value(self, benchmark_elements):
         config = QuadratureConfig(abs_tol=1e-13, rel_tol=0.0, max_subdivisions=2)
         with pytest.raises(ToleranceNotMet) as excinfo:
