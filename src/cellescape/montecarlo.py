@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SamplerUnavailable, TooFewRuns
-from .geometry import MeshElement, _reference_contains, _sample_reference, build_affine_map
+from .geometry import AffineMap, MeshElement, _reference_contains, _sample_reference, build_affine_map
 from .quadrature import ProbabilityEstimate
 
 __all__ = [
@@ -110,12 +110,21 @@ def _landing_estimate(source, target, dist, config, workers, complement, run=0) 
     tgt_map = build_affine_map(target)
     src_cell = source.reference_cell
     tgt_cell = target.reference_cell
+    # A particle at source-reference point xi that takes the global step d
+    # lands at target-reference point M xi + T^-1 d + c, where the columns
+    # of M are the source's edges and c its first vertex, both in target
+    # coordinates.  For escape M is the identity and c is 0.
+    step_map = AffineMap.from_matrix(tgt_map.inverse, tgt_map.to_local(src_map.offset))
+    reference_map = None if source is target else AffineMap.from_matrix(
+        tgt_map.local_step(src_map.matrix.T).T, np.zeros(source.dim)
+    )
 
     def count_landed(index: int, m: int) -> int:
         rng = _chunk_stream(config.seed, index, run)
-        positions = src_map.to_global(_sample_reference(src_cell, rng, m))
-        moved = positions + dist.sample(rng, m)
-        return int(_reference_contains(tgt_cell, tgt_map.to_local(moved)).sum())
+        xi = _sample_reference(src_cell, rng, m)
+        local = step_map.to_global(dist.sample(rng, m))
+        local += xi if reference_map is None else reference_map.to_global(xi)
+        return int(np.count_nonzero(_reference_contains(tgt_cell, local)))
 
     landed = _run_chunks(count_landed, config, workers)
     successes = config.particles - landed if complement else landed

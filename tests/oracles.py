@@ -13,7 +13,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 from scipy.stats import norm
 
 
@@ -143,17 +143,25 @@ def vjump_radial_integral(s, dim):
     The velocity-jump density is ``rate^n (2 pi)^(-n/2) I_n(rate |dx|)``.  The
     integral is taken in ``v = log u`` over ``[log s - 6, log(80 + 3 s)]``
     with QUADPACK on panels of width 1/2, one edge at the integrand's peak
-    (the root of ``u^3 + (n - 1) u^2 = s^2``), whose log-value is factored out.
+    (the root of ``u^3 + (n - 1) u^2 = s^2``, found in ``log u`` so that ``s``
+    down to 1e-300 neither underflows nor loses the root), whose log-value
+    is factored out.
     """
-    roots = np.roots([1.0, dim - 1.0, 0.0, -s * s])
-    peak = float(max(r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0))
-    log_peak = -peak - s * s / (2.0 * peak * peak) - (dim - 1) * math.log(peak)
+    log_s = math.log(s)
+
+    def slope(v):
+        return math.exp(2.0 * (log_s - v)) - math.exp(v) - (dim - 1)
+
+    bracket = (min(log_s, 2.0 * log_s / 3.0) - 5.0, max(log_s, 2.0 * log_s / 3.0) + 5.0)
+    log_u_peak = optimize.brentq(slope, *bracket, xtol=1e-15, rtol=1e-15)
+    peak = math.exp(log_u_peak)
+    log_peak = -peak - 0.5 * (s / peak) ** 2 - (dim - 1) * log_u_peak
 
     def f(v):
         u = math.exp(v)
-        return math.exp(-u - s * s / (2.0 * u * u) - (dim - 1) * v - log_peak)
+        return math.exp(-u - 0.5 * (s / u) ** 2 - (dim - 1) * v - log_peak)
 
-    edges = _log_u_panels(math.log(s) - 6.0, math.log(80.0 + 3.0 * s), math.log(peak))
+    edges = _log_u_panels(log_s - 6.0, math.log(80.0 + 3.0 * s), log_u_peak)
     return _quad_panels(f, edges) * math.exp(log_peak)
 
 

@@ -156,6 +156,18 @@ class TestVelocityJumpDensity:
         with pytest.raises(OriginSingularity):
             vj3.density([0.0, 0.0, 0.0])
 
+    def test_steps_far_below_sqrt_of_tiniest_double(self):
+        # |dx|^2 underflows for |dx| < 1e-154; the cut stays at 1e-300
+        for step in ([1e-200], [1e-200, 0.0]):
+            n = len(step)
+            value = VelocityJumpStep(rate=1.0, dim=n).density(step)
+            oracle = (2.0 * math.pi) ** (-n / 2.0) * vjump_radial_integral(1e-200, n)
+            assert math.isfinite(value)
+            assert value == pytest.approx(oracle, rel=1e-9)
+        # in 3D the density there (about 1e400) overflows a double
+        with pytest.raises(OriginSingularity):
+            VelocityJumpStep(rate=1.0, dim=3).density([1e-200, 0.0, 0.0])
+
     def test_isotropy(self, rng):
         for n in (2, 3):
             vj = VelocityJumpStep(rate=1.3, dim=n)

@@ -21,6 +21,7 @@ from cellescape import (
     sample_uniform,
     to_local,
 )
+from cellescape.geometry import CONTAINMENT_TOL
 
 from oracles import bounding_box, simplex_box_volume
 
@@ -191,6 +192,33 @@ class TestContains:
     def test_dimension_mismatch(self, benchmark_elements):
         with pytest.raises(DimensionMismatch):
             contains(benchmark_elements["segment"], [0.5, 0.5])
+
+    def test_tolerance_band_at_every_facet(self, benchmark_elements):
+        # Points CONTAINMENT_TOL/2 beyond a facet count as inside, points
+        # 10 CONTAINMENT_TOL beyond it as outside, one at a time and as a batch.
+        for element in benchmark_elements.values():
+            cell = element.reference_cell
+            n = cell.dim
+            facets = []  # (reference point on the facet, outward offset per unit)
+            for j in range(n):
+                centre = np.full(n, 1.0 / n if cell.is_simplex else 0.5)
+                centre[j] = 0.0
+                facets.append((centre, -np.eye(n)[j]))
+                if not cell.is_simplex or n == 1:
+                    centre = np.full(n, 0.5)
+                    centre[j] = 1.0
+                    facets.append((centre, np.eye(n)[j]))
+            if cell.is_simplex and n > 1:
+                facets.append((np.full(n, 1.0 / n), np.full(n, 1.0 / n)))
+            amap = build_affine_map(element)
+            points, expected = list(element.vertices), [True] * len(element.vertices)
+            for centre, outward in facets:
+                for distance, inside in ((CONTAINMENT_TOL / 2, True), (10 * CONTAINMENT_TOL, False)):
+                    points.append(amap.matrix @ (centre + distance * outward) + amap.offset)
+                    expected.append(inside)
+            for point, inside in zip(points, expected):
+                assert contains(element, point) is inside, (element.kind, point)
+            assert np.array_equal(contains(element, np.array(points)), expected)
 
 
 class TestSampleUniform:

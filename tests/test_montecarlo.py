@@ -9,6 +9,7 @@ from cellescape import (
     SamplerUnavailable,
     StepDistribution,
     TooFewRuns,
+    VelocityJumpStep,
     WienerStep,
     empirical_stat_error,
     escape_probability_det,
@@ -130,6 +131,45 @@ class TestDeterminism:
         run_1 = repeat_escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=7, runs=2))[1]
         next_seed = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=8))
         assert run_1.value != next_seed.value
+
+    # Exact counts of 1e5-particle estimates: (Wiener dt=0.1 at seeds 0 and
+    # 2**63, velocity-jump rate 1 at seeds 0 and 2**63) per benchmark cell.
+    # They are part of the reproducibility contract: a rewrite of the
+    # sampling or containment kernel must leave every one of them unchanged.
+    PINNED_ESCAPES = {
+        "segment": (12674, 12484, 31897, 31953),
+        "triangle": (40916, 40778, 61370, 61339),
+        "parallelogram": (24879, 24683, 49283, 49050),
+        "tetrahedron": (74506, 74270, 80452, 80587),
+        "parallelepiped": (35423, 35076, 59166, 59345),
+    }
+    # Wiener dt=0.1 transition [0,1] -> [1,2] at seeds 0 and 2**63
+    PINNED_TRANSITIONS = (12542, 12610)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", list(PINNED_ESCAPES))
+    def test_pinned_escape_values(self, benchmark_elements, kind, workers):
+        element = benchmark_elements[kind]
+        laws = (WienerStep(dt=0.1, dim=element.dim), VelocityJumpStep(rate=1.0, dim=element.dim))
+        n = 10**5
+        values = [
+            escape_probability_mc(element, law, McConfig(particles=n, seed=seed), workers=workers).value
+            for law in laws for seed in (0, 2**63)
+        ]
+        assert values == [count / n for count in self.PINNED_ESCAPES[kind]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_transition_values(self, workers):
+        src = mesh_element("segment", [[0.0], [1.0]])
+        tgt = mesh_element("segment", [[1.0], [2.0]])
+        n = 10**5
+        values = [
+            transition_probability_mc(
+                src, tgt, WienerStep(dt=0.1, dim=1), McConfig(particles=n, seed=seed), workers=workers
+            ).value
+            for seed in (0, 2**63)
+        ]
+        assert values == [count / n for count in self.PINNED_TRANSITIONS]
 
     def test_distinct_seeds_differ(self, benchmark_elements):
         seg = benchmark_elements["segment"]
