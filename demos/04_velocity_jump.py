@@ -2,9 +2,10 @@
 
 The particle travels for an exponentially distributed time with a Gaussian
 velocity, so one step is v * T.  The density is an exponential mixture of
-Gaussians; it diverges (integrably) at zero step, which the deterministic
-solver handles by excluding a tiny neighbourhood of the origin and
-accounting for its worst-case mass in the error estimate.
+Gaussians; it diverges (integrably) at zero step.  The deterministic
+solver integrates down to the zero step: in 1D the logarithmic divergence
+is resolved by bisection, and in 2D and 3D the Jacobian of its cones from
+the zero step cancels the divergence.
 """
 
 import numpy as np

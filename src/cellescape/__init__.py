@@ -11,11 +11,9 @@ estimator -- plus 1D cell-to-cell transition probabilities.
 __version__ = "0.1.0"
 
 from .conditional import (
-    StayRegion,
     conditional_escape,
     conditional_transition_1d,
     stay_fraction,
-    support_subdomains,
 )
 from .distributions import (
     StepDistribution,
@@ -90,7 +88,6 @@ __all__ = [
     "QuadratureFailure",
     "ReferenceCell",
     "SamplerUnavailable",
-    "StayRegion",
     "StepDistribution",
     "ToleranceNotMet",
     "TooFewRuns",
@@ -114,7 +111,6 @@ __all__ = [
     "repeat_escape_probability_mc",
     "sample_uniform",
     "stay_fraction",
-    "support_subdomains",
     "theoretical_stat_error",
     "to_local",
     "transition_probability_det_1d",

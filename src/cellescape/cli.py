@@ -76,10 +76,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**data)
-
 
 def _provenance(seed: int | None) -> dict:
     return {

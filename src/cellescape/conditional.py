@@ -16,19 +16,15 @@ continuously across the case boundaries where sign products vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateElement, DimensionMismatch, EmptyInterval
-from .geometry import Box, MeshElement, ReferenceCell, build_affine_map, to_local
+from .geometry import MeshElement, ReferenceCell, build_affine_map, to_local
 
 __all__ = [
-    "StayRegion",
     "stay_fraction",
     "conditional_escape",
     "conditional_transition_1d",
-    "support_subdomains",
 ]
 
 
@@ -114,38 +110,3 @@ def conditional_transition_1d(source, target, step) -> float | np.ndarray:
     if np.ndim(step) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class StayRegion:
-    """Axis-aligned boxes covering the support of the stay fraction.
-
-    The boxes have pairwise disjoint interiors and the stay fraction
-    vanishes identically outside their union.  On a simplex cell the stay
-    fraction has kinks inside the boxes.  The deterministic solver does not
-    use this cover: it integrates over cones from the zero step, on which
-    the stay fraction is smooth.
-    """
-
-    cell: ReferenceCell
-    boxes: tuple[Box, ...]
-
-
-def _orthant_boxes(n: int) -> tuple[Box, ...]:
-    out = []
-    for mask in range(2**n):
-        lo = np.array([-1.0 if (mask >> i) & 1 else 0.0 for i in range(n)])
-        out.append(Box(lo=lo, hi=lo + 1.0))
-    return tuple(out)
-
-
-def support_subdomains(cell: ReferenceCell) -> StayRegion:
-    """Sign-orthant decomposition of ``[-1, 1]^n``, the stay support.
-
-    The stay fraction is zero as soon as any local step component exceeds
-    1 in magnitude, so the orthants of ``[-1, 1]^n`` cover its support for
-    every cell kind (2 intervals in 1D, 4 quadrants in 2D, 8 octants in 3D).
-    The deterministic solver no longer integrates over this orthant cover;
-    see :mod:`cellescape.quadrature`.
-    """
-    return StayRegion(cell=cell, boxes=_orthant_boxes(cell.dim))

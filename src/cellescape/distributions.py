@@ -19,7 +19,6 @@ import math
 from abc import ABC
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DensityUnavailable,
@@ -45,10 +44,11 @@ ORIGIN_THRESHOLD = 1e-300
 class StepDistribution(ABC):
     """Abstract step law ``p(dx)`` on R^n.
 
-    Subclasses set ``dim`` and override ``sample`` and/or ``density``.
-    ``singular_at_origin`` marks densities that diverge at ``dx = 0``; the
-    deterministic solver then excludes a small neighbourhood of the origin
-    and accounts for it via :meth:`origin_ball_mass_bound`.
+    Subclasses set ``dim`` and override ``sample`` and/or ``density``.  A
+    density may diverge at ``dx = 0`` (like ``|dx|^(1-n)`` above 1D, or
+    logarithmically in 1D): the deterministic solver integrates over cones
+    from the zero step, whose Jacobian ``t^(n-1)`` cancels such a
+    divergence, and never evaluates the density at ``dx = 0``.
 
     ``typical_scale``, when set, is the rough magnitude of one step.  The
     deterministic solver uses it to seed the subdivision near the zero
@@ -58,7 +58,6 @@ class StepDistribution(ABC):
     """
 
     dim: int
-    singular_at_origin: bool = False
     typical_scale: float | None = None
 
     @property
@@ -74,10 +73,6 @@ class StepDistribution(ABC):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise SamplerUnavailable(f"{type(self).__name__} offers no sampler")
-
-    def origin_ball_mass_bound(self, radius: float) -> float:
-        """Upper bound on the probability mass inside ``|dx| <= radius``."""
-        raise NotImplementedError
 
     def _check_steps(self, steps) -> tuple[np.ndarray, bool]:
         """The steps as an ``(m, dim)`` array, and whether one step was given."""
@@ -119,13 +114,13 @@ class WienerStep(StepDistribution):
         return math.sqrt(self.dt) * rng.standard_normal((int(size), self.dim))
 
 
-# The velocity-jump integrals are taken in v = log u by the trapezoid rule
-# on a fixed number of nodes spanning a window per point.  Their integrands
-# are analytic in the strip |Im v| < pi/4 and negligible at both ends of the
-# window, so the rule converges exponentially in the node count (Trefethen
-# & Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-# 56, 2014): 256 nodes keep the density within 1e-14 relative for s in
-# [1e-12, 1e3] in dimensions 1-3.
+# The velocity-jump density is an integral taken in v = log u by the
+# trapezoid rule on a fixed number of nodes spanning a window per point.
+# Its integrand is analytic in the strip |Im v| < pi/4 and negligible at
+# both ends of the window, so the rule converges exponentially in the node
+# count (Trefethen & Weideman, "The exponentially convergent trapezoidal
+# rule", SIAM Review 56, 2014): 256 nodes keep the density within 1e-14
+# relative for s in [1e-12, 1e3] in dimensions 1-3.
 _LOG_U_NODES = 256
 # The window widens like log(1/s) as s falls; 256 nodes space the window
 # of s = 1e-12 at 0.139.  A block holding smaller s gets more nodes, so
@@ -135,12 +130,6 @@ _LOG_U_SPACING = 0.14
 # 512 kB, small enough to stay in cache (about 1.7x faster than 1024 points
 # on a 2-vCPU Xeon).
 _BLOCK = 256
-
-
-def _log_u_nodes(lo: np.ndarray, hi: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced nodes ``(m, nodes)`` from ``lo`` to ``hi`` per row, and their spacing ``(m,)``."""
-    h = (hi - lo) / (nodes - 1)
-    return lo[:, None] + h[:, None] * np.arange(nodes), h
 
 
 class VelocityJumpStep(StepDistribution):
@@ -153,8 +142,6 @@ class VelocityJumpStep(StepDistribution):
     instead of returning an overflowing number.  A batch of steps is
     evaluated at once, by the same fixed trapezoid rule for every step.
     """
-
-    singular_at_origin = True
 
     # Substituting u = rate * T turns the mixture integral into
     #   rate^n (2 pi)^(-n/2) * I_n(s),   s = rate * |dx|,
@@ -193,7 +180,8 @@ class VelocityJumpStep(StepDistribution):
             s = self.rate * radii[start:start + _BLOCK]
             lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
             nodes = max(_LOG_U_NODES, math.ceil(float(np.max(hi - lo)) / _LOG_U_SPACING) + 1)
-            v, h = _log_u_nodes(lo, hi, nodes)
+            h = (hi - lo) / (nodes - 1)
+            v = lo[:, None] + h[:, None] * np.arange(nodes)
             u = np.exp(v)
             exponent = -u - 0.5 * (s[:, None] / u) ** 2 - (n - 1) * v
             with np.errstate(over="ignore"):
@@ -203,29 +191,6 @@ class VelocityJumpStep(StepDistribution):
                 "velocity-jump density overflows at a step this close to the origin"
             )
         return float(out[0]) if scalar else out
-
-    def origin_ball_mass_bound(self, radius: float) -> float:
-        """Mass of ``|v T| <= radius``: the exponential average of the chi CDF.
-
-        With ``rho = rate * radius`` and ``u = rate * T = exp(v)`` the mass is
-        the integral over ``v`` of ``u exp(-u) P(n/2, rho^2 / (2 u^2))``, where
-        the chi CDF ``P`` is the regularized lower incomplete gamma function.
-        It is taken by the density's rule on a window that starts 37 e-folds
-        lower than the density's: below ``log rho - 3.7``, ``P`` is 1 and the
-        integrand ``u``, so the mass left out below the window is at most
-        ``u`` at its start, which is added.  The wider window gets four times
-        the nodes.  The rule's error is below 1e-14 relative for ``rho`` in
-        ``[1e-30, 1e2]``; the bound adds a relative margin of 1e-9.
-        """
-        rho = self.rate * radius
-        if rho <= 0.0:
-            return 0.0
-        lo = math.log(rho) - 3.7 - 37.0
-        v, h = _log_u_nodes(np.array([lo]), np.array([math.log(60.0 + 2.0 * rho)]), 4 * _LOG_U_NODES)
-        u = np.exp(v[0])
-        chi_cdf = special.gammainc(0.5 * self.dim, 0.5 * (rho / u) ** 2)
-        value = h[0] * float(np.sum(u * np.exp(-u) * chi_cdf)) + math.exp(lo)
-        return min(1.0, value * (1.0 + 1e-9))
 
 
 def distribution_from_dict(data: dict, dim: int) -> StepDistribution:

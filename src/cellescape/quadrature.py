@@ -13,10 +13,10 @@ stay fraction is smooth on each cone: on a simplex it is ``(1 - t)^n`` in
 the radial coordinate ``t``.  Each cone is mapped onto the unit box
 ``(t, w)`` by ``d = t b(w)``, with Duffy's collapse on triangular facets,
 so no kink of the integrand crosses a box.  The radial axis is split
-geometrically toward the zero step.  Each box is handled by an embedded
-7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box whose rule
-disagreement exceeds its share of the remaining error budget is split along
-its longest axis.
+geometrically toward the zero step and integrated down to it.  Each box is
+handled by an embedded 7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box
+whose rule disagreement exceeds its share of the remaining error budget is
+split along its longest axis.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ _WG7 = np.array([
     0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
-
-# Radius (in local-step coordinates) of the neighbourhood excluded around
-# the origin when the density is singular there.
-ORIGIN_EXCLUSION_RADIUS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -349,14 +345,12 @@ class _Cones:
     vertex of the piece and its ``n - 1`` edges; on a triangular facet the
     second edge starts at the end of the first and ``s = w_1`` (Duffy's
     collapse onto the vertex), on a parallelogram both start at the vertex
-    and ``s = 1``.  The Jacobian of the map is ``t^(n-1) s abs_det[k]``,
-    and ``radius`` bounds ``|b|``.
+    and ``s = 1``.  The Jacobian of the map is ``t^(n-1) s abs_det[k]``.
     """
 
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
     abs_det: np.ndarray  # (cones,)
-    radius: float
 
     def boxes(self, breaks: list[float]) -> list[Box]:
         """One box per cone and radial interval between ``breaks``.
@@ -410,7 +404,6 @@ def _cones(cell: ReferenceCell) -> _Cones:
         frames=frames,
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
         abs_det=np.abs(np.linalg.det(frames)),
-        radius=max(float(np.linalg.norm(vertices, axis=1).max()) for vertices in facets),
     )
 
 
@@ -422,39 +415,21 @@ def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
 
     The interval is halved geometrically toward the zero step, down to the
     local scale of the step density, so that a density core cannot fall
-    between the quadrature nodes of the first generation.  For
-    origin-singular densities the breakpoints start at
-    ``ORIGIN_EXCLUSION_RADIUS`` instead of 0, the innermost interval stays
-    at least twice that wide, and an extent no larger than it yields no
-    interval.  ``op_norm`` is the 2-norm of the local-to-global step map.
+    between the quadrature nodes of the first generation.  An extent of 0
+    yields no interval.  ``op_norm`` is the 2-norm of the local-to-global
+    step map.
     """
-    singular = bool(getattr(dist, "singular_at_origin", False))
-    floor = ORIGIN_EXCLUSION_RADIUS if singular else 0.0
-    if extent <= floor:
+    if extent <= 0.0:
         return []
     scale = getattr(dist, "typical_scale", None)
     local_scale = math.inf if scale is None else scale / op_norm
     levels = 0
     if extent > local_scale:
         levels = min(45, int(math.ceil(math.log2(extent / local_scale))))
-    if singular:
-        levels = min(levels, int(math.log2(0.5 * extent / ORIGIN_EXCLUSION_RADIUS)))
-    return [floor] + [extent * 0.5**j for j in range(levels, -1, -1)]
+    return [0.0] + [extent * 0.5**j for j in range(levels, -1, -1)]
 
 
-def _excluded_mass(dist, stretch: float) -> float:
-    """Mass bound of an excluded neighbourhood of the zero step.
-
-    The neighbourhood lies within ``stretch * ORIGIN_EXCLUSION_RADIUS`` of
-    the zero step in global coordinates.  Laws regular at the origin
-    exclude nothing.
-    """
-    if getattr(dist, "singular_at_origin", False):
-        return float(dist.origin_ball_mass_bound(stretch * ORIGIN_EXCLUSION_RADIUS))
-    return 0.0
-
-
-def _transition_boxes(a, b, c, d, dist) -> tuple[list[Box], float]:
+def _transition_boxes(a, b, c, d, dist) -> list[Box]:
     """Subdivide the transition window ``[c - b, d - a]``, in ascending order.
 
     A window containing the zero step is split into the orthants
@@ -468,26 +443,23 @@ def _transition_boxes(a, b, c, d, dist) -> tuple[list[Box], float]:
         right = _radial_breaks(w1, dist, 1.0)
         pieces = [(-hi, -lo) for lo, hi in reversed(list(zip(left[:-1], left[1:])))]
         pieces += zip(right[:-1], right[1:])
-        extra_error = _excluded_mass(dist, 1.0)
     else:
-        pieces, extra_error = [(w0, w1)], 0.0
+        pieces = [(w0, w1)]
     kinks = sorted({c - a, d - b})
     split = []
     for left, right in pieces:
         inner = [x for x in kinks if left < x < right]
         split.extend(Box(lo=[lo], hi=[hi]) for lo, hi in zip([left, *inner], [*inner, right]))
-    return split, extra_error
+    return split
 
 
 def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement: bool) -> ProbabilityEstimate:
     """The deterministic solve shared by the escape and transition solvers.
 
-    ``prepare()`` returns the integrand, its initial boxes and the mass
-    bound of the excluded origin neighbourhood.  The probability is the
-    integral, or its complement ``1 - integral`` when ``complement`` is
-    set, clamped into ``[0, 1]``.  A ``ToleranceNotMet`` is re-raised with
-    that probability of its best value, and with the excluded mass added to
-    its error.
+    ``prepare()`` returns the integrand and its initial boxes.  The
+    probability is the integral, or its complement ``1 - integral`` when
+    ``complement`` is set, clamped into ``[0, 1]``.  A ``ToleranceNotMet``
+    is re-raised with that probability of its best value.
     """
     config = config or QuadratureConfig()
     if not dist.has_density:
@@ -499,7 +471,7 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
             f"distribution dimension {dist.dim} != element dimension {dim}"
         )
     start = time.perf_counter()
-    f, boxes, extra_error = prepare()
+    f, boxes = prepare()
 
     def probability(integral: float) -> float:
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
@@ -507,10 +479,10 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
     try:
         integral, quad_error, n_evals = _integrate_boxes(f, boxes, config)
     except ToleranceNotMet as exc:
-        raise ToleranceNotMet(probability(exc.value), exc.error_estimate + extra_error) from None
+        raise ToleranceNotMet(probability(exc.value), exc.error_estimate) from None
     return ProbabilityEstimate(
         value=probability(integral),
-        error_estimate=quad_error + extra_error,
+        error_estimate=quad_error,
         method="deterministic",
         cost=n_evals,
         wall_time=time.perf_counter() - start,
@@ -525,12 +497,11 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     the stay fraction is smooth, and returns its complement, clamped into
     ``[0, 1]``.
 
-    For densities flagged ``singular_at_origin``, the support scaled by
-    1e-8 (the radial coordinate ``t < 1e-8`` of every cone) is excluded
-    from the integration domain: for a box cell the cube of half-width
-    1e-8, for a simplex the hexagon or cuboctahedron of that scale.  The
-    law's worst-case mass bound for the ball around it is added to the
-    error estimate.
+    Every cone is integrated down to the zero step, also for a density
+    that diverges there: the cone's Jacobian ``t^(n-1)`` cancels a
+    divergence like ``|d|^(1-n)`` in 2D and 3D, a logarithmic one in 1D is
+    integrable and resolved by bisection, and no quadrature node sits at
+    ``t = 0``.  The error estimate is the rule disagreement alone.
 
     Raises
     ------
@@ -551,7 +522,7 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
             global_steps = amap.global_step(local_steps)
             return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
-        return f, boxes, _excluded_mass(dist, op_norm * cones.radius)
+        return f, boxes
 
     return _solve(dist, element.dim, config, prepare, complement=True)
 
@@ -562,9 +533,9 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     Integrates the conditional transition probability times the step
     density over the compact window ``[c - b, d - a]``.  The piecewise-
     linear kinks of the conditional factor at ``c - a`` and ``d - b`` seed
-    the initial subdivision, and the zero step gets the same origin ladder
-    and exclusion as the escape solver.  A window that lies wholly inside
-    the excluded neighbourhood gives 0, with the excluded mass as its error.
+    the initial subdivision, and a window containing the zero step is split
+    there and laddered toward it as in the escape solver, so a density
+    that diverges at the zero step is integrated down to it.
     """
     a, b = float(source[0]), float(source[1])
     c, d = float(target[0]), float(target[1])
@@ -574,11 +545,11 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
             raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
         if d <= c:
             raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
-        boxes, extra_error = _transition_boxes(a, b, c, d, dist)
+        boxes = _transition_boxes(a, b, c, d, dist)
 
         def f(steps: np.ndarray) -> np.ndarray:
             return conditional_transition_1d((a, b), (c, d), steps[:, 0]) * dist.density(steps)
 
-        return f, boxes, extra_error
+        return f, boxes
 
     return _solve(dist, 1, config, prepare, complement=False)

@@ -165,24 +165,30 @@ def vjump_radial_integral(s, dim):
     return _quad_panels(f, edges) * math.exp(log_peak)
 
 
-def vjump_origin_ball_mass(radius, rate, dim):
-    """``P(|v T| <= radius)`` for ``T ~ Exp(rate)``, ``v ~ N(0, I_n)``.
+def vjump_segment_escape(length, rate):
+    """Escape probability of a segment of ``length`` under one velocity-jump flight.
 
-    That is ``E[F(radius^2 / T^2)]``, with ``F`` the chi-square CDF of
-    ``|v|^2`` with ``n`` degrees of freedom.  It is taken in ``v = log(rate T)``
-    by panel quadrature down to 45 e-folds below ``rate * radius``; the mass
-    of the shorter flights, where ``F`` is 1 to double precision, is added in
-    closed form.
+    A flight of duration ``T`` is a centred Gaussian step of standard
+    deviation ``T``, which leaves the segment with the closed-form
+    probability
+    ``sqrt(2/pi) (T/l) (1 - exp(-l^2 / (2 T^2))) + erfc(l / (sqrt(2) T))``
+    (the complement of the stay of a Gaussian on an interval).  It is
+    averaged over ``T ~ Exp(rate)`` by panel quadrature in
+    ``v = log(rate T)``, with the integrand ``u exp(-u) escape(u / rate)``,
+    from 20 e-folds below ``min(rate l, 1)`` to ``log 80``.  Below the window
+    the escape is at most ``sqrt(2/pi) T / l`` and above it ``exp(-u)`` is
+    below ``exp(-80)``, so the window leaves out less than 1e-17.
     """
-    rho = rate * radius
-    lo = math.log(rho) - 45.0
-    edges = _log_u_panels(lo, math.log(80.0 + 3.0 * rho), math.log(rho))
-    tail = -math.expm1(-math.exp(lo))
+    scale = rate * length
+    lo = min(math.log(scale), 0.0) - 20.0
 
     def f(v):
-        return math.exp(v - math.exp(v)) * special.chdtr(dim, (rho * math.exp(-v)) ** 2)
+        u = math.exp(v)
+        ratio = scale / u  # l / T
+        escape = math.sqrt(2.0 / math.pi) / ratio * -math.expm1(-0.5 * ratio * ratio)
+        return u * math.exp(-u) * (escape + special.erfc(ratio / math.sqrt(2.0)))
 
-    return tail + _quad_panels(f, edges)
+    return _quad_panels(f, _log_u_panels(lo, math.log(80.0), math.log(scale)))
 
 
 def vjump_cdf_from_density(density_fn, x_max=80.0, n_points=2500):

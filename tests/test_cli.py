@@ -159,8 +159,8 @@ class TestEscapeCommand:
             "escape", "--geometry", files["segment"], "--distribution", files["wiener"],
             "--method", "det",
         ])
-        report = RunReport.from_dict(json.loads(out))
-        assert RunReport.from_dict(copy.deepcopy(report.to_dict())) == report
+        report = RunReport(**json.loads(out))
+        assert RunReport(**copy.deepcopy(report.to_dict())) == report
 
 
 class TestTransitionCommand:

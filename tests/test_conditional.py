@@ -9,7 +9,6 @@ from cellescape import (
     conditional_transition_1d,
     mesh_element,
     stay_fraction,
-    support_subdomains,
 )
 
 from oracles import (
@@ -207,6 +206,16 @@ class TestStayProperties:
             values = stay_fraction(cell, np.outer(magnitudes, v))
             assert np.all(np.diff(values) <= 1e-12)
 
+    @pytest.mark.parametrize("cell", ALL_CELLS)
+    def test_zero_outside_support(self, cell, rng):
+        # probes with at least one component beyond [-1, 1] must not stay
+        n = cell.dim
+        steps = rng.uniform(-1.0, 1.0, size=(10**5, n))
+        bump = rng.integers(0, n, size=len(steps))
+        signs = rng.choice([-1.0, 1.0], size=len(steps))
+        steps[np.arange(len(steps)), bump] = signs * rng.uniform(1.0, 4.0, size=len(steps))
+        assert np.all(stay_fraction(cell, steps) == 0.0)
+
 
 class TestConditionalEscape:
     def test_benchmark_segment(self, benchmark_elements):
@@ -262,35 +271,3 @@ class TestConditionalTransition1D:
             lo, hi = max(a, c - dx), min(b, d - dx)
             expected = max(0.0, hi - lo) / (b - a)
             assert conditional_transition_1d((a, b), (c, d), dx) == pytest.approx(expected)
-
-
-class TestSupportSubdomains:
-    def test_interval_boxes(self):
-        region = support_subdomains(ReferenceCell.INTERVAL)
-        assert len(region.boxes) == 2
-        assert sum(box.volume for box in region.boxes) == 2.0
-
-    def test_square_boxes_tile(self):
-        region = support_subdomains(ReferenceCell.SQUARE)
-        assert len(region.boxes) == 4
-        assert sum(box.volume for box in region.boxes) == 4.0
-
-    @pytest.mark.parametrize("cell", ALL_CELLS)
-    def test_boxes_have_disjoint_interiors(self, cell):
-        boxes = support_subdomains(cell).boxes
-        assert len(boxes) == 2**cell.dim
-        for i, a in enumerate(boxes):
-            for b in boxes[i + 1:]:
-                lo = np.maximum(a.lo, b.lo)
-                hi = np.minimum(a.hi, b.hi)
-                assert np.any(hi <= lo)
-
-    @pytest.mark.parametrize("cell", ALL_CELLS)
-    def test_zero_outside_union(self, cell, rng):
-        # probes with at least one component beyond the union must not stay
-        n = cell.dim
-        steps = rng.uniform(-1.0, 1.0, size=(10**5, n))
-        bump = rng.integers(0, n, size=len(steps))
-        signs = rng.choice([-1.0, 1.0], size=len(steps))
-        steps[np.arange(len(steps)), bump] = signs * rng.uniform(1.0, 4.0, size=len(steps))
-        assert np.all(stay_fraction(cell, steps) == 0.0)

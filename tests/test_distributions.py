@@ -27,7 +27,6 @@ from cellescape import (
 from oracles import (
     vjump_cdf_from_density,
     vjump_density_trapezoid,
-    vjump_origin_ball_mass,
     vjump_radial_integral,
 )
 
@@ -181,28 +180,12 @@ class TestVelocityJumpDensity:
         result = kstest(samples, vjump_cdf_from_density(vj.density))
         assert result.pvalue > 0.001
 
-    def test_origin_ball_mass_bound(self):
-        vj = VelocityJumpStep(rate=1.0, dim=1)
-        bound = vj.origin_ball_mass_bound(2e-8)
-        assert 0.0 < bound < 1e-5
-        # the bound must dominate the mass computed from the density itself
-        x = np.geomspace(1e-12, 2e-8, 2000)
-        mass = 2.0 * np.trapezoid(vj.density(x[:, None]), x)
-        assert bound >= mass
-        # in every dimension it must dominate the mass, and stay within 1e-6 of it
-        for n in (1, 2, 3):
-            vj = VelocityJumpStep(rate=1.0, dim=n)
-            assert vj.origin_ball_mass_bound(0.0) == 0.0
-            for radius in np.geomspace(1e-10, 1.0, 11):
-                mass = vjump_origin_ball_mass(radius, 1.0, n)
-                assert mass <= vj.origin_ball_mass_bound(radius) <= mass * (1.0 + 1e-6)
-
 
 class TestValidation:
     def test_import_leaves_out_scipy_stats_and_integrate(self):
         code = (
             "import sys, cellescape; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         src = str(Path(cellescape.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -223,7 +206,6 @@ class TestValidation:
         vj = VelocityJumpStep(rate=1.0, dim=1)
         assert w.has_density and w.has_sampler
         assert vj.has_density and vj.has_sampler
-        assert not w.singular_at_origin and vj.singular_at_origin
 
     def test_custom_law_capabilities(self):
         class SampleOnly(StepDistribution):

@@ -23,7 +23,12 @@ from cellescape import (
 from cellescape.quadrature import _CONE_CACHE, _WG7, _WGK, _XGK, _integrate_boxes
 
 from conftest import random_element
-from oracles import segment_escape_wiener, simplex_escape_wiener, transition_1d_trapezoid
+from oracles import (
+    segment_escape_wiener,
+    simplex_escape_wiener,
+    transition_1d_trapezoid,
+    vjump_segment_escape,
+)
 
 
 def box(lo, hi):
@@ -151,6 +156,28 @@ class TestErrorEstimateHonesty:
         oracle, oracle_error = simplex_escape_wiener(tet.vertices, 1.0)
         assert abs(est.value - oracle) <= est.error_estimate + oracle_error
 
+    @pytest.mark.parametrize("length", [1.0, 2.0])
+    @pytest.mark.parametrize("rate, config", [
+        (1.0, QuadratureConfig(abs_tol=1e-10, rel_tol=0.0)),
+        (1e3, QuadratureConfig()),
+        (1e6, QuadratureConfig()),
+    ])
+    def test_velocity_jump_segment(self, length, rate, config):
+        # the log-singular density is integrated down to the zero step, so
+        # the error is the rule's alone and meets the tolerance
+        segment = mesh_element("segment", [[0.0], [length]])
+        est = escape_probability_det(segment, VelocityJumpStep(rate=rate, dim=1), config)
+        oracle = vjump_segment_escape(length, rate)
+        assert abs(est.value - oracle) <= est.error_estimate
+        assert est.error_estimate <= max(config.abs_tol, config.rel_tol * est.value)
+
+    def test_velocity_jump_triangle_meets_tolerance(self, benchmark_elements):
+        est = escape_probability_det(
+            benchmark_elements["triangle"], VelocityJumpStep(rate=1.0, dim=2),
+            QuadratureConfig(abs_tol=1e-7, rel_tol=0.0),
+        )
+        assert est.error_estimate <= 1e-7
+
 
 class TestEscapeDeterministic:
     def test_benchmark_segment_dt_1(self, benchmark_elements):
@@ -223,8 +250,8 @@ class TestEscapeDeterministic:
     def test_velocity_jump_excludes_origin(self, benchmark_elements):
         est = escape_probability_det(benchmark_elements["segment"], VelocityJumpStep(rate=1.0, dim=1))
         assert 0.0 < est.value < 1.0
-        # error budget includes the excluded-neighbourhood mass bound
-        assert 0.0 < est.error_estimate < 1e-5
+        # the error is the rule's alone, within the default tolerance
+        assert 0.0 < est.error_estimate <= 1e-6
 
     def test_velocity_jump_2d_matches_monte_carlo(self, benchmark_elements):
         # nested quadrature through the mixture density: loose tolerance
@@ -280,19 +307,20 @@ class TestTransitionDeterministic:
         dist = WienerStep(dt=1.0, dim=1)
         est = transition_probability_det_1d((0, 2), (0, 2), dist)
         assert est.value == pytest.approx(1.0 - segment_escape_wiener(2.0, 1.0), abs=1e-8)
-        # the same identity under an origin-singular law, where both solvers
-        # exclude the zero step and report its mass
+        # the same identity under a law whose density diverges at the zero step
         dist = VelocityJumpStep(rate=1.0, dim=1)
         stay = transition_probability_det_1d((0, 1), (0, 1), dist)
         escape = escape_probability_det(mesh_element("segment", [[0.0], [1.0]]), dist)
         assert abs(escape.value - (1.0 - stay.value)) <= escape.error_estimate + stay.error_estimate
 
     def test_window_inside_origin_exclusion(self):
-        # every step that lands is excluded: no box is left to integrate
+        # every step that stays is shorter than 1e-8, deep in the log singularity
         dist = VelocityJumpStep(1.0, 1)
-        est = transition_probability_det_1d((0, 5e-9), (0, 5e-9), dist)
-        assert est.value == 0.0
-        assert est.error_estimate == dist.origin_ball_mass_bound(1e-8)
+        config = QuadratureConfig(abs_tol=1e-12, rel_tol=0.0)
+        est = transition_probability_det_1d((0, 5e-9), (0, 5e-9), dist, config)
+        oracle = 1.0 - vjump_segment_escape(5e-9, 1.0)
+        assert oracle == pytest.approx(4.008e-8, rel=1e-3)
+        assert abs(est.value - oracle) <= est.error_estimate <= config.abs_tol
 
     def test_requires_1d(self):
         with pytest.raises(DimensionMismatch):
