@@ -97,10 +97,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
 
 @dataclass(frozen=True)
 class MeshElement:
@@ -205,6 +201,12 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
     element = MeshElement(kind=kind, vertices=full)
     build_affine_map(element)
     return element
+
+
+def _check_element(argument: str, value) -> None:
+    """Raise ``InputError`` naming ``argument`` unless ``value`` is a ``MeshElement``."""
+    if not isinstance(value, MeshElement):
+        raise InputError(argument, f"expected a MeshElement, got {type(value).__name__}")
 
 
 def element_from_dict(data: dict) -> MeshElement:

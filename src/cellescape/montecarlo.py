@@ -5,7 +5,7 @@ uniformly in the source cell; the estimate is the fraction of particles
 that end up outside (escape) or inside the target (transition).  The value
 is a multiple of 1/N -- quantized, but unbiased.
 
-Particles are processed in fixed-size chunks, each driven by its own
+Particles are processed in chunks of ``_CHUNK``, each driven by its own
 counter-based Philox stream keyed by ``(seed, chunk index)``; the repeated
 runs of one configuration start that stream at distinct counters.  Chunk
 results are exact integer counts, so the estimate is a deterministic
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SamplerUnavailable, TooFewRuns
-from .geometry import AffineMap, MeshElement, _reference_contains, _sample_reference, build_affine_map
+from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference, build_affine_map
 from .quadrature import ProbabilityEstimate
 
 __all__ = [
@@ -35,31 +35,31 @@ __all__ = [
     "empirical_stat_error",
 ]
 
+# Particles per independent random stream.  It is part of the
+# reproducibility contract: changing it changes the streams and therefore
+# every estimate.
+_CHUNK = 2**16
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo run configuration.
 
-    ``seed`` is any integer in ``[0, 2**64)``.  ``chunk`` is the number of
-    particles per independent random stream; it is part of the
-    reproducibility contract (changing it changes the streams and therefore
-    the estimate).  Run ``r`` of :func:`repeat_escape_probability_mc` keeps
-    the seed and starts every chunk's stream at the counter ``r * 2**192``,
-    so run 0 is the single-call estimate and no run of one seed repeats a
-    run of another.
+    ``seed`` is any integer in ``[0, 2**64)``.  Run ``r`` of
+    :func:`repeat_escape_probability_mc` keeps the seed and starts every
+    chunk's stream at the counter ``r * 2**192``, so run 0 is the
+    single-call estimate and no run of one seed repeats a run of another.
     """
 
     particles: int = 10**6
     seed: int = 0
     runs: int = 10
-    chunk: int = 2**16
 
     def __post_init__(self):
         if self.particles < 1:
             raise ValueError("particles must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -76,8 +76,8 @@ def _run_chunks(count_fn, config: McConfig, workers: int) -> int:
     sizes = []
     remaining = config.particles
     while remaining > 0:
-        sizes.append(min(config.chunk, remaining))
-        remaining -= config.chunk
+        sizes.append(min(_CHUNK, remaining))
+        remaining -= _CHUNK
     if workers <= 1:
         return sum(count_fn(i, m) for i, m in enumerate(sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -154,6 +154,7 @@ def escape_probability_mc(
     (boundary-inclusive containment): the complement of the element's
     self-transition count.
     """
+    _check_element("element", element)
     return _landing_estimate(element, element, dist, config, workers, complement=True)
 
 
@@ -161,6 +162,8 @@ def transition_probability_mc(
     source: MeshElement, target: MeshElement, dist, config: McConfig | None = None, workers: int = 1
 ) -> ProbabilityEstimate:
     """Estimate the probability of moving from ``source`` into ``target``."""
+    _check_element("source", source)
+    _check_element("target", target)
     return _landing_estimate(source, target, dist, config, workers, complement=False)
 
 
@@ -173,6 +176,7 @@ def repeat_escape_probability_mc(
     counter ``r * 2**192``, so the first entry reproduces a single
     :func:`escape_probability_mc` call with the same config.
     """
+    _check_element("element", element)
     config = config or McConfig()
     return [
         _landing_estimate(element, element, dist, config, workers, complement=True, run=r)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteIntegrand,
     ToleranceNotMet,
 )
-from .geometry import Box, MeshElement, ReferenceCell, build_affine_map
+from .geometry import Box, MeshElement, ReferenceCell, _check_element, build_affine_map
 
 __all__ = [
     "QuadratureConfig",
@@ -142,19 +142,6 @@ class ProbabilityEstimate:
         return out
 
 
-@dataclass
-class _Frame:
-    """Mutable state of one multi-box adaptive integration."""
-
-    n_evals: int = 0
-    n_splits: int = 0
-    # accepted leaves
-    acc_value: float = 0.0
-    acc_error: float = 0.0
-    acc_volume: float = 0.0
-    acc_boxes: list = field(default_factory=list)  # (lo, hi, high, err) arrays
-
-
 def _rule(n: int):
     pts = _XGK.reshape(-1, 1)
     wh = _WGK
@@ -173,8 +160,8 @@ def _rule(n: int):
 _RULE_CACHE = {n: _rule(n) for n in (1, 2, 3)}
 
 
-def _evaluate(f, lo, hi, frame: _Frame):
-    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n)."""
+def _evaluate(f, lo, hi, tag):
+    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag: (m,)."""
     n = lo.shape[1]
     pts, wh, wl = _RULE_CACHE[n]
     half = 0.5 * (hi - lo)
@@ -184,8 +171,7 @@ def _evaluate(f, lo, hi, frame: _Frame):
     x = np.empty((lo.shape[0], len(pts), n))
     for j in range(n):
         x[:, :, j] = mid[:, j, None] + half[:, j, None] * pts[:, j]
-    values = np.asarray(f(x.reshape(-1, n)), dtype=float).reshape(lo.shape[0], -1)
-    frame.n_evals += values.size
+    values = np.asarray(f(x.reshape(-1, n), np.repeat(tag, len(pts))), dtype=float).reshape(lo.shape[0], -1)
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
     jac = np.prod(half, axis=1)
@@ -194,75 +180,68 @@ def _evaluate(f, lo, hi, frame: _Frame):
     return high, np.abs(high - low)
 
 
-def _refine(f, lo, hi, high, err, budget, total_volume, config, frame: _Frame):
-    """Accept or split boxes until the pending set is empty.
-
-    Each pending box is accepted once its rule disagreement is at most its
-    volume share of the remaining error budget; the share rate never
-    decreases, so the accumulated error stays below ``budget``.
-    """
-    spent = 0.0
-    remaining_volume = total_volume - frame.acc_volume
-    while lo.shape[0] > 0:
-        volumes = np.prod(hi - lo, axis=1)
-        rate = (budget - spent) / remaining_volume
-        ok = err <= rate * volumes
-        if np.any(ok):
-            frame.acc_value += float(high[ok].sum())
-            frame.acc_error += float(err[ok].sum())
-            frame.acc_volume += float(volumes[ok].sum())
-            frame.acc_boxes.append((lo[ok], hi[ok], high[ok], err[ok]))
-            spent += float(err[ok].sum())
-            remaining_volume -= float(volumes[ok].sum())
-        lo, hi, high, err = lo[~ok], hi[~ok], high[~ok], err[~ok]
-        if lo.shape[0] == 0:
-            break
-        if frame.n_splits + lo.shape[0] > config.max_subdivisions:
-            raise ToleranceNotMet(
-                frame.acc_value + float(high.sum()), frame.acc_error + float(err.sum())
-            )
-        frame.n_splits += lo.shape[0]
-        widths = hi - lo
-        axis = np.argmax(widths, axis=1)
-        rows = np.arange(lo.shape[0])
-        mid = lo.copy()
-        mid[rows, axis] += 0.5 * widths[rows, axis]
-        hi_left = hi.copy()
-        hi_left[rows, axis] = mid[rows, axis]
-        lo_right = lo.copy()
-        lo_right[rows, axis] = mid[rows, axis]
-        lo = np.concatenate([lo, lo_right])
-        hi = np.concatenate([hi_left, hi])
-        high, err = _evaluate(f, lo, hi, frame)
-
-
-def _integrate_boxes(f, boxes, config: QuadratureConfig):
+def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig):
     """Adaptive integration over a union of disjoint boxes.
+
+    ``lo`` and ``hi`` are the ``(m, n)`` corners of the boxes and ``tag``
+    holds one integer per box that both halves of a split inherit; ``f``
+    receives the ``(points, n)`` nodes and the tag of each node's box.
+    A refinement pass accepts each pending box once its rule disagreement
+    is at most its volume share of the error budget not yet spent, and
+    splits the others along their longest axis; the share rate never
+    decreases, so the accepted error stays below the budget.  The first
+    budget comes from the first estimate; when the relative goal of the
+    accepted value is tighter, the accepted leaves are refined again
+    against it.  Each pass evaluates all of its pending boxes in one call.
 
     Returns ``(value, error_estimate, n_evals)`` with
     ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
     """
-    if not boxes:
+    if lo.shape[0] == 0:
         return 0.0, 0.0, 0
-    frame = _Frame()
-    lo = np.array([b.lo for b in boxes], dtype=float)
-    hi = np.array([b.hi for b in boxes], dtype=float)
+    nodes_per_box = 15 ** lo.shape[1]
     total_volume = float(np.prod(hi - lo, axis=1).sum())
-    high, err = _evaluate(f, lo, hi, frame)
+    high, err = _evaluate(f, lo, hi, tag)
+    n_evals = high.size * nodes_per_box
+    n_splits = 0
     budget = max(config.abs_tol, config.rel_tol * abs(float(high.sum())))
     while True:
-        _refine(f, lo, hi, high, err, budget, total_volume, config, frame)
-        goal = max(config.abs_tol, config.rel_tol * abs(frame.acc_value))
-        if frame.acc_error <= goal:
-            return frame.acc_value, frame.acc_error, frame.n_evals
+        value = error = 0.0
+        remaining_volume = total_volume
+        accepted = []  # (lo, hi, tag, high, err) of the accepted leaves
+        while True:
+            volumes = np.prod(hi - lo, axis=1)
+            rate = (budget - error) / remaining_volume
+            ok = err <= rate * volumes
+            value += float(high[ok].sum())
+            error += float(err[ok].sum())
+            remaining_volume -= float(volumes[ok].sum())
+            accepted.append((lo[ok], hi[ok], tag[ok], high[ok], err[ok]))
+            lo, hi, tag, high, err = lo[~ok], hi[~ok], tag[~ok], high[~ok], err[~ok]
+            if lo.shape[0] == 0:
+                break
+            if n_splits + lo.shape[0] > config.max_subdivisions:
+                raise ToleranceNotMet(value + float(high.sum()), error + float(err.sum()))
+            n_splits += lo.shape[0]
+            widths = hi - lo
+            axis = np.argmax(widths, axis=1)
+            rows = np.arange(lo.shape[0])
+            mid = lo[rows, axis] + 0.5 * widths[rows, axis]
+            hi_left = hi.copy()
+            hi_left[rows, axis] = mid
+            lo_right = lo.copy()
+            lo_right[rows, axis] = mid
+            lo = np.concatenate([lo, lo_right])
+            hi = np.concatenate([hi_left, hi])
+            tag = np.concatenate([tag, tag])
+            high, err = _evaluate(f, lo, hi, tag)
+            n_evals += high.size * nodes_per_box
+        goal = max(config.abs_tol, config.rel_tol * abs(value))
+        if error <= goal:
+            return value, error, n_evals
         # The relative goal tightened below the budget actually used:
         # re-process the accepted leaves against the smaller budget.
-        lo = np.concatenate([b[0] for b in frame.acc_boxes])
-        hi = np.concatenate([b[1] for b in frame.acc_boxes])
-        high = np.concatenate([b[2] for b in frame.acc_boxes])
-        err = np.concatenate([b[3] for b in frame.acc_boxes])
-        frame.acc_value = frame.acc_error = frame.acc_volume = 0.0
-        frame.acc_boxes = []
+        lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*accepted))
         budget = goal
 
 
@@ -296,7 +275,9 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
     config = config or QuadratureConfig()
     if box.dim not in (1, 2, 3):
         raise DimensionMismatch("adaptive integration supports dimensions 1-3")
-    value, error, _ = _integrate_boxes(f, [box], config)
+    value, error, _ = _integrate_boxes(
+        lambda x, _: f(x), box.lo[None], box.hi[None], np.zeros(1, dtype=np.intp), config
+    )
     return value, error
 
 
@@ -346,33 +327,38 @@ class _Cones:
     second edge starts at the end of the first and ``s = w_1`` (Duffy's
     collapse onto the vertex), on a parallelogram both start at the vertex
     and ``s = 1``.  The Jacobian of the map is ``t^(n-1) s abs_det[k]``.
+
+    A box of the cubature holds the coordinates ``(t, w)`` of one cone and
+    carries the cone's index ``k`` as its tag, so ``t`` keeps full
+    precision next to every apex.
     """
 
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
     abs_det: np.ndarray  # (cones,)
 
-    def boxes(self, breaks: list[float]) -> list[Box]:
+    def boxes(self, breaks: list[float]):
         """One box per cone and radial interval between ``breaks``.
 
-        Cone ``k`` holds the box coordinates ``(k + t, w)``.
+        Returns the corners ``lo, hi`` of shape ``(boxes, n)`` and the cone
+        index of each box.
         """
-        facet = self.frames.shape[1] - 1
-        return [
-            Box(lo=[k + lo] + [0.0] * facet, hi=[k + hi] + [1.0] * facet)
-            for k in range(len(self.frames))
-            for lo, hi in zip(breaks[:-1], breaks[1:])
-        ]
+        cones, n = self.frames.shape[:2]
+        radial = len(breaks) - 1
+        lo = np.zeros((cones * radial, n))
+        hi = np.ones((cones * radial, n))
+        lo[:, 0] = np.tile(breaks[:-1], cones)
+        hi[:, 0] = np.tile(breaks[1:], cones)
+        return lo, hi, np.repeat(np.arange(cones), radial)
 
-    def steps(self, x: np.ndarray):
-        """Local steps at the box coordinates ``x``, and the map's Jacobian there.
+    def steps(self, x: np.ndarray, k: np.ndarray):
+        """Local steps at the coordinates ``x`` of cones ``k``, and the map's Jacobian there.
 
         The points of one box share a cone and arrive in one run, so each
         run is mapped by a single matrix product.
         """
         m, n = x.shape
-        k = x[:, 0].astype(np.intp)
-        t = x[:, 0] - k
+        t = x[:, 0]
         coef = np.empty((m, n))
         coef[:, 0] = t
         for j in range(1, n):
@@ -429,34 +415,29 @@ def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
     return [0.0] + [extent * 0.5**j for j in range(levels, -1, -1)]
 
 
-def _transition_boxes(a, b, c, d, dist) -> list[Box]:
-    """Subdivide the transition window ``[c - b, d - a]``, in ascending order.
+def _transition_boxes(a, b, c, d, dist):
+    """Subdivide the transition window ``[c - b, d - a]`` at ascending breakpoints.
 
-    A window containing the zero step is split into the orthants
-    ``[c - b, 0]`` and ``[0, d - a]``, each laddered by ``_radial_breaks``.
-    The kinks of the conditional factor, at ``c - a`` and ``d - b``, then
-    become box edges.
+    The breakpoints are the window's ends and the kinks of the conditional
+    factor at ``c - a`` and ``d - b``.  A window containing the zero step
+    also breaks at the ``_radial_breaks`` ladders of ``[0, d - a]`` and,
+    mirrored, of ``[c - b, 0]``.  Returns the corners ``lo, hi`` of shape
+    ``(boxes, 1)``.
     """
     w0, w1 = c - b, d - a
+    points = {w0, w1, c - a, d - b}
     if w0 <= 0.0 <= w1:
-        left = _radial_breaks(-w0, dist, 1.0)
-        right = _radial_breaks(w1, dist, 1.0)
-        pieces = [(-hi, -lo) for lo, hi in reversed(list(zip(left[:-1], left[1:])))]
-        pieces += zip(right[:-1], right[1:])
-    else:
-        pieces = [(w0, w1)]
-    kinks = sorted({c - a, d - b})
-    split = []
-    for left, right in pieces:
-        inner = [x for x in kinks if left < x < right]
-        split.extend(Box(lo=[lo], hi=[hi]) for lo, hi in zip([left, *inner], [*inner, right]))
-    return split
+        points.update(-x for x in _radial_breaks(-w0, dist, 1.0))
+        points.update(_radial_breaks(w1, dist, 1.0))
+    edges = np.array(sorted(points))[:, None]
+    return edges[:-1], edges[1:]
 
 
 def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement: bool) -> ProbabilityEstimate:
     """The deterministic solve shared by the escape and transition solvers.
 
-    ``prepare()`` returns the integrand and its initial boxes.  The
+    ``prepare()`` returns the integrand and the corners and tags of its
+    initial boxes, as ``_integrate_boxes`` takes them.  The
     probability is the integral, or its complement ``1 - integral`` when
     ``complement`` is set, clamped into ``[0, 1]``.  A ``ToleranceNotMet``
     is re-raised with that probability of its best value.
@@ -471,13 +452,13 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
             f"distribution dimension {dist.dim} != element dimension {dim}"
         )
     start = time.perf_counter()
-    f, boxes = prepare()
+    f, lo, hi, tag = prepare()
 
     def probability(integral: float) -> float:
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
 
     try:
-        integral, quad_error, n_evals = _integrate_boxes(f, boxes, config)
+        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(probability(exc.value), exc.error_estimate) from None
     return ProbabilityEstimate(
@@ -501,28 +482,30 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     that diverges there: the cone's Jacobian ``t^(n-1)`` cancels a
     divergence like ``|d|^(1-n)`` in 2D and 3D, a logarithmic one in 1D is
     integrable and resolved by bisection, and no quadrature node sits at
-    ``t = 0``.  The error estimate is the rule disagreement alone.
+    ``t = 0``, in floating point too, since every cone keeps its own ``t``.
+    The error estimate is the rule disagreement alone.
 
     Raises
     ------
     DensityUnavailable, DimensionMismatch, ToleranceNotMet,
-    NonFiniteIntegrand; DegenerateElement propagates from the geometry.
+    InputError, NonFiniteIntegrand; DegenerateElement propagates from the
+    geometry.
     """
-
+    _check_element("element", element)
     cell = element.reference_cell
     cones = _CONE_CACHE[cell]
 
     def prepare():
         amap = build_affine_map(element)
         op_norm = float(np.linalg.norm(amap.matrix, 2))
-        boxes = cones.boxes(_radial_breaks(1.0, dist, op_norm))
+        lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, op_norm))
 
-        def f(x: np.ndarray) -> np.ndarray:
-            local_steps, jac = cones.steps(x)
+        def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+            local_steps, jac = cones.steps(x, k)
             global_steps = amap.global_step(local_steps)
             return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
-        return f, boxes
+        return f, lo, hi, k
 
     return _solve(dist, element.dim, config, prepare, complement=True)
 
@@ -545,11 +528,11 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
             raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
         if d <= c:
             raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
-        boxes = _transition_boxes(a, b, c, d, dist)
+        lo, hi = _transition_boxes(a, b, c, d, dist)
 
-        def f(steps: np.ndarray) -> np.ndarray:
+        def f(steps: np.ndarray, _tag) -> np.ndarray:
             return conditional_transition_1d((a, b), (c, d), steps[:, 0]) * dist.density(steps)
 
-        return f, boxes
+        return f, lo, hi, np.zeros(len(lo), dtype=np.intp)
 
     return _solve(dist, 1, config, prepare, complement=False)

@@ -5,6 +5,7 @@ import pytest
 
 from cellescape import (
     DimensionMismatch,
+    InputError,
     McConfig,
     SamplerUnavailable,
     StepDistribution,
@@ -104,13 +105,6 @@ class TestDeterminism:
             escape_probability_mc(tet, dist, config, workers=w).value for w in (1, 2, 8)
         }
         assert len(values) == 1
-
-    def test_chunk_size_is_part_of_the_contract(self, benchmark_elements):
-        seg = benchmark_elements["segment"]
-        dist = WienerStep(dt=1.0, dim=1)
-        a = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=5, chunk=2**16))
-        b = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=5, chunk=2**12))
-        assert a.value != b.value  # different streams, both valid estimates
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -212,7 +206,8 @@ class TestTransitionMc:
     def test_escape_count_is_particles_minus_self_transitions(self, benchmark_elements, kind):
         element = benchmark_elements[kind]
         dist = WienerStep(dt=0.1, dim=element.dim)
-        config = McConfig(particles=30001, seed=13, runs=1, chunk=4096)
+        # three chunks of 2**16 particles, the last one ragged
+        config = McConfig(particles=2 * 2**16 + 3001, seed=13, runs=1)
         escaped = escape_probability_mc(element, dist, config).value * config.particles
         stayed = transition_probability_mc(element, element, dist, config).value * config.particles
         assert round(escaped) == config.particles - round(stayed)
@@ -223,6 +218,18 @@ class TestTransitionMc:
                 benchmark_elements["segment"], benchmark_elements["triangle"],
                 WienerStep(dt=1.0, dim=1),
             )
+
+    @pytest.mark.parametrize("solve, argument", [
+        (lambda segment, interval, law: escape_probability_det(interval, law), "element"),
+        (lambda segment, interval, law: escape_probability_mc(interval, law), "element"),
+        (lambda segment, interval, law: transition_probability_mc(interval, segment, law), "source"),
+        (lambda segment, interval, law: transition_probability_mc(segment, interval, law), "target"),
+    ], ids=["det-element", "mc-element", "mc-source", "mc-target"])
+    def test_interval_tuple_is_not_an_element(self, solve, argument):
+        segment = mesh_element("segment", [[0.0], [1.0]])
+        with pytest.raises(InputError) as info:
+            solve(segment, (0.0, 1.0), WienerStep(dt=0.1, dim=1))
+        assert info.value.field == argument
 
 
 class TestErrorFormulas:
@@ -280,5 +287,3 @@ class TestErrorFormulas:
             McConfig(particles=0)
         with pytest.raises(ValueError):
             McConfig(runs=0)
-        with pytest.raises(ValueError):
-            McConfig(chunk=0)

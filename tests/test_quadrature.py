@@ -127,11 +127,12 @@ class TestCones:
         # the integral of V(U ∩ (U - d)) / V(U) over all steps d is V(U)
         cones = _CONE_CACHE[cell]
 
-        def f(x):
-            local_steps, jac = cones.steps(x)
+        def f(x, k):
+            local_steps, jac = cones.steps(x, k)
             return stay_fraction(cell, local_steps) * jac
 
-        value, _, _ = _integrate_boxes(f, cones.boxes([0.0, 1.0]), QuadratureConfig(abs_tol=1e-12))
+        lo, hi, k = cones.boxes([0.0, 1.0])
+        value, _, _ = _integrate_boxes(f, lo, hi, k, QuadratureConfig(abs_tol=1e-12))
         assert value == pytest.approx(cell.measure, abs=1e-12)
 
     def test_benchmark_tetrahedron_cost_guard(self, benchmark_elements):
@@ -156,13 +157,20 @@ class TestErrorEstimateHonesty:
         oracle, oracle_error = simplex_escape_wiener(tet.vertices, 1.0)
         assert abs(est.value - oracle) <= est.error_estimate + oracle_error
 
-    @pytest.mark.parametrize("length", [1.0, 2.0])
-    @pytest.mark.parametrize("rate, config", [
-        (1.0, QuadratureConfig(abs_tol=1e-10, rel_tol=0.0)),
-        (1e3, QuadratureConfig()),
-        (1e6, QuadratureConfig()),
+    @pytest.mark.parametrize("rate, config, length", [
+        pytest.param(rate, config, length, id=f"{rate}-config{i}-{length}")
+        for i, (rate, config, lengths) in enumerate([
+            (1.0, QuadratureConfig(abs_tol=1e-10, rel_tol=0.0), [1.0, 2.0]),
+            (1e3, QuadratureConfig(), [1.0, 2.0]),
+            (1e6, QuadratureConfig(), [1.0, 2.0]),
+            # refined below 1e-13 in the radial coordinate, where the nodes
+            # of a cone other than the first must keep full precision
+            (1.0, QuadratureConfig(abs_tol=1e-12, rel_tol=0.0), [1e6, 1e4]),
+            (1.0, QuadratureConfig(abs_tol=1e-13, rel_tol=0.0), [1e4]),
+        ])
+        for length in lengths
     ])
-    def test_velocity_jump_segment(self, length, rate, config):
+    def test_velocity_jump_segment(self, rate, config, length):
         # the log-singular density is integrated down to the zero step, so
         # the error is the rule's alone and meets the tolerance
         segment = mesh_element("segment", [[0.0], [length]])
