@@ -14,7 +14,8 @@ Exit codes, one table for every command:
   traceback: ``InputError``, ``DegenerateElement``, ``DimensionMismatch``,
   ``EmptyInterval``, an unreadable input file, an ``--output`` file that
   cannot be written (checked before any solve), or a ``--tol``,
-  ``--particles``, ``--seed`` or ``--runs`` value the configs reject.
+  ``--particles``, ``--seed``, ``--runs`` or ``--workers`` value the
+  configs reject.
 * 3 solver failure, with a partial report: ``ToleranceNotMet`` keeps the
   best deterministic value (``--method both`` still runs Monte Carlo), any
   other library error is reported as ``solver_failure``.
@@ -43,6 +44,7 @@ from .errors import (
 from .geometry import element_from_dict, element_to_dict
 from .montecarlo import (
     McConfig,
+    _check_workers,
     empirical_stat_error,
     escape_probability_mc,
     repeat_escape_probability_mc,
@@ -111,10 +113,11 @@ def _load_inputs(args, options: tuple[str, ...]):
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.tol)
+    return QuadratureConfig(abs_tol=args.tol, rel_tol=0.0)
 
 
 def _mc_config(args) -> McConfig:
+    _check_workers(args.workers)
     return McConfig(particles=args.particles, seed=args.seed, runs=args.runs)
 
 
@@ -168,7 +171,7 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
     """
     try:
         quad_config, mc_config = _quad_config(args), _mc_config(args)
-    except ValueError as exc:
+    except (ValueError, InputError) as exc:
         return _reject(exc)
     results: dict = {}
     status = "ok"
@@ -284,7 +287,8 @@ def cmd_bench(args) -> int:
 
 def _add_common(parser, with_runs=False):
     parser.add_argument("--tol", type=float, default=1e-6,
-                        help="absolute tolerance of the deterministic solver")
+                        help="absolute tolerance of the deterministic solver "
+                             "(no relative tolerance is applied)")
     parser.add_argument("--particles", type=int, default=10**6,
                         help="Monte Carlo particle count")
     parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")

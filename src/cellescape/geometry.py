@@ -376,50 +376,26 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     return result
 
 
-def _assign_where(column: np.ndarray, new: np.ndarray, mask: np.ndarray) -> None:
-    """``column[mask] = new[mask]`` in place, bit for bit, for finite values.
-
-    The mask enters as the factors 0.0 and 1.0: a product with 1.0 is
-    exact and a product with 0.0 adds a zero, so every element ends as
-    exactly its old or its new value.  On a random mask these five
-    whole-array passes take about 1.5 ns per element on a 2-vCPU Xeon,
-    where numpy's masked ufuncs (``where=``), ``np.where`` and boolean
-    indexing take 5-8 ns.
-    """
-    on = mask.astype(float)
-    column *= 1.0 - on
-    column += new * on
-
-
 def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> np.ndarray:
     """Uniform samples in the reference cell, shape (m, dim), with contiguous columns.
 
-    One point is one row of ``rng.random((m, dim))``.  The rows are copied
-    into coordinate columns, and the simplices fold them in place, with no
-    rejection: the unit square folds onto the triangle across u + v = 1,
-    and the unit cube folds onto the tetrahedron in two stages.  The
+    One point is one row of ``rng.random((m, dim))``, copied into
+    coordinate columns.  A box keeps them.  A simplex sorts each point's
+    coordinates by compare-exchange passes over whole columns and keeps
+    their spacings, which are uniform on the simplex in any dimension
+    (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. V).  The
     returned array is the transpose of the columns.
     """
     cols = rng.random((m, cell.dim)).T.copy()
-    if cell == ReferenceCell.TRIANGLE:
-        u, v = cols
-        over = u + v > 1.0
-        _assign_where(u, 1.0 - u, over)
-        _assign_where(v, 1.0 - v, over)
-    elif cell == ReferenceCell.TETRAHEDRON:
-        s, t, w = cols
-        fold = s + t > 1.0
-        _assign_where(s, 1.0 - s, fold)
-        _assign_where(t, 1.0 - t, fold)
-        total = s + t + w
-        case_a = t + w > 1.0
-        case_b = ~case_a & (total > 1.0)
-        t_a, w_a = 1.0 - w, 1.0 - s - t
-        s_b, w_b = 1.0 - t - w, total - 1.0
-        _assign_where(t, t_a, case_a)
-        _assign_where(w, w_a, case_a)
-        _assign_where(s, s_b, case_b)
-        _assign_where(w, w_b, case_b)
+    if cell.is_simplex:
+        low = np.empty(m)
+        for end in range(cell.dim - 1, 0, -1):
+            for j in range(end):
+                np.minimum(cols[j], cols[j + 1], out=low)
+                np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+                cols[j] = low
+        for j in range(cell.dim - 1, 0, -1):
+            cols[j] -= cols[j - 1]
     return cols.T
 
 

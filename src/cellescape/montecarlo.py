@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamplerUnavailable, TooFewRuns
+from .errors import DimensionMismatch, InputError, SamplerUnavailable, TooFewRuns
 from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference, build_affine_map
 from .quadrature import ProbabilityEstimate
 
@@ -71,6 +71,12 @@ def _chunk_stream(seed: int, index: int, run: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _check_workers(workers: int) -> None:
+    """Raise ``InputError`` naming ``workers`` unless it is at least 1."""
+    if workers < 1:
+        raise InputError("workers", f"must be at least 1, got {workers}")
+
+
 def _run_chunks(count_fn, config: McConfig, workers: int) -> int:
     """Sum integer chunk counts; the reduction is order-independent."""
     sizes = []
@@ -93,6 +99,7 @@ def _landing_estimate(source, target, dist, config, workers, complement, run=0) 
     estimate is the binomial standard deviation at the estimated value.
     """
     config = config or McConfig()
+    _check_workers(workers)
     if not dist.has_sampler:
         raise SamplerUnavailable(
             f"{type(dist).__name__} offers no sampler; use the deterministic solver"

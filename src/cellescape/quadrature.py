@@ -96,7 +96,11 @@ _WG7 = np.array([
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget of the adaptive integrator."""
+    """Tolerances and budget of the adaptive integrator.
+
+    The solvers meet ``error_estimate <= max(abs_tol, rel_tol * p)`` for
+    the probability ``p`` they report.
+    """
 
     abs_tol: float = 1e-6
     rel_tol: float = 1e-6
@@ -159,19 +163,38 @@ def _rule(n: int):
 
 _RULE_CACHE = {n: _rule(n) for n in (1, 2, 3)}
 
+# Most integrand nodes per call of ``f``, so that the integrand's
+# temporaries stay bounded however many boxes a refinement pass holds.
+_MAX_POINTS = 2**19
+
 
 def _evaluate(f, lo, hi, tag):
-    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag: (m,)."""
-    n = lo.shape[1]
+    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag: (m,).
+
+    ``f`` is called on whole boxes, at most ``_MAX_POINTS`` nodes (and at
+    least one box) at a time.
+    """
+    m, n = lo.shape
     pts, wh, wl = _RULE_CACHE[n]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    # one coordinate at a time: a broadcast over the length-n axis runs as
-    # numpy inner loops of length n <= 3
-    x = np.empty((lo.shape[0], len(pts), n))
-    for j in range(n):
-        x[:, :, j] = mid[:, j, None] + half[:, j, None] * pts[:, j]
-    values = np.asarray(f(x.reshape(-1, n), np.repeat(tag, len(pts))), dtype=float).reshape(lo.shape[0], -1)
+
+    def call(rows: slice) -> np.ndarray:
+        # one coordinate at a time: a broadcast over the length-n axis runs
+        # as numpy inner loops of length n <= 3
+        x = np.empty((len(mid[rows]), len(pts), n))
+        for j in range(n):
+            x[:, :, j] = mid[rows, j, None] + half[rows, j, None] * pts[:, j]
+        values = f(x.reshape(-1, n), np.repeat(tag[rows], len(pts)))
+        return np.asarray(values, dtype=float).reshape(-1, len(pts))
+
+    per_call = max(1, _MAX_POINTS // len(pts))
+    if m <= per_call:  # one call keeps the integrand's own array, with no copy
+        values = call(slice(0, m))
+    else:
+        values = np.empty((m, len(pts)))
+        for start in range(0, m, per_call):
+            values[start:start + per_call] = call(slice(start, start + per_call))
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
     jac = np.prod(half, axis=1)
@@ -180,7 +203,7 @@ def _evaluate(f, lo, hi, tag):
     return high, np.abs(high - low)
 
 
-def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig):
+def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
     """Adaptive integration over a union of disjoint boxes.
 
     ``lo`` and ``hi`` are the ``(m, n)`` corners of the boxes and ``tag``
@@ -192,10 +215,11 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig):
     decreases, so the accepted error stays below the budget.  The first
     budget comes from the first estimate; when the relative goal of the
     accepted value is tighter, the accepted leaves are refined again
-    against it.  Each pass evaluates all of its pending boxes in one call.
+    against it.  The relative tolerance applies to ``reported(value)``:
+    the integral's magnitude, or the probability a solver reports of it.
 
     Returns ``(value, error_estimate, n_evals)`` with
-    ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
+    ``error_estimate <= max(abs_tol, rel_tol * reported(value))``.
     """
     if lo.shape[0] == 0:
         return 0.0, 0.0, 0
@@ -204,7 +228,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig):
     high, err = _evaluate(f, lo, hi, tag)
     n_evals = high.size * nodes_per_box
     n_splits = 0
-    budget = max(config.abs_tol, config.rel_tol * abs(float(high.sum())))
+    budget = max(config.abs_tol, config.rel_tol * reported(float(high.sum())))
     while True:
         value = error = 0.0
         remaining_volume = total_volume
@@ -236,7 +260,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig):
             tag = np.concatenate([tag, tag])
             high, err = _evaluate(f, lo, hi, tag)
             n_evals += high.size * nodes_per_box
-        goal = max(config.abs_tol, config.rel_tol * abs(value))
+        goal = max(config.abs_tol, config.rel_tol * reported(value))
         if error <= goal:
             return value, error, n_evals
         # The relative goal tightened below the budget actually used:
@@ -439,8 +463,9 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
     ``prepare()`` returns the integrand and the corners and tags of its
     initial boxes, as ``_integrate_boxes`` takes them.  The
     probability is the integral, or its complement ``1 - integral`` when
-    ``complement`` is set, clamped into ``[0, 1]``.  A ``ToleranceNotMet``
-    is re-raised with that probability of its best value.
+    ``complement`` is set, clamped into ``[0, 1]``; the relative tolerance
+    applies to it.  A ``ToleranceNotMet`` is re-raised with that
+    probability of its best value.
     """
     config = config or QuadratureConfig()
     if not dist.has_density:
@@ -458,7 +483,7 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
 
     try:
-        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config)
+        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config, probability)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(probability(exc.value), exc.error_estimate) from None
     return ProbabilityEstimate(

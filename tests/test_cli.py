@@ -29,7 +29,9 @@ def files(tmp_path):
             "tet.json",
             {"kind": "tetrahedron", "vertices": [[0, 0, 0], [2, 0, 0], [3, 2, 0], [1, 1, 1]]},
         ),
+        "triangle": write("triangle.json", {"kind": "triangle", "vertices": [[0, 0], [2, 0], [3, 2]]}),
         "wiener": write("wiener.json", {"law": "wiener", "dt": 1.0}),
+        "wiener_01": write("wiener_01.json", {"law": "wiener", "dt": 0.1}),
         "vjump": write("vjump.json", {"law": "velocity_jump", "lambda": 1.0}),
         "broken_geometry": write("broken.json", {"kind": "triangle"}),
         "broken_distribution": write("broken_dist.json", {"law": "wiener"}),
@@ -133,6 +135,15 @@ class TestEscapeCommand:
             return report
 
         assert strip_volatile(out1) == strip_volatile(out2)
+
+    def test_tol_is_an_absolute_tolerance(self, capsys, files):
+        code, out, _ = run_cli(capsys, [
+            "escape", "--geometry", files["triangle"], "--distribution", files["wiener_01"],
+            "--method", "det", "--tol", "1e-10",
+        ])
+        assert code == 0
+        det = json.loads(out)["results"]["deterministic"]
+        assert det["error_estimate"] <= 1e-10
 
     def test_solver_failure_prints_partial_report(self, capsys, files, monkeypatch):
         # force an unreachable budget so the solver must give up
@@ -267,6 +278,11 @@ EXIT_CODE_TABLE = {
     "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),
     "seed-negative": (ESCAPE + ["--seed", "-1"], None, 2, "seed"),
     "bench-particles-0": (["bench", "--particles", "0"], None, 2, "particles"),
+    "workers-0": (ESCAPE + ["--workers", "0"], None, 2, "workers"),
+    "transition-workers-negative": (
+        ["transition", "--source", "unit", "--target", "next", "--distribution", "wiener",
+         "--method", "mc", "--workers", "-2"], None, 2, "workers"),
+    "bench-workers-0": (["bench", "--workers", "0"], None, 2, "workers"),
     "output-unwritable": (
         ESCAPE + ["--method", "det", "--output", "unwritable"], _non_finite, 2, "--output"),
     "tolerance-not-met-both": (

@@ -20,6 +20,7 @@ from cellescape import (
     stay_fraction,
     transition_probability_det_1d,
 )
+from cellescape import quadrature
 from cellescape.quadrature import _CONE_CACHE, _WG7, _WGK, _XGK, _integrate_boxes
 
 from conftest import random_element
@@ -167,6 +168,9 @@ class TestErrorEstimateHonesty:
             # of a cone other than the first must keep full precision
             (1.0, QuadratureConfig(abs_tol=1e-12, rel_tol=0.0), [1e6, 1e4]),
             (1.0, QuadratureConfig(abs_tol=1e-13, rel_tol=0.0), [1e4]),
+            # a small escape: the relative goal is met by the escape
+            # probability itself, not by the stay integral
+            (100.0, QuadratureConfig(abs_tol=1e-12, rel_tol=1e-2), [2.0]),
         ])
         for length in lengths
     ])
@@ -291,6 +295,28 @@ class TestEscapeDeterministic:
             )
         assert 0.0 <= excinfo.value.value <= 1.0
         assert excinfo.value.value == pytest.approx(0.4082, abs=0.05)
+
+    @pytest.mark.parametrize("kind, law", [
+        ("tetrahedron", WienerStep(dt=0.1, dim=3)),
+        ("triangle", VelocityJumpStep(rate=1.0, dim=2)),
+    ])
+    def test_bounded_integrand_calls_change_nothing(self, benchmark_elements, monkeypatch, kind, law):
+        element = benchmark_elements[kind]
+        config = QuadratureConfig(abs_tol=1e-5, rel_tol=0.0)
+        whole = escape_probability_det(element, law, config)
+        sizes = []
+
+        def recording_stay_fraction(cell, steps):
+            sizes.append(len(steps))
+            return stay_fraction(cell, steps)
+
+        limit = 3 * 15**element.dim  # three boxes per call
+        monkeypatch.setattr(quadrature, "_MAX_POINTS", limit)
+        monkeypatch.setattr(quadrature, "stay_fraction", recording_stay_fraction)
+        split = escape_probability_det(element, law, config)
+        assert (split.value, split.error_estimate, split.cost) == (whole.value, whole.error_estimate, whole.cost)
+        assert max(sizes) == limit
+        assert sum(sizes) == whole.cost
 
 
 class TestTransitionDeterministic:
