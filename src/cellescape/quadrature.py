@@ -189,12 +189,7 @@ def _evaluate(f, lo, hi, tag):
         return np.asarray(values, dtype=float).reshape(-1, len(pts))
 
     per_call = max(1, _MAX_POINTS // len(pts))
-    if m <= per_call:  # one call keeps the integrand's own array, with no copy
-        values = call(slice(0, m))
-    else:
-        values = np.empty((m, len(pts)))
-        for start in range(0, m, per_call):
-            values[start:start + per_call] = call(slice(start, start + per_call))
+    values = np.concatenate([call(slice(s, s + per_call)) for s in range(0, m, per_call)])
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
     jac = np.prod(half, axis=1)
