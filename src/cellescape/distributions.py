@@ -55,6 +55,17 @@ class StepDistribution(ABC):
     step, where the shipped densities concentrate; without it a density
     much narrower than the cell could fall between the integration nodes of
     the initial boxes and go unnoticed.
+
+    A density that is a mixture of centred isotropic Gaussians may also be
+    described by the private hook ``_scale_mixture(radii)``, which returns
+    ``(scales, weights)`` of shape ``(len(radii), q)``: the density is
+    ``sum_j weights[:, j] N(0, scales[:, j]^2 I)`` along the rays whose
+    longest steps have the given ``radii``.  The deterministic solver then
+    integrates the radial coordinate of each cone in closed form.
+    ``WienerStep`` has the hook, with its one scale ``sqrt(dt)`` of weight
+    1; ``VelocityJumpStep`` and user laws do not, and the hook is ignored
+    on a subclass that overrides ``density`` without overriding the hook,
+    so those laws take the cubature over whole cones.
     """
 
     dim: int
@@ -112,6 +123,10 @@ class WienerStep(StepDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return math.sqrt(self.dt) * rng.standard_normal((int(size), self.dim))
+
+    def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = len(radii)
+        return np.full((m, 1), self.typical_scale), np.ones((m, 1))
 
 
 # The velocity-jump density is an integral taken in v = log u by the

@@ -12,15 +12,26 @@ is a union of cones from the zero step, one over each facet piece, and the
 stay fraction is smooth on each cone: on a simplex it is ``(1 - t)^n`` in
 the radial coordinate ``t``.  Each cone is mapped onto the unit box
 ``(t, w)`` by ``d = t b(w)``, with Duffy's collapse on triangular facets,
-so no kink of the integrand crosses a box.  The radial axis is split
-geometrically toward the zero step and integrated down to it.  Each box is
-handled by an embedded 7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box
-whose rule disagreement exceeds its share of the remaining error budget is
-split along its longest axis.
+so no kink of the integrand crosses a box.  Each box is handled by an
+embedded 7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box whose rule
+disagreement exceeds its share of the remaining error budget is split
+along its longest axis.
+
+A law whose density is a Gaussian scale mixture says so through a private
+``_scale_mixture`` hook; of the shipped laws, ``WienerStep`` does, with its
+one scale.  On each cone the stay fraction is then a polynomial in ``t``,
+and its radial integral against each Gaussian is a sum of the moments
+``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, computed in closed form
+from a numpy port of Cody's ``erf``; the cubature runs over the facet
+coordinates ``w`` alone, and a segment's two cones need none.  Every other
+law -- ``VelocityJumpStep``, user laws, and subclasses that override
+``density`` -- keeps the cubature over whole cones, whose radial axis is
+split geometrically toward the zero step and integrated down to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -147,21 +158,21 @@ class ProbabilityEstimate:
 
 
 def _rule(n: int):
-    pts = _XGK.reshape(-1, 1)
-    wh = _WGK
+    """Nodes and the Kronrod and Gauss weights of the tensor rule on ``[-1, 1]^n``.
+
+    For ``n = 0`` the rule is one node of weight 1, on which both agree.
+    """
     wl_1d = np.zeros(15)
     wl_1d[1::2] = _WG7
-    wl = wl_1d
-    if n > 1:
-        grids = np.meshgrid(*([_XGK] * n), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        for _ in range(n - 1):
-            wh = np.multiply.outer(wh, _WGK).ravel()
-            wl = np.multiply.outer(wl, wl_1d).ravel()
+    pts = np.array(list(itertools.product(_XGK, repeat=n)))
+    wh = wl = np.ones(1)
+    for _ in range(n):
+        wh = np.multiply.outer(wh, _WGK).ravel()
+        wl = np.multiply.outer(wl, wl_1d).ravel()
     return pts, wh, wl
 
 
-_RULE_CACHE = {n: _rule(n) for n in (1, 2, 3)}
+_RULE_CACHE = {n: _rule(n) for n in (0, 1, 2, 3)}
 
 # Most integrand nodes per call of ``f``, so that the integrand's
 # temporaries stay bounded however many boxes a refinement pass holds.
@@ -185,7 +196,7 @@ def _evaluate(f, lo, hi, tag):
         x = np.empty((len(mid[rows]), len(pts), n))
         for j in range(n):
             x[:, :, j] = mid[rows, j, None] + half[rows, j, None] * pts[:, j]
-        values = f(x.reshape(-1, n), np.repeat(tag[rows], len(pts)))
+        values = f(x.reshape(len(x) * len(pts), n), np.repeat(tag[rows], len(pts)))
         return np.asarray(values, dtype=float).reshape(-1, len(pts))
 
     per_call = max(1, _MAX_POINTS // len(pts))
@@ -298,6 +309,114 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
         lambda x, _: f(x), box.lo[None], box.hi[None], np.zeros(1, dtype=np.intp), config
     )
     return value, error
+
+
+# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969, as in his
+# CALERF), highest power first: erf(x) = x A(x^2) / B(x^2) for |x| <= 0.46875,
+# erfc(x) = exp(-x^2) C(x) / D(x) for |x| <= 4, and above that
+# erfc(x) = exp(-x^2) (1/sqrt(pi) - P(1/x^2) / (x^2 Q(1/x^2))) / x.
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+          3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
+          1.28261652607737228e03, 2.84423683343917062e03)
+_ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+          6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+          1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERF_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+          5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
+          4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+          1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERF_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
+          5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+
+
+def _erf(x) -> np.ndarray:
+    """The error function of an array, within a few ulps (Cody 1969)."""
+    y = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    middle = ~small & (y <= 4.0)
+    large = ~(small | middle)  # NaN too
+    ys = y[small]
+    out[small] = ys * np.polyval(_ERF_A, ys * ys) / np.polyval(_ERF_B, ys * ys)
+    ym = y[middle]
+    yl = np.minimum(y[large], 27.0)  # erfc underflows to 0 above 26.6
+    r = 1.0 / (yl * yl)
+    tails = (
+        (middle, ym, np.polyval(_ERF_C, ym) / np.polyval(_ERF_D, ym)),
+        (large, yl, (1.0 / math.sqrt(math.pi) - r * np.polyval(_ERF_P, r) / np.polyval(_ERF_Q, r)) / yl),
+    )
+    for where, yt, ratio in tails:
+        # exp(-y^2) = exp(-z^2) exp(-(y - z)(y + z)), with z = y cut to 1/16,
+        # keeps the rounding of y^2 out of the exponent
+        z = np.trunc(16.0 * yt) / 16.0
+        out[where] = (0.5 - np.exp(-z * z) * np.exp(-(yt - z) * (yt + z)) * ratio) + 0.5
+    return np.copysign(out, x)
+
+
+# Below this alpha the upward recurrence of the radial moments cancels (it
+# would lose a digit at alpha = 0.5), and their series is used instead.
+_SERIES_BELOW = 2.0
+
+
+def _radial_moments(alpha: np.ndarray, top: int) -> np.ndarray:
+    """Gaussian radial moments ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``.
+
+    ``M_k = gamma((k + 1)/2, alpha) / (2 alpha^((k + 1)/2))`` (DLMF 8.2.1);
+    returns ``M_0 .. M_top`` stacked along a new first axis.  From
+    ``alpha = 2`` up, ``M_0`` and ``M_1`` come from ``erf`` and ``expm1`` and
+    ``M_(k+2) = ((k + 1) M_k - exp(-alpha)) / (2 alpha)``; below, the
+    positive series ``exp(-alpha) / 2 * sum_m alpha^m / (a (a + 1) ... (a + m))``
+    with ``a = (k + 1)/2`` (DLMF 8.7.1).  Both keep about 1e-15 relative.
+    """
+    out = np.empty((top + 1,) + alpha.shape)
+    series = alpha < _SERIES_BELOW
+    a = alpha[~series]
+    up = np.empty((top + 1, a.size))
+    up[0] = 0.5 * np.sqrt(math.pi / a) * _erf(np.sqrt(a))
+    up[1] = -np.expm1(-a) / (2.0 * a)
+    tail = np.exp(-a)
+    for k in range(2, top + 1):
+        up[k] = ((k - 1) * up[k - 2] - tail) / (2.0 * a)
+    out[:, ~series] = up
+    x = alpha[series]
+    order = 0.5 * np.arange(1, top + 2)[:, None]
+    term = total = np.ones_like(x) / order
+    m = 0
+    while np.any(term > 1e-17 * total):  # the terms fall faster than 2^-m once m > 2 alpha
+        m += 1
+        term = term * x / (order + m)
+        total = total + term
+    out[:, series] = 0.5 * np.exp(-x) * total
+    return out
+
+
+def _stay_polynomial(a: np.ndarray) -> np.ndarray:
+    """Coefficients ``c_j`` of ``prod_i (1 - t a_i) = sum_j c_j t^j``.
+
+    ``a`` is ``(m, n)``; the result is ``(n + 1, m)``.
+    """
+    m, n = a.shape
+    c = np.zeros((n + 1, m))
+    c[0] = 1.0
+    for i in range(n):
+        c[1:i + 2] -= a[:, i] * c[:i + 1]
+    return c
+
+
+def _mixture_hook(dist):
+    """The law's ``_scale_mixture`` hook, or None.
+
+    The hook describes the density of the class that defines it, so it
+    counts only when that class also defines the law's ``density``: a
+    subclass that overrides ``density`` alone is a law without the hook.
+    """
+    def owner(name):
+        return next((cls for cls in type(dist).__mro__ if name in vars(cls)), None)
+
+    hook = owner("_scale_mixture")
+    return dist._scale_mixture if hook is not None and hook is owner("density") else None
 
 
 def _bit_vectors(n: int) -> list[list[int]]:
@@ -498,6 +617,12 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     the stay fraction is smooth, and returns its complement, clamped into
     ``[0, 1]``.
 
+    For ``WienerStep`` (a law with the ``_scale_mixture`` hook whose class
+    also defines its ``density``) each cone's radial coordinate is
+    integrated in closed form, so the cubature runs over the cones' facets
+    only; on a segment that leaves two exact terms, whose error estimate is
+    0.  Every other law takes the cubature over whole cones.
+
     Every cone is integrated down to the zero step, also for a density
     that diverges there: the cone's Jacobian ``t^(n-1)`` cancels a
     divergence like ``|d|^(1-n)`` in 2D and 3D, a logarithmic one in 1D is
@@ -517,6 +642,10 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
 
     def prepare():
         amap = build_affine_map(element)
+        mixture = _mixture_hook(dist)
+        if mixture is not None:
+            lo, hi, k = cones.boxes([0.0, 1.0])
+            return _facet_integrand(cell, cones, amap, mixture), lo[:, 1:], hi[:, 1:], k
         op_norm = float(np.linalg.norm(amap.matrix, 2))
         lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, op_norm))
 
@@ -528,6 +657,32 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
         return f, lo, hi, k
 
     return _solve(dist, element.dim, config, prepare, complement=True)
+
+
+def _facet_integrand(cell: ReferenceCell, cones: _Cones, amap, mixture):
+    """The stay integrand over the facet coordinates ``w`` of the cones.
+
+    On cone ``k`` the stay fraction at ``d = t b(w)`` is
+    ``prod_i (1 - t a_i)``, with ``a_i = |b_i(w)|`` on a box and ``a_i = 1``
+    on a simplex, so under a Gaussian of scale ``sigma`` the radial integral
+    ``integral_0^1 t^(n-1) prod_i (1 - t a_i) exp(-alpha t^2) dt`` is
+    ``sum_j c_j M_(n-1+j)(alpha)`` with ``alpha = |A b(w)|^2 / (2 sigma^2)``.
+    ``mixture`` is the law's ``_scale_mixture`` hook.
+    """
+    n = cell.dim
+
+    def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # the steps at t = 1 are the facet points b(w), with the facet's Jacobian
+        rays, jac = cones.steps(np.hstack([np.ones((len(w), 1)), w]), k)
+        radii = np.linalg.norm(amap.global_step(rays), axis=1)
+        scales, weights = mixture(radii)
+        moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, 2 * n - 1)[n - 1:]
+        stay = _stay_polynomial(np.ones_like(rays) if cell.is_simplex else np.abs(rays))
+        radial = np.einsum("jm,jmq->mq", stay, moments)
+        gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)
+        return (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
+
+    return f
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:

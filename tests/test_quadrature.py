@@ -20,8 +20,17 @@ from cellescape import (
     stay_fraction,
     transition_probability_det_1d,
 )
-from cellescape import quadrature
-from cellescape.quadrature import _CONE_CACHE, _WG7, _WGK, _XGK, _integrate_boxes
+from cellescape import bench, quadrature
+from cellescape.quadrature import (
+    _CONE_CACHE,
+    _SERIES_BELOW,
+    _WG7,
+    _WGK,
+    _XGK,
+    _erf,
+    _integrate_boxes,
+    _radial_moments,
+)
 
 from conftest import random_element
 from oracles import (
@@ -34,6 +43,18 @@ from oracles import (
 
 def box(lo, hi):
     return Box(lo=np.atleast_1d(np.asarray(lo, float)), hi=np.atleast_1d(np.asarray(hi, float)))
+
+
+class ConeWiener(StepDistribution):
+    """The Wiener density without the scale-mixture hook: it takes the cone cubature."""
+
+    def __init__(self, dt, dim):
+        self.wiener = WienerStep(dt=dt, dim=dim)
+        self.dim = dim
+        self.typical_scale = self.wiener.typical_scale
+
+    def density(self, steps):
+        return self.wiener.density(steps)
 
 
 class TestRuleConstants:
@@ -120,6 +141,58 @@ class TestIntegrateAdaptive:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+
+
+class TestRadialMoments:
+    def test_erf_matches_math_erf(self):
+        x = np.concatenate([
+            np.linspace(-6.0, 6.0, 120_001),
+            np.linspace(6.0, 27.0, 2_001), np.linspace(-27.0, -6.0, 2_001),
+            np.geomspace(1e-300, 1e-3, 301), [0.0, 0.46875, 4.0, 26.6],
+        ])
+        expected = np.array([math.erf(v) for v in x])
+        got = _erf(x)
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+    def test_moments_match_kummer_function(self):
+        # M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1) (DLMF 8.5.1)
+        from scipy.special import hyp1f1
+
+        alpha = np.concatenate([
+            np.geomspace(1e-14, 1e12, 521),
+            _SERIES_BELOW * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
+        ])
+        a = 0.5 * np.arange(1, 7)[:, None]
+        expected = hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
+        got = _radial_moments(alpha, 5)
+        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+
+
+class TestRadialPath:
+    """Wiener steps integrate the radial coordinate in closed form; other laws take the cone cubature."""
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    @pytest.mark.parametrize("dt", [0.01, 1.0, 100.0])
+    def test_cone_path_agrees_for_gaussian_density(self, kind, dt):
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        radial = escape_probability_det(element, WienerStep(dt=dt, dim=element.dim))
+        cone = escape_probability_det(element, ConeWiener(dt, element.dim))
+        assert radial.cost < cone.cost
+        assert abs(radial.value - cone.value) <= radial.error_estimate + cone.error_estimate
+
+    def test_density_override_takes_cone_path(self, benchmark_elements):
+        class ScaledWiener(WienerStep):
+            def density(self, steps):
+                return 0.5 * super().density(steps)
+
+        law = ScaledWiener(dt=0.1, dim=2)
+        assert quadrature._mixture_hook(law) is None
+        element = benchmark_elements["triangle"]
+        overridden = escape_probability_det(element, law)
+        cone = escape_probability_det(element, ConeWiener(0.1, 2))
+        # half the stay probability: the override's density was integrated
+        tolerance = overridden.error_estimate + 0.5 * cone.error_estimate
+        assert abs((1.0 - overridden.value) - 0.5 * (1.0 - cone.value)) <= tolerance
 
 
 class TestCones:
@@ -305,14 +378,22 @@ class TestEscapeDeterministic:
         config = QuadratureConfig(abs_tol=1e-5, rel_tol=0.0)
         whole = escape_probability_det(element, law, config)
         sizes = []
+        integrate_boxes = quadrature._integrate_boxes
 
-        def recording_stay_fraction(cell, steps):
-            sizes.append(len(steps))
-            return stay_fraction(cell, steps)
+        def recording_integrate_boxes(f, *args, **kwargs):
+            # record the node count of every call of the integrand, on
+            # whichever path the law takes
+            def recording_f(x, k):
+                sizes.append(len(x))
+                return f(x, k)
 
-        limit = 3 * 15**element.dim  # three boxes per call
+            return integrate_boxes(recording_f, *args, **kwargs)
+
+        # the radial-moment path integrates over the facets, one dimension less
+        box_dim = element.dim - (quadrature._mixture_hook(law) is not None)
+        limit = 3 * 15**box_dim  # three boxes per call
         monkeypatch.setattr(quadrature, "_MAX_POINTS", limit)
-        monkeypatch.setattr(quadrature, "stay_fraction", recording_stay_fraction)
+        monkeypatch.setattr(quadrature, "_integrate_boxes", recording_integrate_boxes)
         split = escape_probability_det(element, law, config)
         assert (split.value, split.error_estimate, split.cost) == (whole.value, whole.error_estimate, whole.cost)
         assert max(sizes) == limit
