@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     ToleranceNotMet,
 )
-from .geometry import element_from_dict, element_to_dict
+from .geometry import _read_json, element_from_dict, element_to_dict
 from .montecarlo import (
     McConfig,
     _check_workers,
@@ -92,23 +92,11 @@ class _Unsupported(Exception):
     """The requested method does not support the given geometry."""
 
 
-def _read_json(args, option: str):
-    """The JSON document in the file named by ``--<option>``."""
-    path = getattr(args, option)
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(option, f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # malformed JSON or text encoding
-        raise InputError(option, f"invalid JSON: {exc}") from None
-
-
 def _load_inputs(args, options: tuple[str, ...]):
-    elements = [element_from_dict(_read_json(args, option)) for option in options]
+    elements = [element_from_dict(_read_json(getattr(args, option), option)) for option in options]
     if len({e.dim for e in elements}) != 1:
         raise InputError("vertices", "geometry files have different dimensions")
-    dist = distribution_from_dict(_read_json(args, "distribution"), dim=elements[0].dim)
+    dist = distribution_from_dict(_read_json(args.distribution, "distribution"), dim=elements[0].dim)
     return elements, dist
 
 
@@ -116,22 +104,16 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.tol, rel_tol=0.0)
 
 
-def _mc_config(args) -> McConfig:
-    _check_workers(args.workers)
-    return McConfig(particles=args.particles, seed=args.seed, runs=args.runs)
+def _check_flags(args) -> tuple[QuadratureConfig, McConfig]:
+    """The solver configs of the flags, checked with the ``--output`` file before any work.
 
-
-def _reject(exc: Exception, code: int = EXIT_BAD_INPUT) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
-def _check_output(args) -> None:
-    """Reject an ``--output`` file that cannot be written, before any solve runs.
-
-    The check opens the file for appending, so a file that did not exist
-    is created empty.
+    The output check opens the file for appending, so a file that did not
+    exist is created empty.  A bad flag raises ``ValueError`` or
+    ``InputError``.
     """
+    quad_config = _quad_config(args)
+    _check_workers(args.workers)
+    mc_config = McConfig(particles=args.particles, seed=args.seed, runs=args.runs)
     if args.output:
         try:
             with open(args.output, "a"):
@@ -140,6 +122,12 @@ def _check_output(args) -> None:
             raise InputError(
                 "output", f"cannot write the --output file {args.output}: {exc.strerror or exc}"
             ) from None
+    return quad_config, mc_config
+
+
+def _reject(exc: Exception, code: int = EXIT_BAD_INPUT) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _emit(data: dict, args) -> None:
@@ -170,14 +158,13 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
     code here, by the table in the module docstring.
     """
     try:
-        quad_config, mc_config = _quad_config(args), _mc_config(args)
+        quad_config, mc_config = _check_flags(args)
     except (ValueError, InputError) as exc:
         return _reject(exc)
     results: dict = {}
     status = "ok"
     code = EXIT_OK
     try:
-        _check_output(args)
         elements, dist = _load_inputs(args, options)
         request = {option: element_to_dict(e) for option, e in zip(options, elements)}
         request.update(
@@ -268,8 +255,7 @@ def cmd_transition(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        _quad_config(args), _mc_config(args)  # reject bad flags before the grid runs
-        _check_output(args)
+        _check_flags(args)
     except (ValueError, InputError) as exc:
         return _reject(exc)
     progress = (lambda line: print(line, file=sys.stderr)) if args.verbose else None

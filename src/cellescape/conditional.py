@@ -16,10 +16,12 @@ continuously across the case boundaries where sign products vanish.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DegenerateElement, DimensionMismatch, EmptyInterval
-from .geometry import MeshElement, ReferenceCell, build_affine_map, to_local
+from .errors import DimensionMismatch, EmptyInterval, InputError
+from .geometry import MeshElement, ReferenceCell, _as_batch, build_affine_map, to_local
 
 __all__ = [
     "stay_fraction",
@@ -28,18 +30,21 @@ __all__ = [
 ]
 
 
-def _as_steps(cell: ReferenceCell, step) -> tuple[np.ndarray, bool]:
-    d = np.asarray(step, dtype=float)
-    scalar = d.ndim == 1
-    if scalar:
-        d = d[None, :]
-    if d.ndim != 2 or d.shape[1] != cell.dim:
-        raise DimensionMismatch(
-            f"step must have {cell.dim} component(s) for the {cell.label} cell"
-        )
-    if not np.all(np.isfinite(d)):
-        raise DimensionMismatch("step components must be finite")
-    return d, scalar
+def _interval(which: str, pair) -> tuple[float, float]:
+    """The ends ``(lo, hi)`` of a finite 1D interval of positive length.
+
+    Raises ``InputError`` naming ``which`` unless ``pair`` is two finite
+    numbers, and ``EmptyInterval`` unless ``lo < hi``.
+    """
+    try:
+        lo, hi = (float(x) for x in pair)
+    except (TypeError, ValueError):
+        raise InputError(which, f"expected a pair of numbers, got {pair!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(which, f"interval ends must be finite, got [{lo}, {hi}]")
+    if hi <= lo:
+        raise EmptyInterval(f"{which} interval [{lo}, {hi}] has non-positive length")
+    return lo, hi
 
 
 def _stay_box(d: np.ndarray) -> np.ndarray:
@@ -59,7 +64,9 @@ def stay_fraction(cell: ReferenceCell, step) -> float | np.ndarray:
     same factor; triangle/tetrahedron: the simplex overlap described in the
     module docstring.
     """
-    d, scalar = _as_steps(cell, step)
+    d, scalar = _as_batch(step, cell.dim, "step")
+    if not np.all(np.isfinite(d)):
+        raise DimensionMismatch("step components must be finite")
     if cell.is_simplex and cell.dim > 1:
         out = _stay_simplex(d)
     else:
@@ -95,14 +102,11 @@ def conditional_transition_1d(source, target, step) -> float | np.ndarray:
     clamped at 0 so that floating-point underflow of the window check can
     never produce a spurious positive value.
 
-    ``step`` may be a scalar or an array.
+    ``step`` may be a scalar or an array.  An interval that is not two
+    finite numbers raises ``InputError`` naming ``source`` or ``target``.
     """
-    a, b = float(source[0]), float(source[1])
-    c, d = float(target[0]), float(target[1])
-    if b <= a:
-        raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
-    if d <= c:
-        raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
+    a, b = _interval("source", source)
+    c, d = _interval("target", target)
     dx = np.asarray(step, dtype=float)
     overlap = np.minimum(b, d - dx) - np.maximum(a, c - dx)
     inside = (dx >= c - b) & (dx <= d - a)

@@ -27,6 +27,7 @@ from .errors import (
     OriginSingularity,
     SamplerUnavailable,
 )
+from .geometry import _as_batch
 
 __all__ = [
     "StepDistribution",
@@ -85,17 +86,21 @@ class StepDistribution(ABC):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise SamplerUnavailable(f"{type(self).__name__} offers no sampler")
 
-    def _check_steps(self, steps) -> tuple[np.ndarray, bool]:
-        """The steps as an ``(m, dim)`` array, and whether one step was given."""
-        arr = np.asarray(steps, dtype=float)
-        scalar = arr.ndim == 1
-        if scalar:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"steps must have {self.dim} component(s), got shape {arr.shape}"
-            )
-        return arr, scalar
+
+def _check_law(dist, dim: int, sampler: bool = False) -> None:
+    """Raise unless ``dist`` is a ``dim``-dimensional law with a density, or with ``sampler`` a sampler."""
+    if sampler and not dist.has_sampler:
+        raise SamplerUnavailable(
+            f"{type(dist).__name__} offers no sampler; use the deterministic solver"
+        )
+    if not sampler and not dist.has_density:
+        raise DensityUnavailable(
+            f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
+        )
+    if dist.dim != dim:
+        raise DimensionMismatch(
+            f"distribution dimension {dist.dim} != element dimension {dim}"
+        )
 
 
 def _check_dim(n: int) -> int:
@@ -116,7 +121,7 @@ class WienerStep(StepDistribution):
         self.typical_scale = math.sqrt(self.dt)
 
     def density(self, steps) -> float | np.ndarray:
-        arr, scalar = self._check_steps(steps)
+        arr, scalar = _as_batch(steps, self.dim, "steps")
         norm2 = np.einsum("ij,ij->i", arr, arr)
         out = (2.0 * math.pi * self.dt) ** (-self.dim / 2.0) * np.exp(-norm2 / (2.0 * self.dt))
         return float(out[0]) if scalar else out
@@ -179,7 +184,7 @@ class VelocityJumpStep(StepDistribution):
         return velocity * travel[:, None]
 
     def density(self, steps) -> float | np.ndarray:
-        arr, scalar = self._check_steps(steps)
+        arr, scalar = _as_batch(steps, self.dim, "steps")
         # hypot scales before it squares, so no short step's radius underflows
         radii = np.abs(arr[:, 0])
         for j in range(1, self.dim):
@@ -208,6 +213,13 @@ class VelocityJumpStep(StepDistribution):
         return float(out[0]) if scalar else out
 
 
+# law name: (class, JSON field of its parameter, attribute holding it)
+_LAWS = {
+    "wiener": (WienerStep, "dt", "dt"),
+    "velocity_jump": (VelocityJumpStep, "lambda", "rate"),
+}
+
+
 def distribution_from_dict(data: dict, dim: int) -> StepDistribution:
     """Build a shipped law from ``{"law": ..., <parameters>}``.
 
@@ -220,26 +232,20 @@ def distribution_from_dict(data: dict, dim: int) -> StepDistribution:
     if "law" not in data:
         raise InputError("law", "missing required field")
     law = data["law"]
-    if law == "wiener":
-        if "dt" not in data:
-            raise InputError("dt", "missing required field for the wiener law")
-        try:
-            return WienerStep(dt=float(data["dt"]), dim=dim)
-        except (TypeError, ValueError):
-            raise InputError("dt", f"expected a positive number, got {data['dt']!r}") from None
-    if law == "velocity_jump":
-        if "lambda" not in data:
-            raise InputError("lambda", "missing required field for the velocity_jump law")
-        try:
-            return VelocityJumpStep(rate=float(data["lambda"]), dim=dim)
-        except (TypeError, ValueError):
-            raise InputError("lambda", f"expected a positive number, got {data['lambda']!r}") from None
-    raise InputError("law", f"unknown law {law!r}; expected 'wiener' or 'velocity_jump'")
+    if not isinstance(law, str) or law not in _LAWS:
+        expected = " or ".join(repr(name) for name in _LAWS)
+        raise InputError("law", f"unknown law {law!r}; expected {expected}")
+    cls, field, _ = _LAWS[law]
+    if field not in data:
+        raise InputError(field, f"missing required field for the {law} law")
+    try:
+        return cls(float(data[field]), dim)
+    except (TypeError, ValueError):
+        raise InputError(field, f"expected a positive number, got {data[field]!r}") from None
 
 
 def distribution_to_dict(dist: StepDistribution) -> dict:
-    if isinstance(dist, WienerStep):
-        return {"law": "wiener", "dt": dist.dt}
-    if isinstance(dist, VelocityJumpStep):
-        return {"law": "velocity_jump", "lambda": dist.rate}
+    for law, (cls, field, attribute) in _LAWS.items():
+        if isinstance(dist, cls):
+            return {"law": law, field: getattr(dist, attribute)}
     raise InputError("law", f"cannot serialize distribution of type {type(dist).__name__}")

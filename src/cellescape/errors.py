@@ -1,5 +1,11 @@
 """Exception types raised by the cellescape library."""
 
+__all__ = [
+    "CellEscapeError", "InputError", "DegenerateElement", "DimensionMismatch",
+    "EmptyInterval", "DensityUnavailable", "SamplerUnavailable", "OriginSingularity",
+    "QuadratureFailure", "ToleranceNotMet", "NonFiniteIntegrand", "TooFewRuns",
+]
+
 
 class CellEscapeError(Exception):
     """Base class for all library errors."""

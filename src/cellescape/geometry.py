@@ -203,6 +203,19 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
     return element
 
 
+def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """``points`` as an ``(m, dim)`` array, and whether one ``(dim,)`` point was given."""
+    arr = np.asarray(points, dtype=float)
+    one = arr.ndim == 1
+    if one:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatch(
+            f"{what} must have {dim} component(s), got shape {np.shape(points)}"
+        )
+    return arr, one
+
+
 def _check_element(argument: str, value) -> None:
     """Raise ``InputError`` naming ``argument`` unless ``value`` is a ``MeshElement``."""
     if not isinstance(value, MeshElement):
@@ -227,14 +240,20 @@ def element_to_dict(element: MeshElement) -> dict:
     return {"kind": element.kind.value, "vertices": element.vertices.tolist()}
 
 
+def _read_json(path, field: str):
+    """The JSON document in the file ``path``; ``InputError`` naming ``field`` if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(field, f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise InputError(field, f"invalid JSON: {exc}") from None
+
+
 def load_element(path) -> MeshElement:
-    """Read an element from a JSON geometry file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("geometry", f"invalid JSON: {exc}") from None
-    return element_from_dict(data)
+    """Read an element from a JSON geometry file; an unreadable one raises ``InputError("geometry")``."""
+    return element_from_dict(_read_json(path, "geometry"))
 
 
 @dataclass(frozen=True)
@@ -363,17 +382,10 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     Accepts a single point ``(n,)`` or a batch ``(m, n)``; returns a bool or
     a boolean array accordingly.
     """
-    pts = np.asarray(point, dtype=float)
-    if pts.shape[-1] != element.dim:
-        raise DimensionMismatch(
-            f"point has dimension {pts.shape[-1]}, element has {element.dim}"
-        )
+    pts, one = _as_batch(point, element.dim, "point")
     amap = build_affine_map(element)
-    local = amap.to_local(pts)
-    result = _reference_contains(element.reference_cell, local)
-    if pts.ndim == 1:
-        return bool(result)
-    return result
+    result = _reference_contains(element.reference_cell, amap.to_local(pts))
+    return bool(result[0]) if one else result
 
 
 def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> np.ndarray:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, SamplerUnavailable, TooFewRuns
+from .distributions import _check_law
+from .errors import DimensionMismatch, InputError, TooFewRuns
 from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference, build_affine_map
 from .quadrature import ProbabilityEstimate
 
@@ -100,17 +101,10 @@ def _landing_estimate(source, target, dist, config, workers, complement, run=0) 
     """
     config = config or McConfig()
     _check_workers(workers)
-    if not dist.has_sampler:
-        raise SamplerUnavailable(
-            f"{type(dist).__name__} offers no sampler; use the deterministic solver"
-        )
+    _check_law(dist, source.dim, sampler=True)
     if source.dim != target.dim:
         raise DimensionMismatch(
             f"source dimension {source.dim} != target dimension {target.dim}"
-        )
-    if dist.dim != source.dim:
-        raise DimensionMismatch(
-            f"distribution dimension {dist.dim} != element dimension {source.dim}"
         )
     start = time.perf_counter()
     src_map = build_affine_map(source)

@@ -38,14 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import conditional_transition_1d, stay_fraction
-from .errors import (
-    DensityUnavailable,
-    DimensionMismatch,
-    EmptyInterval,
-    NonFiniteIntegrand,
-    ToleranceNotMet,
-)
+from .conditional import _interval, conditional_transition_1d, stay_fraction
+from .distributions import _check_law
+from .errors import DimensionMismatch, NonFiniteIntegrand, ToleranceNotMet
 from .geometry import Box, MeshElement, ReferenceCell, _check_element, build_affine_map
 
 __all__ = [
@@ -582,14 +577,7 @@ def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement:
     probability of its best value.
     """
     config = config or QuadratureConfig()
-    if not dist.has_density:
-        raise DensityUnavailable(
-            f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
-        )
-    if dist.dim != dim:
-        raise DimensionMismatch(
-            f"distribution dimension {dist.dim} != element dimension {dim}"
-        )
+    _check_law(dist, dim)
     start = time.perf_counter()
     f, lo, hi, tag = prepare()
 
@@ -693,16 +681,13 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     linear kinks of the conditional factor at ``c - a`` and ``d - b`` seed
     the initial subdivision, and a window containing the zero step is split
     there and laddered toward it as in the escape solver, so a density
-    that diverges at the zero step is integrated down to it.
+    that diverges at the zero step is integrated down to it.  The intervals
+    are checked as in :func:`conditional_transition_1d`.
     """
-    a, b = float(source[0]), float(source[1])
-    c, d = float(target[0]), float(target[1])
+    a, b = _interval("source", source)
+    c, d = _interval("target", target)
 
     def prepare():
-        if b <= a:
-            raise EmptyInterval(f"source interval [{a}, {b}] has non-positive length")
-        if d <= c:
-            raise EmptyInterval(f"target interval [{c}, {d}] has non-positive length")
         lo, hi = _transition_boxes(a, b, c, d, dist)
 
         def f(steps: np.ndarray, _tag) -> np.ndarray:

@@ -21,6 +21,8 @@ def files(tmp_path):
         path.write_text(json.dumps(payload))
         return str(path)
 
+    # a segment whose kind is spelled with a Latin-1 byte, so not UTF-8
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "s\xe9gment", "vertices": [[0], [1]]}')
     return {
         "segment": write("segment.json", {"kind": "segment", "vertices": [[0.0], [2.0]]}),
         "unit": write("unit.json", {"kind": "segment", "vertices": [[0.0], [1.0]]}),
@@ -38,6 +40,8 @@ def files(tmp_path):
         "degenerate": write(
             "degenerate.json", {"kind": "triangle", "vertices": [[0, 0], [1, 1], [2, 2]]}
         ),
+        "law_list": write("law_list.json", {"law": []}),
+        "latin1": str(tmp_path / "latin1.json"),
         "missing": str(tmp_path / "missing.json"),
         "unwritable": str(tmp_path / "no-such-directory" / "report.json"),
         "tmp_path": tmp_path,
@@ -273,6 +277,10 @@ EXIT_CODE_TABLE = {
         None, 2, "source"),
     "missing-distribution": (
         ["escape", "--geometry", "segment", "--distribution", "missing"], None, 2, "distribution"),
+    "geometry-not-utf8": (
+        ["escape", "--geometry", "latin1", "--distribution", "wiener"], None, 2, "geometry"),
+    "law-not-a-name": (
+        ["escape", "--geometry", "segment", "--distribution", "law_list"], None, 2, "law"),
     "particles-0": (ESCAPE + ["--particles", "0"], None, 2, "particles"),
     "runs-0": (ESCAPE + ["--runs", "0"], None, 2, "runs"),
     "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),

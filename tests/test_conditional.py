@@ -4,11 +4,14 @@ import pytest
 from cellescape import (
     DimensionMismatch,
     EmptyInterval,
+    InputError,
     ReferenceCell,
+    WienerStep,
     conditional_escape,
     conditional_transition_1d,
     mesh_element,
     stay_fraction,
+    transition_probability_det_1d,
 )
 
 from oracles import (
@@ -264,6 +267,22 @@ class TestConditionalTransition1D:
             conditional_transition_1d((1, 1), (2, 3), 0.5)
         with pytest.raises(EmptyInterval):
             conditional_transition_1d((0, 1), (3, 2), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_end_named(self, bad, position):
+        # both the conditional factor and the deterministic solver reject
+        # the interval at entry, naming it, instead of failing in the solve
+        ends = [0.0, 1.0, 1.0, 2.0]
+        ends[position] = bad
+        source, target = ends[:2], ends[2:]
+        field = "source" if position < 2 else "target"
+        with pytest.raises(InputError) as info:
+            conditional_transition_1d(source, target, 0.5)
+        assert info.value.field == field
+        with pytest.raises(InputError) as info:
+            transition_probability_det_1d(source, target, WienerStep(dt=1.0, dim=1))
+        assert info.value.field == field
 
     def test_interval_overlap_oracle(self, rng):
         a, b, c, d = 0.3, 1.7, 1.2, 2.9

@@ -257,6 +257,23 @@ class TestConfig:
             distribution_from_dict({"law": "wiener", "dt": "fast"}, dim=1)
 
 
+class TestLawTable:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("law", [WienerStep(dt=0.3, dim=1), VelocityJumpStep(rate=2.5, dim=1)])
+    def test_round_trip(self, law, dim):
+        data = distribution_to_dict(law)
+        rebuilt = distribution_from_dict(data, dim)
+        assert type(rebuilt) is type(law) and rebuilt.dim == dim
+        assert distribution_to_dict(rebuilt) == data
+
+    @pytest.mark.parametrize("law", [[], {}, 1, None])
+    def test_law_that_is_not_a_name(self, law):
+        # an unhashable value must not reach a lookup in the law table
+        with pytest.raises(InputError) as info:
+            distribution_from_dict({"law": law, "dt": 1.0}, dim=1)
+        assert info.value.field == "law"
+
+
 class TestThreadSafety:
     def test_shared_law_returns_the_type_each_caller_asked_for(self):
         # one thread passes single steps and expects floats, the other

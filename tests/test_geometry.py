@@ -345,3 +345,15 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(InputError):
             load_element(path)
+
+    def test_load_element_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "s\xe9gment", "vertices": [[0], [1]]}')
+        with pytest.raises(InputError) as info:
+            load_element(path)
+        assert info.value.field == "geometry"
+
+    def test_load_element_missing_file(self, tmp_path):
+        with pytest.raises(InputError) as info:
+            load_element(tmp_path / "missing.json")
+        assert info.value.field == "geometry"
