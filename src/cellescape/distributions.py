@@ -15,6 +15,7 @@ generator explicitly; concurrent sampling requires independent generators.
 
 from __future__ import annotations
 
+import inspect
 import math
 from abc import ABC
 
@@ -51,6 +52,15 @@ class StepDistribution(ABC):
     from the zero step, whose Jacobian ``t^(n-1)`` cancels such a
     divergence, and never evaluates the density at ``dx = 0``.
 
+    ``sample(rng, size)`` returns ``size`` steps as a ``(size, dim)`` array.
+    It may also take an optional ``out``, a C-contiguous ``(size, dim)``
+    float array: it then writes the steps there, with exactly the draws it
+    makes without ``out``, and returns ``out``.  The Monte Carlo estimator
+    passes ``out`` to a ``sample`` with a parameter of that name or with
+    ``**kwargs``, and maps whatever array comes back, so a law without
+    ``out``, or one that ignores it, gives the same estimate.  The shipped
+    laws take ``out``.
+
     ``typical_scale``, when set, is the rough magnitude of one step.  The
     deterministic solver uses it to seed the subdivision near the zero
     step, where the shipped densities concentrate; without it a density
@@ -83,7 +93,7 @@ class StepDistribution(ABC):
     def density(self, steps: np.ndarray) -> np.ndarray:
         raise DensityUnavailable(f"{type(self).__name__} offers no density")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         raise SamplerUnavailable(f"{type(self).__name__} offers no sampler")
 
 
@@ -103,11 +113,23 @@ def _check_law(dist, dim: int, sampler: bool = False) -> None:
         )
 
 
+def _sample_takes_out(dist) -> bool:
+    """Whether ``dist.sample`` takes ``out``: a parameter of that name, or ``**kwargs``."""
+    try:
+        parameters = inspect.signature(dist.sample).parameters.values()
+    except (TypeError, ValueError):  # a callable without a readable signature
+        return False
+    return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in parameters)
+
+
 def _check_dim(n: int) -> int:
-    n = int(n)
-    if n not in (1, 2, 3):
-        raise InputError("dim", f"dimension must be 1, 2, or 3, got {n}")
-    return n
+    try:
+        value = int(n)
+    except (TypeError, ValueError):
+        value = None
+    if value not in (1, 2, 3):
+        raise InputError("dim", f"dimension must be 1, 2, or 3, got {n!r}")
+    return value
 
 
 class WienerStep(StepDistribution):
@@ -126,8 +148,9 @@ class WienerStep(StepDistribution):
         out = (2.0 * math.pi * self.dt) ** (-self.dim / 2.0) * np.exp(-norm2 / (2.0 * self.dt))
         return float(out[0]) if scalar else out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return math.sqrt(self.dt) * rng.standard_normal((int(size), self.dim))
+    def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        steps = rng.standard_normal((int(size), self.dim), out=out)
+        return np.multiply(math.sqrt(self.dt), steps, out=steps)
 
     def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(radii)
@@ -177,11 +200,13 @@ class VelocityJumpStep(StepDistribution):
         self.dim = _check_dim(dim)
         self.typical_scale = 1.0 / self.rate
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         size = int(size)
-        travel = rng.exponential(1.0 / self.rate, size)
-        velocity = rng.standard_normal((size, self.dim))
-        return velocity * travel[:, None]
+        travel = rng.standard_exponential(size)
+        travel *= 1.0 / self.rate
+        velocity = rng.standard_normal((size, self.dim), out=out)
+        velocity *= travel[:, None]
+        return velocity
 
     def density(self, steps) -> float | np.ndarray:
         arr, scalar = _as_batch(steps, self.dim, "steps")
@@ -238,10 +263,12 @@ def distribution_from_dict(data: dict, dim: int) -> StepDistribution:
     cls, field, _ = _LAWS[law]
     if field not in data:
         raise InputError(field, f"missing required field for the {law} law")
+    dim = _check_dim(dim)
     try:
-        return cls(float(data[field]), dim)
+        value = float(data[field])
     except (TypeError, ValueError):
         raise InputError(field, f"expected a positive number, got {data[field]!r}") from None
+    return cls(value, dim)
 
 
 def distribution_to_dict(dist: StepDistribution) -> dict:

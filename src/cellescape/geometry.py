@@ -284,23 +284,27 @@ class AffineMap:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def to_global(self, local_points: np.ndarray) -> np.ndarray:
+    def to_global(self, local_points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A xi + b`` for points ``(..., n)``, one output coordinate at a time.
 
         Each coordinate is summed from whole input columns by ufuncs, so no
         BLAS call, and no BLAS thread, is involved.  The result has the
-        input's shape and contiguous coordinate columns.
+        input's shape and contiguous coordinate columns.  With ``out``, an
+        array of that shape that shares no memory with the input, the
+        result is written into it and ``out`` is returned; the transpose of
+        an ``(n, ...)`` array keeps its columns contiguous.
         """
         pts = np.asarray(local_points, dtype=float)
-        cols = np.empty((self.dim,) + pts.shape[:-1])
-        product = np.empty(pts.shape[:-1])
+        if out is None:
+            out = np.moveaxis(np.empty((self.dim,) + pts.shape[:-1]), 0, -1)
+        product = np.empty(pts.shape[:-1]) if pts.shape[-1] > 1 else None
         for i in range(self.dim):
-            col = cols[i, ...]
+            col = out[..., i]
             np.multiply(pts[..., 0], self.matrix[i, 0], out=col)
             for j in range(1, pts.shape[-1]):
                 col += np.multiply(pts[..., j], self.matrix[i, j], out=product)
             col += self.offset[i]
-        return np.moveaxis(cols, 0, -1)
+        return out
 
     def to_local(self, global_points: np.ndarray) -> np.ndarray:
         return (np.asarray(global_points, dtype=float) - self.offset) @ self.inverse.T
@@ -348,9 +352,9 @@ def to_local(affine_map: AffineMap, global_step) -> np.ndarray:
     displacement vectors, not points.
     """
     step = np.asarray(global_step, dtype=float)
-    if step.shape[-1] != affine_map.dim:
+    if step.ndim == 0 or step.shape[-1] != affine_map.dim:
         raise DimensionMismatch(
-            f"step has dimension {step.shape[-1]}, map has {affine_map.dim}"
+            f"step of shape {step.shape} does not have the map's {affine_map.dim} component(s)"
         )
     local = affine_map.local_step(step)
     if not np.all(np.isfinite(local)):
@@ -358,17 +362,23 @@ def to_local(affine_map: AffineMap, global_step) -> np.ndarray:
     return local
 
 
-def _reference_contains(cell: ReferenceCell, local: np.ndarray) -> np.ndarray:
+def _reference_contains(cell: ReferenceCell, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Boundary-inclusive membership of points ``(..., n)`` in the reference cell.
 
     Compares whole coordinate columns, so one point gives a 0-d result and
     a batch ``(m, n)`` an ``(m,)`` array by the same path.  A simplex sums
-    its coordinates left to right.
+    its coordinates left to right.  With ``out``, a boolean array of the
+    result's shape, the result is written into it and ``out`` is returned.
     """
     cols = [local[..., j] for j in range(cell.dim)]
     # a simplex bounds the sum of its coordinates from above, a box each one
-    upper = [sum(cols[1:], cols[0])] if cell.is_simplex and cell.dim > 1 else cols
-    inside = cols[0] >= -CONTAINMENT_TOL
+    upper = cols
+    if cell.is_simplex and cell.dim > 1:
+        total = cols[0] + cols[1]
+        for col in cols[2:]:
+            total += col
+        upper = [total]
+    inside = np.greater_equal(cols[0], -CONTAINMENT_TOL, out=out)
     for col in cols[1:]:
         inside &= col >= -CONTAINMENT_TOL
     for col in upper:
@@ -388,7 +398,10 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     return bool(result[0]) if one else result
 
 
-def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> np.ndarray:
+def _sample_reference(
+    cell: ReferenceCell, rng: np.random.Generator, m: int,
+    out: np.ndarray | None = None, draws: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniform samples in the reference cell, shape (m, dim), with contiguous columns.
 
     One point is one row of ``rng.random((m, dim))``, copied into
@@ -397,10 +410,17 @@ def _sample_reference(cell: ReferenceCell, rng: np.random.Generator, m: int) -> 
     their spacings, which are uniform on the simplex in any dimension
     (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. V).  The
     returned array is the transpose of the columns.
+
+    ``out``, an ``(m, dim)`` array with contiguous columns (the transpose
+    of a ``(dim, m)`` array), receives the points, and ``draws``, a
+    C-contiguous ``(m, dim)`` array, receives the uniforms and then serves
+    as the sort's scratch.  Either is allocated when not given.
     """
-    cols = rng.random((m, cell.dim)).T.copy()
+    draws = rng.random((m, cell.dim), out=draws)
+    cols = np.empty((cell.dim, m)) if out is None else out.T
+    cols[...] = draws.T
     if cell.is_simplex:
-        low = np.empty(m)
+        low = draws.reshape(-1)[:m]
         for end in range(cell.dim - 1, 0, -1):
             for j in range(end):
                 np.minimum(cols[j], cols[j + 1], out=low)

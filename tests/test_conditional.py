@@ -232,6 +232,11 @@ class TestConditionalEscape:
         # (2,0) translates the triangle by a whole edge: no overlap remains
         assert conditional_escape(benchmark_elements["triangle"], [2.0, 0.0]) == 1.0
 
+    def test_scalar_step_is_a_dimension_mismatch(self):
+        # a bare number has no component axis, even for a 1D element
+        with pytest.raises(DimensionMismatch):
+            conditional_escape(mesh_element("segment", [[0.0], [1.0]]), 0.5)
+
     def test_matches_stay_via_local_coordinates(self, benchmark_elements, rng):
         from cellescape import build_affine_map, to_local
 

@@ -94,6 +94,32 @@ class TestWienerSampling:
         assert result.pvalue > 0.001
 
 
+class TestSampleIntoOut:
+    """``sample(rng, size, out=buffer)`` fills the buffer with the allocating path's steps."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("make", [lambda dim: WienerStep(dt=0.3, dim=dim),
+                                      lambda dim: VelocityJumpStep(rate=1.7, dim=dim)],
+                             ids=["wiener", "velocity_jump"])
+    def test_out_equals_allocating_path(self, make, dim):
+        law = make(dim)
+        expected = law.sample(np.random.default_rng(31), 3001)
+        buffer = np.full((3001, dim), np.nan)
+        got = law.sample(np.random.default_rng(31), 3001, out=buffer)
+        assert got is buffer
+        assert np.array_equal(got, expected)
+
+    def test_velocity_jump_keeps_its_draws(self):
+        # the travel times are standard exponentials times 1/rate, drawn
+        # before the velocities, exactly as rng.exponential(1/rate) draws them
+        law = VelocityJumpStep(rate=1.7, dim=3)
+        rng = np.random.default_rng(32)
+        travel = rng.exponential(1.0 / 1.7, 2000)
+        expected = rng.standard_normal((2000, 3)) * travel[:, None]
+        got = law.sample(np.random.default_rng(32), 2000, out=np.empty((2000, 3)))
+        assert np.array_equal(got, expected)
+
+
 class TestVelocityJumpSampling:
     def test_mean_near_zero(self):
         vj = VelocityJumpStep(rate=1.0, dim=2)
@@ -255,6 +281,13 @@ class TestConfig:
             distribution_from_dict({"law": "levy"}, dim=1)
         with pytest.raises(InputError, match="dt"):
             distribution_from_dict({"law": "wiener", "dt": "fast"}, dim=1)
+
+    @pytest.mark.parametrize("dim", [None, "three", 4])
+    def test_bad_dim_names_dim(self, dim):
+        # the parameter is fine; only the dimension is at fault
+        with pytest.raises(InputError) as info:
+            distribution_from_dict({"law": "wiener", "dt": 1}, dim=dim)
+        assert info.value.field == "dim"
 
 
 class TestLawTable:

@@ -22,7 +22,7 @@ from cellescape import (
     sample_uniform,
     to_local,
 )
-from cellescape.geometry import CONTAINMENT_TOL
+from cellescape.geometry import CONTAINMENT_TOL, _reference_contains, _sample_reference
 
 from oracles import bounding_box, simplex_box_volume
 
@@ -283,6 +283,41 @@ class TestSampleUniform:
         statistic = ((hist[keep] - expected) ** 2 / expected).sum()
         threshold = chi2.ppf(0.999, df=keep.sum() - 1)
         assert statistic < threshold, f"{name}: chi2 {statistic:.1f} >= {threshold:.1f}"
+
+
+class TestOutArguments:
+    """Each ``out=`` path equals the allocating path bit for bit."""
+
+    KINDS = ["segment", "triangle", "parallelogram", "tetrahedron", "parallelepiped"]
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_sample_reference(self, benchmark_elements, name):
+        cell = benchmark_elements[name].reference_cell
+        m = 5003
+        expected = _sample_reference(cell, np.random.default_rng(41), m)
+        columns = np.full((cell.dim, m), np.nan)
+        draws = np.full((m, cell.dim), np.nan)
+        got = _sample_reference(cell, np.random.default_rng(41), m, out=columns.T, draws=draws)
+        assert np.shares_memory(got, columns)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_to_global(self, benchmark_elements, name, rng):
+        amap = build_affine_map(benchmark_elements[name])
+        points = rng.random((4001, amap.dim))
+        columns = np.full((amap.dim, 4001), np.nan)
+        got = amap.to_global(points, out=columns.T)
+        assert np.shares_memory(got, columns)
+        assert np.array_equal(got, amap.to_global(points))
+
+    @pytest.mark.parametrize("name", KINDS)
+    def test_reference_contains(self, benchmark_elements, name, rng):
+        cell = benchmark_elements[name].reference_cell
+        points = rng.uniform(-0.2, 1.2, (4001, cell.dim))
+        mask = np.ones(4001, dtype=bool)
+        got = _reference_contains(cell, points, out=mask)
+        assert got is mask
+        assert np.array_equal(got, _reference_contains(cell, points))
 
 
 class TestMeasure:

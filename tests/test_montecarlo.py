@@ -167,12 +167,100 @@ class TestDeterminism:
         ]
         assert values == [count / n for count in self.PINNED_TRANSITIONS]
 
+    # Exact counts at seeds 5 and 2**63 + 5, for a run of three chunks with a
+    # ragged last one and for a run shorter than one chunk: the tetrahedron
+    # escape under (Wiener dt=0.1, velocity-jump rate 1) and the transition
+    # [0,1] -> [1,2] under the same two laws in 1D.  Each worker reuses one
+    # workspace for all its chunks, so these pin the reuse, at worker counts
+    # that do and do not divide the chunk count.
+    PINNED_PARTIAL_CHUNKS = {
+        2 * 2**16 + 3001: ((99515, 99766, 107751, 108108), (16910, 16736, 21022, 21173)),
+        1000: ((754, 753, 800, 786), (131, 135, 160, 161)),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", list(PINNED_PARTIAL_CHUNKS))
+    def test_pinned_partial_chunks(self, benchmark_elements, n, workers):
+        tet = benchmark_elements["tetrahedron"]
+        src = mesh_element("segment", [[0.0], [1.0]])
+        tgt = mesh_element("segment", [[1.0], [2.0]])
+        seeds = (5, 2**63 + 5)
+        escapes = [
+            escape_probability_mc(tet, law, McConfig(particles=n, seed=seed), workers=workers).value
+            for law in (WienerStep(dt=0.1, dim=3), VelocityJumpStep(rate=1.0, dim=3)) for seed in seeds
+        ]
+        transitions = [
+            transition_probability_mc(src, tgt, law, McConfig(particles=n, seed=seed), workers=workers).value
+            for law in (WienerStep(dt=0.1, dim=1), VelocityJumpStep(rate=1.0, dim=1)) for seed in seeds
+        ]
+        pinned_escapes, pinned_transitions = self.PINNED_PARTIAL_CHUNKS[n]
+        assert escapes == [count / n for count in pinned_escapes]
+        assert transitions == [count / n for count in pinned_transitions]
+
+    # Exact counts of Wiener dt=0.1 transitions from a benchmark cell into a
+    # neighbour across one of its faces, 2**16 + 3001 particles at seeds 5
+    # and 2**63 + 5: the path that maps the source's reference points into
+    # the target's, in 2D and 3D.
+    PINNED_NEIGHBOUR_TRANSITIONS = {
+        "triangle": ([[2, 0], [3, 2], [4, 0]], (7107, 7013)),
+        "tetrahedron": ([[2, 0, 0], [3, 2, 0], [1, 1, 1], [3, 0, 1]], (7899, 7905)),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", list(PINNED_NEIGHBOUR_TRANSITIONS))
+    def test_pinned_neighbour_transitions(self, benchmark_elements, kind, workers):
+        source = benchmark_elements[kind]
+        vertices, counts = self.PINNED_NEIGHBOUR_TRANSITIONS[kind]
+        target = mesh_element(kind, vertices)
+        n = 2**16 + 3001
+        values = [
+            transition_probability_mc(
+                source, target, WienerStep(dt=0.1, dim=source.dim), McConfig(particles=n, seed=seed), workers=workers
+            ).value
+            for seed in (5, 2**63 + 5)
+        ]
+        assert values == [count / n for count in counts]
+
     def test_distinct_seeds_differ(self, benchmark_elements):
         seg = benchmark_elements["segment"]
         dist = WienerStep(dt=1.0, dim=1)
         a = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=0))
         b = escape_probability_mc(seg, dist, McConfig(particles=10**5, seed=1))
         assert a.value != b.value
+
+
+class PlainWiener(StepDistribution):
+    """A user law written without ``out``: Wiener steps by the same draws."""
+
+    def __init__(self, dt, dim):
+        self.dt = dt
+        self.dim = dim
+
+    def sample(self, rng, size):
+        return math.sqrt(self.dt) * rng.standard_normal((size, self.dim))
+
+
+class KeywordWiener(PlainWiener):
+    """A user law that takes ``**options`` and ignores them, ``out`` included."""
+
+    def sample(self, rng, size, **options):
+        return super().sample(rng, size)
+
+
+class TestUserLawWithoutOut:
+    @pytest.mark.parametrize("law_type", [PlainWiener, KeywordWiener])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returned_steps_are_used(self, benchmark_elements, law_type, workers):
+        # the estimator maps whatever array the law returns
+        tet = benchmark_elements["tetrahedron"]
+        src = mesh_element("segment", [[0.0], [1.0]])
+        tgt = mesh_element("segment", [[1.0], [2.0]])
+        config = McConfig(particles=2**16 + 777, seed=21)
+        for solve, dim in (
+            (lambda law: escape_probability_mc(tet, law, config, workers=workers), 3),
+            (lambda law: transition_probability_mc(src, tgt, law, config, workers=workers), 1),
+        ):
+            assert solve(law_type(0.1, dim)).value == solve(WienerStep(dt=0.1, dim=dim)).value
 
 
 class TestTransitionMc:
