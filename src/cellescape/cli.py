@@ -62,8 +62,6 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_UNSUPPORTED = 4
 
-DENSITY_EVAL_WARN_THRESHOLD = 10**7
-
 
 @dataclass
 class RunReport:
@@ -139,16 +137,6 @@ def _emit(data: dict, args) -> None:
         print(text)
 
 
-def _warn_expensive(results: dict) -> None:
-    det = results.get("deterministic")
-    if det and det.get("cost", 0) > DENSITY_EVAL_WARN_THRESHOLD:
-        print(
-            f"warning: deterministic solve used {det['cost']} density "
-            "evaluations; consider the Monte Carlo estimator",
-            file=sys.stderr,
-        )
-
-
 def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> int:
     """Load the inputs, build the configs, run the requested solves, emit the report.
 
@@ -213,7 +201,6 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
         status=status,
     )
     _emit(report.to_dict(), args)
-    _warn_expensive(results)
     return code
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from abc import ABC
 
 import numpy as np
@@ -123,11 +124,12 @@ def _sample_takes_out(dist) -> bool:
 
 
 def _check_dim(n: int) -> int:
+    """The dimension ``n`` as an int in {1, 2, 3}: an integer, numpy's too, but not a bool."""
     try:
-        value = int(n)
-    except (TypeError, ValueError):
+        value = operator.index(n)
+    except TypeError:
         value = None
-    if value not in (1, 2, 3):
+    if isinstance(n, (bool, np.bool_)) or value not in (1, 2, 3):
         raise InputError("dim", f"dimension must be 1, 2, or 3, got {n!r}")
     return value
 

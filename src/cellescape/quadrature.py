@@ -22,11 +22,12 @@ A law whose density is a Gaussian scale mixture says so through a private
 one scale.  On each cone the stay fraction is then a polynomial in ``t``,
 and its radial integral against each Gaussian is a sum of the moments
 ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, computed in closed form
-from a numpy port of Cody's ``erf``; the cubature runs over the facet
-coordinates ``w`` alone, and a segment's two cones need none.  Every other
-law -- ``VelocityJumpStep``, user laws, and subclasses that override
-``density`` -- keeps the cubature over whole cones, whose radial axis is
-split geometrically toward the zero step and integrated down to it.
+from Cody's rational approximations of ``exp(y^2) erfc(y)``; the cubature
+runs over the facet coordinates ``w`` alone, and a segment's two cones need
+none.  Every other law -- ``VelocityJumpStep``, user laws, and subclasses
+that override ``density`` -- keeps the cubature over whole cones, whose
+radial axis is split geometrically toward the zero step and integrated
+down to it.
 """
 
 from __future__ import annotations
@@ -306,14 +307,10 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
     return value, error
 
 
-# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969, as in his
-# CALERF), highest power first: erf(x) = x A(x^2) / B(x^2) for |x| <= 0.46875,
-# erfc(x) = exp(-x^2) C(x) / D(x) for |x| <= 4, and above that
-# erfc(x) = exp(-x^2) (1/sqrt(pi) - P(1/x^2) / (x^2 Q(1/x^2))) / x.
-_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03)
-_ERF_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
-          1.28261652607737228e03, 2.84423683343917062e03)
+# Cody's rational Chebyshev approximations of the scaled complementary error
+# function erfcx(y) = exp(y^2) erfc(y) (Math. Comp. 23, 1969, as in his
+# CALERF), highest power first: C(y) / D(y) for 0.46875 <= y <= 4, and above
+# that (1/sqrt(pi) - P(1/y^2) / (y^2 Q(1/y^2))) / y.
 _ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
@@ -325,58 +322,38 @@ _ERF_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1
 _ERF_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
 
-
-def _erf(x) -> np.ndarray:
-    """The error function of an array, within a few ulps (Cody 1969)."""
-    y = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    middle = ~small & (y <= 4.0)
-    large = ~(small | middle)  # NaN too
-    ys = y[small]
-    out[small] = ys * np.polyval(_ERF_A, ys * ys) / np.polyval(_ERF_B, ys * ys)
-    ym = y[middle]
-    yl = np.minimum(y[large], 27.0)  # erfc underflows to 0 above 26.6
-    r = 1.0 / (yl * yl)
-    tails = (
-        (middle, ym, np.polyval(_ERF_C, ym) / np.polyval(_ERF_D, ym)),
-        (large, yl, (1.0 / math.sqrt(math.pi) - r * np.polyval(_ERF_P, r) / np.polyval(_ERF_Q, r)) / yl),
-    )
-    for where, yt, ratio in tails:
-        # exp(-y^2) = exp(-z^2) exp(-(y - z)(y + z)), with z = y cut to 1/16,
-        # keeps the rounding of y^2 out of the exponent
-        z = np.trunc(16.0 * yt) / 16.0
-        out[where] = (0.5 - np.exp(-z * z) * np.exp(-(yt - z) * (yt + z)) * ratio) + 0.5
-    return np.copysign(out, x)
-
-
 # Below this alpha the upward recurrence of the radial moments cancels (it
 # would lose a digit at alpha = 0.5), and their series is used instead.
 _SERIES_BELOW = 2.0
 
 
-def _radial_moments(alpha: np.ndarray, top: int) -> np.ndarray:
+def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
     """Gaussian radial moments ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``.
 
     ``M_k = gamma((k + 1)/2, alpha) / (2 alpha^((k + 1)/2))`` (DLMF 8.2.1);
-    returns ``M_0 .. M_top`` stacked along a new first axis.  From
-    ``alpha = 2`` up, ``M_0`` and ``M_1`` come from ``erf`` and ``expm1`` and
+    returns ``M_first .. M_last`` stacked along a new first axis.  From
+    ``alpha = 2`` up, ``M_0 = sqrt(pi/alpha)/2 (1 - exp(-alpha) erfcx(sqrt(alpha)))``,
+    ``M_1 = (1 - exp(-alpha)) / (2 alpha)`` and
     ``M_(k+2) = ((k + 1) M_k - exp(-alpha)) / (2 alpha)``; below, the
     positive series ``exp(-alpha) / 2 * sum_m alpha^m / (a (a + 1) ... (a + m))``
     with ``a = (k + 1)/2`` (DLMF 8.7.1).  Both keep about 1e-15 relative.
     """
-    out = np.empty((top + 1,) + alpha.shape)
+    out = np.empty((last - first + 1,) + alpha.shape)
     series = alpha < _SERIES_BELOW
     a = alpha[~series]
-    up = np.empty((top + 1, a.size))
-    up[0] = 0.5 * np.sqrt(math.pi / a) * _erf(np.sqrt(a))
-    up[1] = -np.expm1(-a) / (2.0 * a)
     tail = np.exp(-a)
-    for k in range(2, top + 1):
-        up[k] = ((k - 1) * up[k - 2] - tail) / (2.0 * a)
-    out[:, ~series] = up
+    y = np.sqrt(a)
+    low = y <= 4.0
+    erfcx = np.empty_like(y)
+    erfcx[low] = np.polyval(_ERF_C, y[low]) / np.polyval(_ERF_D, y[low])
+    r = 1.0 / a[~low]
+    erfcx[~low] = (1.0 / math.sqrt(math.pi) - r * np.polyval(_ERF_P, r) / np.polyval(_ERF_Q, r)) / y[~low]
+    up = [0.5 * math.sqrt(math.pi) / y * (1.0 - tail * erfcx), (1.0 - tail) / (2.0 * a)]
+    for k in range(2, last + 1):
+        up.append(((k - 1) * up[k - 2] - tail) / (2.0 * a))
+    out[:, ~series] = up[first:last + 1]
     x = alpha[series]
-    order = 0.5 * np.arange(1, top + 2)[:, None]
+    order = 0.5 * np.arange(first + 1, last + 2)[:, None]
     term = total = np.ones_like(x) / order
     m = 0
     while np.any(term > 1e-17 * total):  # the terms fall faster than 2^-m once m > 2 alpha
@@ -664,7 +641,7 @@ def _facet_integrand(cell: ReferenceCell, cones: _Cones, amap, mixture):
         rays, jac = cones.steps(np.hstack([np.ones((len(w), 1)), w]), k)
         radii = np.linalg.norm(amap.global_step(rays), axis=1)
         scales, weights = mixture(radii)
-        moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, 2 * n - 1)[n - 1:]
+        moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
         stay = _stay_polynomial(np.ones_like(rays) if cell.is_simplex else np.abs(rays))
         radial = np.einsum("jm,jmq->mq", stay, moments)
         gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)

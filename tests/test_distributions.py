@@ -289,6 +289,22 @@ class TestConfig:
             distribution_from_dict({"law": "wiener", "dt": 1}, dim=dim)
         assert info.value.field == "dim"
 
+    @pytest.mark.parametrize("dim", [2.5, True, "2", np.int64(2)], ids=["float", "bool", "str", "np.int64"])
+    @pytest.mark.parametrize("build", [
+        lambda dim: WienerStep(dt=0.1, dim=dim),
+        lambda dim: VelocityJumpStep(rate=1.0, dim=dim),
+        lambda dim: distribution_from_dict({"law": "wiener", "dt": 0.1}, dim=dim),
+    ], ids=["wiener", "velocity_jump", "from_dict"])
+    def test_dim_must_be_an_integer(self, build, dim):
+        # an integer, numpy's too, is taken as it is; nothing else is rounded into one
+        if isinstance(dim, np.integer):
+            law = build(dim)
+            assert law.dim == 2 and type(law.dim) is int
+            return
+        with pytest.raises(InputError) as info:
+            build(dim)
+        assert info.value.field == "dim"
+
 
 class TestLawTable:
     @pytest.mark.parametrize("dim", [1, 2, 3])

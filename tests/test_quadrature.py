@@ -27,7 +27,6 @@ from cellescape.quadrature import (
     _WG7,
     _WGK,
     _XGK,
-    _erf,
     _integrate_boxes,
     _radial_moments,
 )
@@ -144,28 +143,22 @@ class TestIntegrateAdaptive:
 
 
 class TestRadialMoments:
-    def test_erf_matches_math_erf(self):
-        x = np.concatenate([
-            np.linspace(-6.0, 6.0, 120_001),
-            np.linspace(6.0, 27.0, 2_001), np.linspace(-27.0, -6.0, 2_001),
-            np.geomspace(1e-300, 1e-3, 301), [0.0, 0.46875, 4.0, 26.6],
-        ])
-        expected = np.array([math.erf(v) for v in x])
-        got = _erf(x)
-        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
-
     def test_moments_match_kummer_function(self):
-        # M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1) (DLMF 8.5.1)
+        # M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1) (DLMF 8.5.1),
+        # on each slice of orders the facet integrand takes in 1D, 2D and 3D
         from scipy.special import hyp1f1
 
         alpha = np.concatenate([
             np.geomspace(1e-14, 1e12, 521),
+            np.linspace(2.0, 40.0, 3_801),  # where the erfc term still counts
             _SERIES_BELOW * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
         ])
-        a = 0.5 * np.arange(1, 7)[:, None]
-        expected = hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
-        got = _radial_moments(alpha, 5)
-        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+        for first, last in [(0, 1), (1, 3), (2, 5)]:
+            a = 0.5 * np.arange(first + 1, last + 2)[:, None]
+            expected = hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
+            got = _radial_moments(alpha, first, last)
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= 1e-14 * expected), (first, last)
 
 
 class TestRadialPath:
