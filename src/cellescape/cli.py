@@ -46,7 +46,6 @@ from .montecarlo import (
     McConfig,
     _check_workers,
     empirical_stat_error,
-    escape_probability_mc,
     repeat_escape_probability_mc,
     theoretical_stat_error,
     transition_probability_mc,
@@ -206,12 +205,11 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
 
 def cmd_escape(args) -> int:
     def solve_mc(element, dist, config) -> dict:
-        if config.runs == 1:
-            return escape_probability_mc(element, dist, config, workers=args.workers).to_dict()
         estimates = repeat_escape_probability_mc(element, dist, config, workers=args.workers)
         result = estimates[0].to_dict()
-        result["run_values"] = [e.value for e in estimates]
-        result["empirical_error"] = empirical_stat_error(result["run_values"])
+        if len(estimates) > 1:
+            result["run_values"] = [e.value for e in estimates]
+            result["empirical_error"] = empirical_stat_error(result["run_values"])
         return result
 
     return _solve_and_report(args, ("geometry",), escape_probability_det, solve_mc)

@@ -123,13 +123,20 @@ def _sample_takes_out(dist) -> bool:
     return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in parameters)
 
 
-def _check_dim(n: int) -> int:
-    """The dimension ``n`` as an int in {1, 2, 3}: an integer, numpy's too, but not a bool."""
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an integer, numpy's too, but not a bool; else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     try:
-        value = operator.index(n)
+        return operator.index(value)
     except TypeError:
-        value = None
-    if isinstance(n, (bool, np.bool_)) or value not in (1, 2, 3):
+        return None
+
+
+def _check_dim(n: int) -> int:
+    """The dimension ``n`` as an int in {1, 2, 3}."""
+    value = _integer(n)
+    if value not in (1, 2, 3):
         raise InputError("dim", f"dimension must be 1, 2, or 3, got {n!r}")
     return value
 

@@ -12,16 +12,16 @@ results are exact integer counts, so the estimate is a deterministic
 function of the configuration and independent of how many workers process
 the chunks.
 
-Worker ``g`` of ``W`` counts the chunks ``g, g + W, ...``.  It gets one
-workspace per solve, allocated by the calling thread and sized for one
-chunk, and every chunk it counts is drawn, mapped and tested in place
-there: a buffer that takes the uniforms and then the law's steps, the
-reference points and the landing points as coordinate columns, and the
-containment mask.  A chunk then allocates nothing of its size apart from
-the temporaries of a law's ``sample`` and of the maps, so the heap is not
-trimmed and refilled chunk after chunk.  A law whose ``sample`` takes no
-``out`` draws into its own array, which is used as it is.  No workspace
-outlives its solve.
+One call makes one pass for all its runs: the maps, the workspaces and
+the thread pool are made once.  Worker ``g`` of ``W`` draws, maps and tests
+the chunks ``g, g + W, ...`` of every run in place, in one workspace sized
+for one chunk: a buffer that takes the uniforms and then the law's steps,
+the reference points and the landing points as coordinate columns, and
+the containment mask.  A chunk then allocates nothing of its size apart
+from the temporaries of a law's ``sample`` and of the maps, so the heap is
+not trimmed and refilled chunk after chunk.  A law whose ``sample`` takes
+no ``out`` draws into its own array, which is used as it is.  No workspace
+outlives its call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_law, _sample_takes_out
+from .distributions import _check_law, _integer, _sample_takes_out
 from .errors import DimensionMismatch, InputError, TooFewRuns
 from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference, build_affine_map
 from .quadrature import ProbabilityEstimate
@@ -68,6 +68,11 @@ class McConfig:
     runs: int = 10
 
     def __post_init__(self):
+        for name in ("particles", "runs", "seed"):
+            value = getattr(self, name)
+            if _integer(value) is None:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _integer(value))  # numpy's integers become int
         if self.particles < 1:
             raise ValueError("particles must be at least 1")
         if self.runs < 1:
@@ -76,54 +81,58 @@ class McConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
-def _chunk_stream(seed: int, index: int, run: int = 0) -> np.random.Generator:
+def _chunk_stream(seed: int, index: int, run: int) -> np.random.Generator:
     """Philox keyed by ``(seed, chunk index)``, its counter's top word set to the run."""
     key = np.array([seed, index], dtype=np.uint64)
     counter = np.array([0, 0, 0, run], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _check_workers(workers: int) -> None:
-    """Raise ``InputError`` naming ``workers`` unless it is at least 1."""
-    if workers < 1:
-        raise InputError("workers", f"must be at least 1, got {workers}")
+def _check_workers(workers: int) -> int:
+    """``workers`` as an int; ``InputError`` naming it unless it is an integer of at least 1."""
+    value = _integer(workers)
+    if value is None or value < 1:
+        raise InputError("workers", f"must be an integer of at least 1, got {workers!r}")
+    return value
 
 
-def _run_chunks(make_counter, config: McConfig, workers: int) -> int:
-    """Sum integer chunk counts over ``workers`` workers; the sum is order-independent.
+def _run_chunks(make_counter, config: McConfig, workers: int, runs: int):
+    """Yield the integer count of each run, summed over ``workers`` workers in any order.
 
-    Worker ``g`` counts the chunks ``g, g + workers, ...`` with its own
-    counter, ``make_counter(largest chunk)``.  Every counter is made in the
-    calling thread, so every workspace comes from that thread's heap: made
-    in the worker threads, each of which glibc serves from a heap of its
-    own, the workspaces raised the benchmark's peak RSS by 4-7 MB.
+    Worker ``g`` counts the chunks ``g, g + workers, ...`` of every run with
+    its own counter, ``make_counter(largest chunk)``, in one thread pool.
+    The counters are made in the calling thread, so the workspaces share its
+    heap: made in the worker threads, which glibc serves from heaps of their
+    own, they raised the benchmark's peak RSS by 4-7 MB.
     """
     chunks = -(-config.particles // _CHUNK)
     size = min(_CHUNK, config.particles)
 
-    def run_worker(first: int, count) -> int:
+    def run_worker(run: int, first: int, count) -> int:
         return sum(
-            count(index, min(_CHUNK, config.particles - index * _CHUNK))
+            count(run, index, min(_CHUNK, config.particles - index * _CHUNK))
             for index in range(first, chunks, workers)
         )
 
-    if workers <= 1 or chunks == 1:
-        return run_worker(0, make_counter(size))
     firsts = range(min(workers, chunks))
     counters = [make_counter(size) for _ in firsts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run_worker, firsts, counters))
+    with ThreadPoolExecutor(max_workers=len(counters)) as pool:
+        # One worker or one chunk is counted in this thread; a pool that is
+        # given no task starts no thread.
+        map_workers = map if len(counters) == 1 else pool.map
+        for run in range(runs):
+            yield sum(map_workers(run_worker, [run] * len(counters), firsts, counters))
 
 
-def _landing_estimate(source, target, dist, config, workers, complement, run=0) -> ProbabilityEstimate:
-    """Fraction of particles started in ``source`` that land in ``target``.
+def _landing_estimates(source, target, dist, config, workers, complement, runs) -> list[ProbabilityEstimate]:
+    """Fraction of particles started in ``source`` that land in ``target``, per run.
 
-    With ``complement`` it is the fraction that does not land there.
-    ``run`` selects the streams of one repeated run.  The reported error
-    estimate is the binomial standard deviation at the estimated value.
+    With ``complement`` it is the fraction that does not land there.  The
+    error estimate is the binomial standard deviation at the value.  Run 0's
+    wall time also covers the setup that the runs share.
     """
     config = config or McConfig()
-    _check_workers(workers)
+    workers = _check_workers(workers)
     _check_law(dist, source.dim, sampler=True)
     if source.dim != target.dim:
         raise DimensionMismatch(
@@ -154,7 +163,7 @@ def _landing_estimate(source, target, dist, config, workers, complement, run=0) 
         landing = np.empty((n, size))
         inside = np.empty(size, dtype=bool)
 
-        def count_landed(index: int, m: int) -> int:
+        def count_landed(run: int, index: int, m: int) -> int:
             rng = _chunk_stream(config.seed, index, run)
             raw = draws[:m * n]
             xi = _sample_reference(src_cell, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
@@ -168,22 +177,25 @@ def _landing_estimate(source, target, dist, config, workers, complement, run=0) 
 
         return count_landed
 
-    landed = _run_chunks(make_counter, config, workers)
-    successes = config.particles - landed if complement else landed
-    value = successes / config.particles
-    bound = None
-    if successes == 0 or successes == config.particles:
-        # Binomial sigma degenerates at the extremes; report the one-sided
-        # 95% Clopper-Pearson distance instead.
-        bound = 1.0 - 0.05 ** (1.0 / config.particles)
-    return ProbabilityEstimate(
-        value=value,
-        error_estimate=theoretical_stat_error(value, config.particles),
-        method="monte_carlo",
-        cost=config.particles,
-        wall_time=time.perf_counter() - start,
-        error_bound_95=bound,
-    )
+    estimates = []
+    for landed in _run_chunks(make_counter, config, workers, runs):
+        successes = config.particles - landed if complement else landed
+        value = successes / config.particles
+        bound = None
+        if successes == 0 or successes == config.particles:
+            # Binomial sigma degenerates at the extremes; report the one-sided
+            # 95% Clopper-Pearson distance instead.
+            bound = 1.0 - 0.05 ** (1.0 / config.particles)
+        estimates.append(ProbabilityEstimate(
+            value=value,
+            error_estimate=theoretical_stat_error(value, config.particles),
+            method="monte_carlo",
+            cost=config.particles,
+            wall_time=time.perf_counter() - start,
+            error_bound_95=bound,
+        ))
+        start = time.perf_counter()
+    return estimates
 
 
 def escape_probability_mc(
@@ -197,7 +209,7 @@ def escape_probability_mc(
     self-transition count.
     """
     _check_element("element", element)
-    return _landing_estimate(element, element, dist, config, workers, complement=True)
+    return _landing_estimates(element, element, dist, config, workers, complement=True, runs=1)[0]
 
 
 def transition_probability_mc(
@@ -206,7 +218,7 @@ def transition_probability_mc(
     """Estimate the probability of moving from ``source`` into ``target``."""
     _check_element("source", source)
     _check_element("target", target)
-    return _landing_estimate(source, target, dist, config, workers, complement=False)
+    return _landing_estimates(source, target, dist, config, workers, complement=False, runs=1)[0]
 
 
 def repeat_escape_probability_mc(
@@ -220,10 +232,7 @@ def repeat_escape_probability_mc(
     """
     _check_element("element", element)
     config = config or McConfig()
-    return [
-        _landing_estimate(element, element, dist, config, workers, complement=True, run=r)
-        for r in range(config.runs)
-    ]
+    return _landing_estimates(element, element, dist, config, workers, complement=True, runs=config.runs)
 
 
 def theoretical_stat_error(p: float, n: int) -> float:

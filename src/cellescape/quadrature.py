@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import _interval, conditional_transition_1d, stay_fraction
-from .distributions import _check_law
+from .distributions import _check_law, _integer
 from .errors import DimensionMismatch, NonFiniteIntegrand, ToleranceNotMet
 from .geometry import Box, MeshElement, ReferenceCell, _check_element, build_affine_map
 
@@ -114,12 +114,14 @@ class QuadratureConfig:
     max_subdivisions: int = 10**6
 
     def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be non-negative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be non-negative and finite, got {self.rel_tol!r}")
+        if _integer(self.max_subdivisions) is None or self.max_subdivisions < 1:
+            raise ValueError(
+                f"max_subdivisions must be an integer of at least 1, got {self.max_subdivisions!r}"
+            )
 
 
 @dataclass(frozen=True)

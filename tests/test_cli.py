@@ -97,6 +97,15 @@ class TestEscapeCommand:
         assert len(mc["run_values"]) == 5
         assert mc["empirical_error"] > 0.0
 
+    def test_one_run_reports_no_run_values(self, capsys, files):
+        code, out, _ = run_cli(capsys, [
+            "escape", "--geometry", files["unit"], "--distribution", files["wiener"],
+            "--method", "mc", "--particles", "20000", "--runs", "1", "--seed", "1",
+        ])
+        assert code == 0
+        mc = json.loads(out)["results"]["monte_carlo"]
+        assert set(mc) == {"value", "error_estimate", "method", "cost", "wall_time"}
+
     def test_missing_vertices_field(self, capsys, files):
         code, _, err = run_cli(capsys, [
             "escape", "--geometry", files["broken_geometry"],
@@ -284,6 +293,8 @@ EXIT_CODE_TABLE = {
     "particles-0": (ESCAPE + ["--particles", "0"], None, 2, "particles"),
     "runs-0": (ESCAPE + ["--runs", "0"], None, 2, "runs"),
     "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),
+    "tol-nan": (ESCAPE + ["--tol", "nan"], None, 2, "tol"),
+    "tol-inf": (ESCAPE + ["--tol", "inf"], None, 2, "tol"),
     "seed-negative": (ESCAPE + ["--seed", "-1"], None, 2, "seed"),
     "bench-particles-0": (["bench", "--particles", "0"], None, 2, "particles"),
     "workers-0": (ESCAPE + ["--workers", "0"], None, 2, "workers"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestDeterminism:
     def test_seed_outside_uint64_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             McConfig(seed=seed, runs=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("particles", 1e5), ("particles", True), ("runs", 2.0), ("seed", 1.5), ("seed", 1.9),
+    ])
+    def test_config_integers_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            McConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self, benchmark_elements):
+        seg = benchmark_elements["segment"]
+        dist = WienerStep(dt=1.0, dim=1)
+        config = McConfig(particles=np.int64(1000), seed=np.uint64(7), runs=np.int32(2))
+        assert config == McConfig(particles=1000, seed=7, runs=2)
+        assert type(config.particles) is int and type(config.seed) is int
+        runs = repeat_escape_probability_mc(seg, dist, config, workers=np.int64(2))
+        assert [r.value for r in runs] == [
+            r.value for r in repeat_escape_probability_mc(seg, dist, McConfig(particles=1000, seed=7, runs=2))
+        ]
 
     def test_every_run_seed_must_fit_in_uint64(self, benchmark_elements):
         assert McConfig(seed=2**64 - 3, runs=3).seed == 2**64 - 3
@@ -229,6 +248,46 @@ class TestDeterminism:
         assert a.value != b.value
 
 
+class TestOnePassPerCall:
+    """Every run of a repeat shares one set of checks, maps, workspaces and pool."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_repeat_matches_one_worker_run_by_run(self, benchmark_elements, workers):
+        # five workers outnumber the cores of a small host, and with threads
+        # switched often a workspace used by two tasks at once would change a count
+        tri = benchmark_elements["triangle"]
+        dist = WienerStep(dt=0.1, dim=2)
+        config = McConfig(particles=4 * 2**16 + 123, seed=2**63 + 11, runs=3)
+        serial = repeat_escape_probability_mc(tri, dist, config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = repeat_escape_probability_mc(tri, dist, config, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.value.hex() for r in parallel] == [r.value.hex() for r in serial]
+        assert len({r.value for r in serial}) == 3
+
+    def test_repeat_builds_maps_and_pool_once(self, benchmark_elements, monkeypatch):
+        import cellescape.montecarlo as montecarlo
+
+        maps, pools = [], []
+        build = montecarlo.build_affine_map
+
+        class CountedPool(montecarlo.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "build_affine_map", lambda element: maps.append(element) or build(element))
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
+        config = McConfig(particles=2 * 2**16 + 5, seed=3, runs=3)
+        runs = repeat_escape_probability_mc(benchmark_elements["segment"], WienerStep(dt=1.0, dim=1), config, workers=2)
+        assert len(runs) == 3
+        assert len(maps) == 2
+        assert len(pools) == 1
+
+
 class PlainWiener(StepDistribution):
     """A user law written without ``out``: Wiener steps by the same draws."""
 
@@ -321,7 +380,7 @@ class TestTransitionMc:
             solve(segment, (0.0, 1.0), WienerStep(dt=0.1, dim=1))
         assert info.value.field == argument
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     @pytest.mark.parametrize("solve", [
         lambda segment, law, workers: escape_probability_mc(segment, law, workers=workers),
         lambda segment, law, workers: repeat_escape_probability_mc(segment, law, workers=workers),

@@ -141,6 +141,14 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan), ("rel_tol", math.inf),
+        ("max_subdivisions", 2.5), ("max_subdivisions", 1e6), ("max_subdivisions", True),
+    ])
+    def test_config_rejects_non_finite_tolerances_and_non_integer_budgets(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuadratureConfig(**{field: value})
+
 
 class TestRadialMoments:
     def test_moments_match_kummer_function(self):
