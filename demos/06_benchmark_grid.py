@@ -8,6 +8,5 @@ The CLI equivalent is `cellescape bench --particles 100000 --seed 0`.
 from cellescape.bench import render_benchmark, run_benchmark
 
 # Small particle count keeps the demo quick; the acceptance runs use 1e6.
-artifact = run_benchmark(particles=10**5, seed=0, abs_tol=1e-5, progress=print)
-print()
+artifact = run_benchmark(particles=10**5, seed=0, abs_tol=1e-5)
 print(render_benchmark(artifact))

@@ -67,14 +67,12 @@ def run_benchmark(
     seed: int = 0,
     abs_tol: float = 1e-6,
     workers: int = 1,
-    progress=None,
 ) -> dict:
     """Solve every benchmark cell deterministically and by Monte Carlo.
 
     Returns a JSON-serializable artifact with one record per (geometry, dt)
     cell, each marked pass/fail against the reference tolerance and the
-    4-sigma consistency bound.  ``progress`` may be a callable receiving a
-    one-line status string per cell.
+    4-sigma consistency bound.
     """
     qconfig = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
     cells = []
@@ -104,8 +102,6 @@ def run_benchmark(
                 "pass": bool(ok),
             }
             cells.append(record)
-            if progress is not None:
-                progress(_cell_line(record))
     return {
         "config": {
             "particles": particles,

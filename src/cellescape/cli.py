@@ -243,13 +243,11 @@ def cmd_bench(args) -> int:
         _check_flags(args)
     except (ValueError, InputError) as exc:
         return _reject(exc)
-    progress = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     artifact = run_benchmark(
         particles=args.particles,
         seed=args.seed,
         abs_tol=args.tol,
         workers=args.workers,
-        progress=progress,
     )
     _emit(artifact, args)
     print(render_benchmark(artifact), file=sys.stdout if args.output else sys.stderr)
@@ -295,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.set_defaults(func=cmd_transition, runs=1)
 
     p_bench = sub.add_parser("bench", help="run the full benchmark grid")
-    p_bench.add_argument("--verbose", action="store_true",
-                         help="print each cell line as it completes")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench, runs=1)
     return parser

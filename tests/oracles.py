@@ -58,25 +58,44 @@ def overlap_triangle(steps, res=2000):
     return counts.sum(axis=1) / denom
 
 
-def overlap_tetrahedron(steps, res=400, chunk=100):
+def overlap_tetrahedron(steps, res=400, chunk=250):
+    """Grid-count overlap on the unit tetrahedron, one term per value of ``y + z``.
+
+    A cell center ``(y, z)`` admits the x centers in ``[x0, t - (y + z)]``, a
+    count that depends on the pair only through the float ``y + z``.  The
+    pairs are grouped by that exact float (pairs with different index sums
+    ``iy + iz`` never share one), and the pairs of a group that pass
+    ``y >= y0`` and ``z >= z0``, that is ``iy0 <= iy <= iy + iz - iz0``, are
+    counted from the group's cumulative count over ``iy``.
+    """
     steps = np.asarray(steps, dtype=float)
     x0 = np.maximum(0.0, -steps[:, 0])
-    y0 = np.maximum(0.0, -steps[:, 1])
-    z0 = np.maximum(0.0, -steps[:, 2])
     t = 1.0 - np.maximum(0.0, steps.sum(axis=1))
     centers = (np.arange(res) + 0.5) / res
-    ygrid, zgrid = np.meshgrid(centers, centers, indexing="ij")
-    yz = (ygrid + zgrid).ravel()
-    yv, zv = ygrid.ravel(), zgrid.ravel()
-    denom = np.clip(np.floor((1.0 - yz) * res - 0.5) + 1, 0, res).sum()
+    # the first index whose center is >= y0, and >= z0
+    iy0 = np.searchsorted(centers, np.maximum(0.0, -steps[:, 1]))
+    iz0 = np.searchsorted(centers, np.maximum(0.0, -steps[:, 2]))
+    iy, iz = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+    yz, group = np.unique(centers[iy] + centers[iz], return_inverse=True)
+    group = group.reshape(res, res)
+    index_sum = np.empty(len(yz), dtype=int)
+    index_sum[group] = iy + iz
+    assert np.array_equal(index_sum[group], iy + iz)
+    # below[g, i]: pairs of group g with iy < i
+    below = np.zeros((len(yz), res + 1))
+    np.add.at(below, (group, iy + 1), 1.0)
+    below = below.cumsum(axis=1)
+    denom = (np.clip(np.floor((1.0 - yz) * res - 0.5) + 1, 0, res) * below[:, -1]).sum()
+    rows = np.arange(len(yz))
     out = np.empty(len(steps))
     for a in range(0, len(steps), chunk):
         b = min(a + chunk, len(steps))
         i_lo = np.ceil(x0[a:b] * res - 0.5)
         i_hi = np.floor((t[a:b, None] - yz[None, :]) * res - 0.5)
         counts = np.clip(i_hi - i_lo[:, None] + 1, 0, res)
-        counts *= (yv[None, :] >= y0[a:b, None]) & (zv[None, :] >= z0[a:b, None])
-        out[a:b] = counts.sum(axis=1)
+        top = np.clip(index_sum[None, :] - iz0[a:b, None] + 1, 0, res)
+        admitted = np.maximum(below[rows, top] - below[rows, iy0[a:b, None]], 0.0)
+        out[a:b] = (counts * admitted).sum(axis=1)
     return out / denom
 
 

@@ -193,6 +193,19 @@ class TestVelocityJumpDensity:
         with pytest.raises(OriginSingularity):
             VelocityJumpStep(rate=1.0, dim=3).density([1e-200, 0.0, 0.0])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_step_density_does_not_depend_on_its_batch(self, dim):
+        # 700 steps span three blocks; with every rate * |dx| >= 1e-12 each
+        # block takes the same rule, so a step's value is its own
+        rng = np.random.default_rng(1200 + dim)
+        vj = VelocityJumpStep(rate=2.5, dim=dim)
+        s = np.geomspace(1e-12, 1e3, 700)
+        rng.shuffle(s)
+        directions = rng.normal(size=(len(s), dim))
+        steps = directions * (s / vj.rate / np.linalg.norm(directions, axis=1))[:, None]
+        alone = [vj.density(step) for step in steps]
+        assert np.array_equal(vj.density(steps), alone)
+
     def test_isotropy(self, rng):
         for n in (2, 3):
             vj = VelocityJumpStep(rate=1.3, dim=n)

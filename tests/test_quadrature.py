@@ -23,7 +23,7 @@ from cellescape import (
 from cellescape import bench, quadrature
 from cellescape.quadrature import (
     _CONE_CACHE,
-    _SERIES_BELOW,
+    _UPWARD_FROM,
     _WG7,
     _WGK,
     _XGK,
@@ -149,6 +149,19 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError, match=field):
             QuadratureConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tol", "1e-6"), ("abs_tol", None), ("abs_tol", [1e-6]), ("abs_tol", True),
+        ("abs_tol", np.True_), ("rel_tol", "1e-6"), ("rel_tol", None), ("rel_tol", [1e-6]),
+        ("rel_tol", False),
+    ])
+    def test_config_rejects_tolerances_that_are_not_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuadratureConfig(**{field: value})
+
+    def test_config_takes_numpy_tolerances(self):
+        config = QuadratureConfig(abs_tol=np.float32(1e-6), rel_tol=np.float64(0.0))
+        assert config.abs_tol == np.float32(1e-6) and config.rel_tol == 0.0
+
 
 class TestRadialMoments:
     def test_moments_match_kummer_function(self):
@@ -159,7 +172,7 @@ class TestRadialMoments:
         alpha = np.concatenate([
             np.geomspace(1e-14, 1e12, 521),
             np.linspace(2.0, 40.0, 3_801),  # where the erfc term still counts
-            _SERIES_BELOW * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
+            _UPWARD_FROM * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
         ])
         for first, last in [(0, 1), (1, 3), (2, 5)]:
             a = 0.5 * np.arange(first + 1, last + 2)[:, None]
