@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import operator
 from abc import ABC
 
@@ -62,11 +63,12 @@ class StepDistribution(ABC):
     ``out``, or one that ignores it, gives the same estimate.  The shipped
     laws take ``out``.
 
-    ``typical_scale``, when set, is the rough magnitude of one step.  The
-    deterministic solver uses it to seed the subdivision near the zero
-    step, where the shipped densities concentrate; without it a density
-    much narrower than the cell could fall between the integration nodes of
-    the initial boxes and go unnoticed.
+    ``typical_scale``, when set, is the rough magnitude of one step: a
+    positive finite real number.  The deterministic solver uses it to seed
+    the subdivision near the zero step, where the shipped densities
+    concentrate; without it a density much narrower than the cell could
+    fall between the integration nodes of the initial boxes and go
+    unnoticed.
 
     A density that is a mixture of centred isotropic Gaussians may also be
     described by the private hook ``_scale_mixture(radii)``, which returns
@@ -99,7 +101,11 @@ class StepDistribution(ABC):
 
 
 def _check_law(dist, dim: int, sampler: bool = False) -> None:
-    """Raise unless ``dist`` is a ``dim``-dimensional law with a density, or with ``sampler`` a sampler."""
+    """Raise unless ``dist`` is a ``dim``-dimensional law with a density, or with ``sampler`` a sampler.
+
+    A law with a density must also have a ``typical_scale`` that is None or
+    positive and finite.
+    """
     if sampler and not dist.has_sampler:
         raise SamplerUnavailable(
             f"{type(dist).__name__} offers no sampler; use the deterministic solver"
@@ -108,6 +114,8 @@ def _check_law(dist, dim: int, sampler: bool = False) -> None:
         raise DensityUnavailable(
             f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
         )
+    if not sampler and getattr(dist, "typical_scale", None) is not None:
+        _positive("typical_scale", dist.typical_scale)
     if dist.dim != dim:
         raise DimensionMismatch(
             f"distribution dimension {dist.dim} != element dimension {dim}"
@@ -133,6 +141,13 @@ def _integer(value) -> int | None:
         return None
 
 
+def _positive(field: str, value) -> float:
+    """``value`` as a float; ``InputError`` naming ``field`` unless it is a positive finite real, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise InputError(field, f"must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _check_dim(n: int) -> int:
     """The dimension ``n`` as an int in {1, 2, 3}."""
     value = _integer(n)
@@ -145,9 +160,7 @@ class WienerStep(StepDistribution):
     """Gaussian increments ``N(0, dt * I_n)`` of a Wiener process."""
 
     def __init__(self, dt: float, dim: int):
-        if not (dt > 0) or not math.isfinite(dt):
-            raise InputError("dt", f"time interval must be positive, got {dt}")
-        self.dt = float(dt)
+        self.dt = _positive("dt", dt)
         self.dim = _check_dim(dim)
         self.typical_scale = math.sqrt(self.dt)
 
@@ -207,9 +220,7 @@ class VelocityJumpStep(StepDistribution):
     # exp(-u) < exp(-60 - 2 s).
 
     def __init__(self, rate: float, dim: int):
-        if not (rate > 0) or not math.isfinite(rate):
-            raise InputError("lambda", f"jump rate must be positive, got {rate}")
-        self.rate = float(rate)
+        self.rate = _positive("lambda", rate)
         self.dim = _check_dim(dim)
         self.typical_scale = 1.0 / self.rate
 
@@ -276,12 +287,7 @@ def distribution_from_dict(data: dict, dim: int) -> StepDistribution:
     cls, field, _ = _LAWS[law]
     if field not in data:
         raise InputError(field, f"missing required field for the {law} law")
-    dim = _check_dim(dim)
-    try:
-        value = float(data[field])
-    except (TypeError, ValueError):
-        raise InputError(field, f"expected a positive number, got {data[field]!r}") from None
-    return cls(value, dim)
+    return cls(data[field], _check_dim(dim))
 
 
 def distribution_to_dict(dist: StepDistribution) -> dict:

@@ -292,9 +292,12 @@ class AffineMap:
         input's shape and contiguous coordinate columns.  With ``out``, an
         array of that shape that shares no memory with the input, the
         result is written into it and ``out`` is returned; the transpose of
-        an ``(n, ...)`` array keeps its columns contiguous.
+        an ``(n, ...)`` array keeps its columns contiguous.  Points whose
+        last axis is not of length ``n`` raise ``DimensionMismatch``.
         """
         pts = np.asarray(local_points, dtype=float)
+        if pts.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(f"points must have {self.dim} component(s), got shape {pts.shape}")
         if out is None:
             out = np.moveaxis(np.empty((self.dim,) + pts.shape[:-1]), 0, -1)
         product = np.empty(pts.shape[:-1]) if pts.shape[-1] > 1 else None

@@ -96,34 +96,6 @@ def _check_workers(workers: int) -> int:
     return value
 
 
-def _run_chunks(make_counter, config: McConfig, workers: int, runs: int):
-    """Yield the integer count of each run, summed over ``workers`` workers in any order.
-
-    Worker ``g`` counts the chunks ``g, g + workers, ...`` of every run with
-    its own counter, ``make_counter(largest chunk)``, in one thread pool.
-    The counters are made in the calling thread, so the workspaces share its
-    heap: made in the worker threads, which glibc serves from heaps of their
-    own, they raised the benchmark's peak RSS by 4-7 MB.
-    """
-    chunks = -(-config.particles // _CHUNK)
-    size = min(_CHUNK, config.particles)
-
-    def run_worker(run: int, first: int, count) -> int:
-        return sum(
-            count(run, index, min(_CHUNK, config.particles - index * _CHUNK))
-            for index in range(first, chunks, workers)
-        )
-
-    firsts = range(min(workers, chunks))
-    counters = [make_counter(size) for _ in firsts]
-    with ThreadPoolExecutor(max_workers=len(counters)) as pool:
-        # One worker or one chunk is counted in this thread; a pool that is
-        # given no task starts no thread.
-        map_workers = map if len(counters) == 1 else pool.map
-        for run in range(runs):
-            yield sum(map_workers(run_worker, [run] * len(counters), firsts, counters))
-
-
 def _landing_estimates(source, target, dist, config, workers, complement, runs) -> list[ProbabilityEstimate]:
     """Fraction of particles started in ``source`` that land in ``target``, per run.
 
@@ -154,16 +126,25 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
 
     n = source.dim
     takes_out = _sample_takes_out(dist)
+    chunks = -(-config.particles // _CHUNK)
+    size = min(_CHUNK, config.particles)
+    workers = min(workers, chunks)
+    # One workspace per worker: the uniforms and then the steps, the
+    # reference points, the landing points, and the containment mask.  They
+    # are made in this thread, so they share its heap: made in the worker
+    # threads, which glibc serves from heaps of their own, they raised the
+    # benchmark's peak RSS by 4-7 MB.
+    workspaces = [
+        (np.empty(size * n), np.empty((n, size)), np.empty((n, size)), np.empty(size, dtype=bool))
+        for _ in range(workers)
+    ]
 
-    def make_counter(size: int):
-        # One workspace per worker: the uniforms and then the steps, the
-        # reference points, the landing points, and the containment mask.
-        draws = np.empty(size * n)
-        points = np.empty((n, size))
-        landing = np.empty((n, size))
-        inside = np.empty(size, dtype=bool)
-
-        def count_landed(run: int, index: int, m: int) -> int:
+    def count_landed(run: int, worker: int) -> int:
+        """Particles of the chunks ``worker, worker + workers, ...`` of ``run`` that land in the target."""
+        draws, points, landing, inside = workspaces[worker]
+        landed = 0
+        for index in range(worker, chunks, workers):
+            m = min(_CHUNK, config.particles - index * _CHUNK)
             rng = _chunk_stream(config.seed, index, run)
             raw = draws[:m * n]
             xi = _sample_reference(src_cell, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
@@ -173,28 +154,32 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
                 local += xi
             else:  # the steps are mapped, so their buffer is free again
                 local += reference_map.to_global(xi, out=raw.reshape(n, m).T)
-            return int(np.count_nonzero(_reference_contains(tgt_cell, local, out=inside[:m])))
-
-        return count_landed
+            landed += int(np.count_nonzero(_reference_contains(tgt_cell, local, out=inside[:m])))
+        return landed
 
     estimates = []
-    for landed in _run_chunks(make_counter, config, workers, runs):
-        successes = config.particles - landed if complement else landed
-        value = successes / config.particles
-        bound = None
-        if successes == 0 or successes == config.particles:
-            # Binomial sigma degenerates at the extremes; report the one-sided
-            # 95% Clopper-Pearson distance instead.
-            bound = 1.0 - 0.05 ** (1.0 / config.particles)
-        estimates.append(ProbabilityEstimate(
-            value=value,
-            error_estimate=theoretical_stat_error(value, config.particles),
-            method="monte_carlo",
-            cost=config.particles,
-            wall_time=time.perf_counter() - start,
-            error_bound_95=bound,
-        ))
-        start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # One worker counts in this thread; a pool that is given no task
+        # starts no thread.
+        map_workers = map if workers == 1 else pool.map
+        for run in range(runs):
+            landed = sum(map_workers(count_landed, [run] * workers, range(workers)))
+            successes = config.particles - landed if complement else landed
+            value = successes / config.particles
+            bound = None
+            if successes == 0 or successes == config.particles:
+                # Binomial sigma degenerates at the extremes; report the one-sided
+                # 95% Clopper-Pearson distance instead.
+                bound = 1.0 - 0.05 ** (1.0 / config.particles)
+            estimates.append(ProbabilityEstimate(
+                value=value,
+                error_estimate=theoretical_stat_error(value, config.particles),
+                method="monte_carlo",
+                cost=config.particles,
+                wall_time=time.perf_counter() - start,
+                error_bound_95=bound,
+            ))
+            start = time.perf_counter()
     return estimates
 
 

@@ -554,20 +554,16 @@ def _transition_boxes(a, b, c, d, dist):
     return edges[:-1], edges[1:]
 
 
-def _solve(dist, dim: int, config: QuadratureConfig | None, prepare, complement: bool) -> ProbabilityEstimate:
+def _solve(f, lo, hi, tag, config: QuadratureConfig | None, start: float, complement: bool) -> ProbabilityEstimate:
     """The deterministic solve shared by the escape and transition solvers.
 
-    ``prepare()`` returns the integrand and the corners and tags of its
-    initial boxes, as ``_integrate_boxes`` takes them.  The
-    probability is the integral, or its complement ``1 - integral`` when
-    ``complement`` is set, clamped into ``[0, 1]``; the relative tolerance
-    applies to it.  A ``ToleranceNotMet`` is re-raised with that
-    probability of its best value.
+    Integrates ``f`` over the boxes ``lo, hi, tag`` as ``_integrate_boxes``
+    takes them; the wall time runs from ``start``.  The probability is the
+    integral, or its complement ``1 - integral`` when ``complement`` is set,
+    clamped into ``[0, 1]``; the relative tolerance applies to it.  A
+    ``ToleranceNotMet`` is re-raised with that probability of its best value.
     """
     config = config or QuadratureConfig()
-    _check_law(dist, dim)
-    start = time.perf_counter()
-    f, lo, hi, tag = prepare()
 
     def probability(integral: float) -> float:
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
@@ -613,26 +609,24 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     geometry.
     """
     _check_element("element", element)
+    _check_law(dist, element.dim)
+    start = time.perf_counter()
     cell = element.reference_cell
     cones = _CONE_CACHE[cell]
+    amap = build_affine_map(element)
+    mixture = _mixture_hook(dist)
+    if mixture is not None:
+        lo, hi, k = cones.boxes([0.0, 1.0])
+        f = _facet_integrand(cell, cones, amap, mixture)
+        return _solve(f, lo[:, 1:], hi[:, 1:], k, config, start, complement=True)
+    lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
-    def prepare():
-        amap = build_affine_map(element)
-        mixture = _mixture_hook(dist)
-        if mixture is not None:
-            lo, hi, k = cones.boxes([0.0, 1.0])
-            return _facet_integrand(cell, cones, amap, mixture), lo[:, 1:], hi[:, 1:], k
-        op_norm = float(np.linalg.norm(amap.matrix, 2))
-        lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, op_norm))
+    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        local_steps, jac = cones.steps(x, k)
+        global_steps = amap.global_step(local_steps)
+        return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
-        def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-            local_steps, jac = cones.steps(x, k)
-            global_steps = amap.global_step(local_steps)
-            return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
-
-        return f, lo, hi, k
-
-    return _solve(dist, element.dim, config, prepare, complement=True)
+    return _solve(f, lo, hi, k, config, start, complement=True)
 
 
 def _facet_integrand(cell: ReferenceCell, cones: _Cones, amap, mixture):
@@ -674,13 +668,11 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     """
     a, b = _interval("source", source)
     c, d = _interval("target", target)
+    _check_law(dist, 1)
+    start = time.perf_counter()
+    lo, hi = _transition_boxes(a, b, c, d, dist)
 
-    def prepare():
-        lo, hi = _transition_boxes(a, b, c, d, dist)
+    def f(steps: np.ndarray, _tag) -> np.ndarray:
+        return conditional_transition_1d((a, b), (c, d), steps[:, 0]) * dist.density(steps)
 
-        def f(steps: np.ndarray, _tag) -> np.ndarray:
-            return conditional_transition_1d((a, b), (c, d), steps[:, 0]) * dist.density(steps)
-
-        return f, lo, hi, np.zeros(len(lo), dtype=np.intp)
-
-    return _solve(dist, 1, config, prepare, complement=False)
+    return _solve(f, lo, hi, np.zeros(len(lo), dtype=np.intp), config, start, complement=False)

@@ -122,6 +122,16 @@ class TestEscapeCommand:
         assert code == 2
         assert "dt" in err
 
+    def test_bool_dt_field(self, capsys, files):
+        # a JSON true used to be solved as dt = 1
+        path = files["tmp_path"] / "bool_dt.json"
+        path.write_text(json.dumps({"law": "wiener", "dt": True}))
+        code, _, err = run_cli(capsys, [
+            "escape", "--geometry", files["segment"], "--distribution", str(path),
+        ])
+        assert code == 2
+        assert "'dt'" in err
+
     def test_output_file(self, capsys, files):
         out_path = files["tmp_path"] / "report.json"
         code, out, _ = run_cli(capsys, [

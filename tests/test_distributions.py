@@ -295,6 +295,23 @@ class TestConfig:
         with pytest.raises(InputError, match="dt"):
             distribution_from_dict({"law": "wiener", "dt": "fast"}, dim=1)
 
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.1", None, [0.1]],
+                             ids=["bool", "np.bool", "str", "none", "list"])
+    @pytest.mark.parametrize("law, field", [(WienerStep, "dt"), (VelocityJumpStep, "lambda")])
+    def test_parameter_must_be_a_real_number(self, law, field, value):
+        # a bool is not taken as 1, and nothing else ends in a bare TypeError
+        with pytest.raises(InputError) as info:
+            law(value, 1)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("law, field", [("wiener", "dt"), ("velocity_jump", "lambda")])
+    def test_parameter_in_a_dict_is_not_converted(self, law, field, value):
+        # a JSON true is not the number 1, nor is a JSON string a number
+        with pytest.raises(InputError) as info:
+            distribution_from_dict({"law": law, field: value}, dim=1)
+        assert info.value.field == field
+
     @pytest.mark.parametrize("dim", [None, "three", 4])
     def test_bad_dim_names_dim(self, dim):
         # the parameter is fine; only the dimension is at fault

@@ -322,6 +322,33 @@ class TestUserLawWithoutOut:
             assert solve(law_type(0.1, dim)).value == solve(WienerStep(dt=0.1, dim=dim)).value
 
 
+class WrongWidth(StepDistribution):
+    """A user law of dimension ``dim`` whose ``sample`` returns steps of shape ``(size,) + shape``."""
+
+    def __init__(self, dim, shape):
+        self.dim = dim
+        self.shape = shape
+
+    def sample(self, rng, size):
+        return rng.standard_normal((size,) + self.shape)
+
+
+class TestUserLawOfWrongWidth:
+    @pytest.mark.parametrize("dim, shape", [(2, (1,)), (2, (3,)), (1, ())], ids=["2d-m1", "2d-m3", "1d-flat"])
+    @pytest.mark.parametrize("solver", ["escape", "transition"])
+    def test_steps_of_the_wrong_width_raise(self, benchmark_elements, dim, shape, solver):
+        # a (m, 1) step on a triangle used to be mapped as if its second column were 0
+        element = benchmark_elements["segment" if dim == 1 else "triangle"]
+        config = McConfig(particles=10**4, seed=1)
+        law = WrongWidth(dim, shape)
+        with pytest.raises(DimensionMismatch):
+            if solver == "escape":
+                escape_probability_mc(element, law, config)
+            else:
+                neighbour = mesh_element(element.kind, element.vertices + 1.0)
+                transition_probability_mc(element, neighbour, law, config)
+
+
 class TestTransitionMc:
     def test_zero_step_stays_in_source(self, benchmark_elements):
         tri = benchmark_elements["triangle"]

@@ -7,6 +7,7 @@ from cellescape import (
     Box,
     DensityUnavailable,
     DimensionMismatch,
+    InputError,
     NonFiniteIntegrand,
     QuadratureConfig,
     ReferenceCell,
@@ -412,6 +413,22 @@ class TestEscapeDeterministic:
         assert (split.value, split.error_estimate, split.cost) == (whole.value, whole.error_estimate, whole.cost)
         assert max(sizes) == limit
         assert sum(sizes) == whole.cost
+
+
+class TestTypicalScale:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, True, "1"],
+                             ids=["zero", "negative", "nan", "inf", "bool", "str"])
+    @pytest.mark.parametrize("solve", [
+        lambda law: escape_probability_det(mesh_element("segment", [[0.0], [1.0]]), law),
+        lambda law: transition_probability_det_1d((0.0, 1.0), (0.0, 1.0), law),
+    ], ids=["escape", "transition"])
+    def test_bad_scale_names_the_field(self, solve, scale):
+        # zero divided by zero and -1 took a logarithm of a negative number; NaN passed as unset
+        law = ConeWiener(dt=0.1, dim=1)
+        law.typical_scale = scale
+        with pytest.raises(InputError) as info:
+            solve(law)
+        assert info.value.field == "typical_scale"
 
 
 class TestTransitionDeterministic:
