@@ -269,10 +269,12 @@ class AffineMap:
     abs_det: float
 
     @classmethod
-    def from_matrix(cls, matrix, offset) -> "AffineMap":
+    def from_matrix(cls, matrix, offset, det: float | None = None) -> "AffineMap":
+        """The map of ``matrix`` and ``offset``; ``det``, when given, is ``np.linalg.det(matrix)``."""
         matrix = np.asarray(matrix, dtype=float)
         offset = np.asarray(offset, dtype=float)
-        det = float(np.linalg.det(matrix))
+        if det is None:
+            det = float(np.linalg.det(matrix))
         if det == 0.0 or not np.isfinite(det):
             raise DegenerateElement("affine matrix is singular")
         inverse = np.linalg.inv(matrix)
@@ -338,14 +340,14 @@ def build_affine_map(element: MeshElement) -> AffineMap:
     matrix = edges.T
     n = element.dim
     scale = float(np.max(np.linalg.norm(edges, axis=1)))
-    det = float(np.linalg.det(matrix)) if n > 1 else float(matrix[0, 0])
+    det = float(np.linalg.det(matrix))
     eps = 1e-14 * scale**n
     if not np.isfinite(det) or abs(det) <= eps:
         raise DegenerateElement(
             f"{element.kind.value} vertices are degenerate: spanning edges are linearly dependent "
             f"(|det| = {abs(det):.3e} <= {eps:.3e})"
         )
-    return AffineMap.from_matrix(matrix, a.copy())
+    return AffineMap.from_matrix(matrix, a.copy(), det)
 
 
 def to_local(affine_map: AffineMap, global_step) -> np.ndarray:

@@ -149,6 +149,8 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             raw = draws[:m * n]
             xi = _sample_reference(src_cell, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
             steps = dist.sample(rng, m, out=raw.reshape(m, n)) if takes_out else dist.sample(rng, m)
+            if np.shape(steps) != (m, n):
+                raise DimensionMismatch(f"the law sampled steps of shape {np.shape(steps)}, expected {(m, n)}")
             local = step_map.to_global(steps, out=landing[:, :m].T)
             if reference_map is None:
                 local += xi

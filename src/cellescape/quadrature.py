@@ -21,17 +21,23 @@ A law whose density is a Gaussian scale mixture says so through a private
 ``_scale_mixture`` hook; of the shipped laws, ``WienerStep`` does, with its
 one scale.  On each cone the stay fraction is then a polynomial in ``t``,
 and its radial integral against each Gaussian is a sum of the moments
-``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, computed in closed form
-from Cody's rational approximations of ``exp(y^2) erfc(y)``; the cubature
-runs over the facet coordinates ``w`` alone, and a segment's two cones need
-none.  Every other law -- ``VelocityJumpStep``, user laws, and subclasses
-that override ``density`` -- keeps the cubature over whole cones, whose
-radial axis is split geometrically toward the zero step and integrated
-down to it.
+``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, in closed form: a
+series below ``alpha = 2`` and Cody's rational approximations of
+``exp(y^2) erfc(y)`` above, each one product of a coefficient table and a
+power table, taken over blocks of bounded size.  The cubature runs over the
+facet coordinates ``w`` alone, and a segment's two cones need none.  Every
+such solve starts on the same facet boxes of its reference cell, so the
+rays, facet Jacobians and stay polynomials at their nodes are built once
+per cell; a solve applies its affine map and its law to them, and computes
+node data afresh only for the boxes it splits.  Every other law --
+``VelocityJumpStep``, user laws, and subclasses that override ``density``
+-- keeps the cubature over whole cones, whose radial axis is split
+geometrically toward the zero step and integrated down to it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -129,6 +135,9 @@ class QuadratureConfig:
             )
 
 
+_DEFAULT_CONFIG = QuadratureConfig()
+
+
 @dataclass(frozen=True)
 class ProbabilityEstimate:
     """A probability with its error estimate and cost metadata.
@@ -182,48 +191,61 @@ _RULE_CACHE = {n: _rule(n) for n in (0, 1, 2, 3)}
 _MAX_POINTS = 2**19
 
 
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rule's nodes in the boxes ``lo, hi`` of shape ``(m, n)``, box by box: ``(m * 15^n, n)``."""
+    m, n = lo.shape
+    pts = _RULE_CACHE[n][0]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    # one coordinate at a time: a broadcast over the length-n axis runs as
+    # numpy inner loops of length n <= 3
+    x = np.empty((m, len(pts), n))
+    for j in range(n):
+        x[:, :, j] = mid[:, j, None] + half[:, j, None] * pts[:, j]
+    return x.reshape(m * len(pts), n)
+
+
 def _evaluate(f, lo, hi, tag):
     """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag: (m,).
 
     ``f`` is called on whole boxes, at most ``_MAX_POINTS`` nodes (and at
     least one box) at a time.
     """
-    m, n = lo.shape
-    pts, wh, wl = _RULE_CACHE[n]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    per_box = 15 ** lo.shape[1]
+    per_call = max(1, _MAX_POINTS // per_box)
+    values = np.concatenate([
+        np.asarray(f(_nodes(lo[s:s + per_call], hi[s:s + per_call]), np.repeat(tag[s:s + per_call], per_box)),
+                   dtype=float)
+        for s in range(0, lo.shape[0], per_call)
+    ])
+    return _apply_rule(values.reshape(-1, per_box), lo, hi)
 
-    def call(rows: slice) -> np.ndarray:
-        # one coordinate at a time: a broadcast over the length-n axis runs
-        # as numpy inner loops of length n <= 3
-        x = np.empty((len(mid[rows]), len(pts), n))
-        for j in range(n):
-            x[:, :, j] = mid[rows, j, None] + half[rows, j, None] * pts[:, j]
-        values = f(x.reshape(len(x) * len(pts), n), np.repeat(tag[rows], len(pts)))
-        return np.asarray(values, dtype=float).reshape(-1, len(pts))
 
-    per_call = max(1, _MAX_POINTS // len(pts))
-    values = np.concatenate([call(slice(s, s + per_call)) for s in range(0, m, per_call)])
+def _apply_rule(values, lo, hi):
+    """The Kronrod estimate and the rule disagreement of each box, from its row of ``values`` at its nodes."""
     if not np.all(np.isfinite(values)):
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
-    jac = np.prod(half, axis=1)
+    _, wh, wl = _RULE_CACHE[lo.shape[1]]
+    jac = np.prod(0.5 * (hi - lo), axis=1)
     high = jac * (values @ wh)
     low = jac * (values @ wl)
     return high, np.abs(high - low)
 
 
-def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
+def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, values=None):
     """Adaptive integration over a union of disjoint boxes.
 
     ``lo`` and ``hi`` are the ``(m, n)`` corners of the boxes and ``tag``
     holds one integer per box that both halves of a split inherit; ``f``
     receives the ``(points, n)`` nodes and the tag of each node's box.
-    A refinement pass accepts each pending box once its rule disagreement
-    is at most its volume share of the error budget not yet spent, and
-    splits the others along their longest axis; the share rate never
-    decreases, so the accepted error stays below the budget.  The first
-    budget comes from the first estimate; when the relative goal of the
-    accepted value is tighter, the accepted leaves are refined again
+    ``values``, when given, are the integrand at the nodes of the given
+    boxes, as ``_nodes`` orders them, and ``f`` is called on split boxes
+    only.  A refinement pass accepts each pending box once its rule
+    disagreement is at most its volume share of the error budget not yet
+    spent, and splits the others along their longest axis; the share rate
+    never decreases, so the accepted error stays below the budget.  The
+    first budget comes from the first estimate; when the relative goal of
+    the accepted value is tighter, the accepted leaves are refined again
     against it.  The relative tolerance applies to ``reported(value)``:
     the integral's magnitude, or the probability a solver reports of it.
 
@@ -233,8 +255,12 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
     if lo.shape[0] == 0:
         return 0.0, 0.0, 0
     nodes_per_box = 15 ** lo.shape[1]
-    total_volume = float(np.prod(hi - lo, axis=1).sum())
-    high, err = _evaluate(f, lo, hi, tag)
+    volumes = np.prod(hi - lo, axis=1)
+    total_volume = float(volumes.sum())
+    if values is None:
+        high, err = _evaluate(f, lo, hi, tag)
+    else:
+        high, err = _apply_rule(values.reshape(-1, nodes_per_box), lo, hi)
     n_evals = high.size * nodes_per_box
     n_splits = 0
     budget = max(config.abs_tol, config.rel_tol * reported(float(high.sum())))
@@ -243,18 +269,21 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
         remaining_volume = total_volume
         accepted = []  # (lo, hi, tag, high, err) of the accepted leaves
         while True:
-            volumes = np.prod(hi - lo, axis=1)
             rate = (budget - error) / remaining_volume
             ok = err <= rate * volumes
+            if ok.all():  # the last generation of a pass: no box to split
+                value += float(high.sum())
+                error += float(err.sum())
+                accepted.append((lo, hi, tag, high, err))
+                break
             value += float(high[ok].sum())
             error += float(err[ok].sum())
             remaining_volume -= float(volumes[ok].sum())
             accepted.append((lo[ok], hi[ok], tag[ok], high[ok], err[ok]))
-            lo, hi, tag, high, err = lo[~ok], hi[~ok], tag[~ok], high[~ok], err[~ok]
-            if lo.shape[0] == 0:
-                break
+            split = ~ok
+            lo, hi, tag = lo[split], hi[split], tag[split]
             if n_splits + lo.shape[0] > config.max_subdivisions:
-                raise ToleranceNotMet(value + float(high.sum()), error + float(err.sum()))
+                raise ToleranceNotMet(value + float(high[split].sum()), error + float(err[split].sum()))
             n_splits += lo.shape[0]
             widths = hi - lo
             axis = np.argmax(widths, axis=1)
@@ -267,6 +296,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
             lo = np.concatenate([lo, lo_right])
             hi = np.concatenate([hi_left, hi])
             tag = np.concatenate([tag, tag])
+            volumes = np.prod(hi - lo, axis=1)
             high, err = _evaluate(f, lo, hi, tag)
             n_evals += high.size * nodes_per_box
         goal = max(config.abs_tol, config.rel_tol * reported(value))
@@ -275,6 +305,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs):
         # The relative goal tightened below the budget actually used:
         # re-process the accepted leaves against the smaller budget.
         lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*accepted))
+        volumes = np.prod(hi - lo, axis=1)
         budget = goal
 
 
@@ -305,7 +336,7 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
     NonFiniteIntegrand
         If any integrand evaluation is NaN or infinite.
     """
-    config = config or QuadratureConfig()
+    config = config or _DEFAULT_CONFIG
     if box.dim not in (1, 2, 3):
         raise DimensionMismatch("adaptive integration supports dimensions 1-3")
     value, error, _ = _integrate_boxes(
@@ -316,63 +347,105 @@ def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
 
 # Cody's rational Chebyshev approximations of the scaled complementary error
 # function erfcx(y) = exp(y^2) erfc(y) (Math. Comp. 23, 1969, as in his
-# CALERF), highest power first: C(y) / D(y) for 0.46875 <= y <= 4, and above
-# that (1/sqrt(pi) - P(1/y^2) / (y^2 Q(1/y^2))) / y.
-_ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
-          6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
-          1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
-_ERF_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
-          5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
-          4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
-_ERF_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-          1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
-_ERF_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00,
-          5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+# CALERF): C(y) / D(y) for 0.46875 <= y <= 4, and above that
+# (1/sqrt(pi) - P(r) / (y^2 Q(r))) / y with r = 1/y^2.  The rows hold C, D,
+# P and Q, lowest power first, so that one product with the powers of y,
+# or of r, gives the numerator and the denominator together.
+_ERF_TABLE = np.array([
+    [1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
+     8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
+     8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8],
+    [1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
+     3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
+     1.17693950891312499e02, 1.57449261107098347e01, 1.0],
+    [6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
+     3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2, 0.0, 0.0, 0.0],
+    [2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+     1.87295284992346725e00, 2.56852019228982242e00, 1.0, 0.0, 0.0, 0.0],
+])
 
-# The radial moments recur upward from this alpha and downward below it,
-# where upward the recurrence cancels (it would lose a digit at alpha = 0.5).
+# The radial moments recur upward from this alpha and come from a series
+# below it, where upward the recurrence cancels (it would lose a digit at
+# alpha = 0.5).
 _UPWARD_FROM = 2.0
+# Below _UPWARD_FROM, the recurrence run downward from zeros far up sums to
+# M_k = exp(-alpha) sum_j (2 alpha)^j / prod_(i <= j) (k + 1 + 2i), all terms
+# positive.  _SERIES[k, j] is the j-th coefficient of order k, for every
+# order the facet integrand takes (at most 2n - 1 = 5).  Term j is at most
+# 4^j / (3 * 5 ... (2j + 1)) of the first, so the 23 terms kept leave at most
+# 6.5e-17 relative for every order.
+_SERIES = np.array([[1 / math.prod(range(k + 1, k + 2 * j + 2, 2)) for j in range(23)] for k in range(6)])
+# Nodes per block of the moment kernel, which bounds its temporaries (the
+# series' power table of a block takes 377 kB); smaller blocks cost more calls.
+_MOMENT_BLOCK = 2048
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """The row-major ``(count, len(x))`` table of ``x^0 .. x^(count - 1)``, ``count >= 2``.
+
+    Rows ``m + 1 .. 2m`` are rows ``1 .. m`` times row ``m``, one multiply of
+    contiguous rows, so the table takes about ``log2(count)`` calls.
+    """
+    table = np.empty((count, len(x)))
+    table[0] = 1.0
+    table[1] = x
+    m = 1
+    while m + 1 < count:
+        k = min(m, count - 1 - m)
+        np.multiply(table[1:k + 1], table[m], out=table[m + 1:m + k + 1])
+        m += k
+    return table
+
+
+def _upward_moments(a: np.ndarray, first: int, last: int) -> np.ndarray:
+    """``M_first .. M_last`` at ``a >= _UPWARD_FROM``, recurring upward from ``M_0`` and ``M_1``."""
+    tail = np.exp(-a)
+    y = np.sqrt(a)
+    low = y <= 4.0
+    v = np.where(low, y, 1.0 / a)
+    c, d, p, q = _ERF_TABLE @ _powers(v, _ERF_TABLE.shape[1])
+    erfcx = np.where(low, c / d, (1.0 / math.sqrt(math.pi) - v * p / q) / y)
+    two_a = 2.0 * a
+    up = [0.5 * math.sqrt(math.pi) / y * (1.0 - tail * erfcx), (1.0 - tail) / two_a]
+    for k in range(2, last + 1):
+        up.append(((k - 1) * up[k - 2] - tail) / two_a)
+    return np.array(up[first:])
+
+
+def _series_moments(x: np.ndarray, first: int, last: int) -> np.ndarray:
+    """``M_first .. M_last`` at ``x < _UPWARD_FROM``, from the series of ``_SERIES``."""
+    return np.exp(-x) * (_SERIES[first:last + 1] @ _powers(2.0 * x, _SERIES.shape[1]))
 
 
 def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
     """Gaussian radial moments ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``.
 
     ``M_k = gamma((k + 1)/2, alpha) / (2 alpha^((k + 1)/2))`` (DLMF 8.2.1);
-    returns ``M_first .. M_last`` stacked along a new first axis.  Every order
-    comes from ``(k + 1) M_k = 2 alpha M_(k+2) + exp(-alpha)`` (by parts): from
-    ``alpha = 2`` up, upward from ``M_0 = sqrt(pi/alpha)/2 (1 - exp(-alpha) erfcx(sqrt(alpha)))``
-    and ``M_1 = (1 - exp(-alpha)) / (2 alpha)``; below, downward from zeros,
-    adding two positive terms a step.  Both keep about 1e-15 relative.
+    returns ``M_first .. M_last`` (``last <= 5``) stacked along a new first
+    axis.  Every order follows ``(k + 1) M_k = 2 alpha M_(k+2) + exp(-alpha)``
+    (by parts).  From ``alpha = 2`` up it recurs upward from
+    ``M_0 = sqrt(pi/alpha)/2 (1 - exp(-alpha) erfcx(sqrt(alpha)))`` and
+    ``M_1 = (1 - exp(-alpha)) / (2 alpha)``, with Cody's numerator and
+    denominator of ``erfcx`` from one product of a coefficient table and a
+    power table.  Below, the recurrence run downward is the series of
+    ``_SERIES``, which is one product of its rows and the powers of
+    ``2 alpha``.  Both keep about 1e-15 relative.  The nodes are taken in
+    blocks of ``_MOMENT_BLOCK``, so the tables stay small, and a side of
+    ``alpha = 2`` with no node in a block is skipped.
     """
-    out = np.empty((last - first + 1,) + alpha.shape)
-    upward = alpha >= _UPWARD_FROM
-    a = alpha[upward]
-    tail = np.exp(-a)
-    y = np.sqrt(a)
-    low = y <= 4.0
-    erfcx = np.empty_like(y)
-    erfcx[low] = np.polyval(_ERF_C, y[low]) / np.polyval(_ERF_D, y[low])
-    r = 1.0 / a[~low]
-    erfcx[~low] = (1.0 / math.sqrt(math.pi) - r * np.polyval(_ERF_P, r) / np.polyval(_ERF_Q, r)) / y[~low]
-    up = [0.5 * math.sqrt(math.pi) / y * (1.0 - tail * erfcx), (1.0 - tail) / (2.0 * a)]
-    for k in range(2, last + 1):
-        up.append(((k - 1) * up[k - 2] - tail) / (2.0 * a))
-    out[:, upward] = up[first:last + 1]
-    x = alpha[~upward]
-    tail = np.exp(-x)
-    two_x = 2.0 * x
-    # The zeros put in for M_(last+45) and M_(last+46) err by M_j <= exp(-x) / (j - 2x),
-    # and each step down a parity chain scales the error by 2x / (k + 1) <= 4 / (k + 1).
-    # Against M_k >= exp(-x) / (k + 1) that leaves at most 6.6e-17 relative for
-    # every ``first .. last`` with ``last >= 1``; starting 40 orders up would leave 8.8e-15.
-    next1 = next2 = np.zeros_like(x)  # M_(k+1), M_(k+2)
-    down = []
-    for k in range(last + 44, first - 1, -1):
-        next1, next2 = (two_x * next2 + tail) / (k + 1), next1
-        if k <= last:
-            down.append(next1)
-    out[:, ~upward] = down[::-1]
-    return out
+    flat = alpha.reshape(-1)
+    out = np.empty((last - first + 1, flat.size))
+    for s in range(0, flat.size, _MOMENT_BLOCK):
+        a = flat[s:s + _MOMENT_BLOCK]
+        block = out[:, s:s + _MOMENT_BLOCK]
+        series = a < _UPWARD_FROM
+        for side, moments in ((series, _series_moments), (~series, _upward_moments)):
+            count = np.count_nonzero(side)
+            if count == len(a):  # no mask to apply
+                block[:] = moments(a, first, last)
+            elif count:
+                block[:, side] = moments(a[side], first, last)
+    return out.reshape(out.shape[:1] + alpha.shape)
 
 
 def _stay_polynomial(a: np.ndarray) -> np.ndarray:
@@ -454,6 +527,7 @@ class _Cones:
     precision next to every apex.
     """
 
+    cell: ReferenceCell
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
     abs_det: np.ndarray  # (cones,)
@@ -495,6 +569,33 @@ class _Cones:
             np.matmul(coef[lo:hi], self.frames[k[lo]], out=steps[lo:hi])
         return steps, jac
 
+    def facet_nodes(self, w: np.ndarray, k: np.ndarray):
+        """What the facet integrand reads at the facet coordinates ``w`` of cones ``k``.
+
+        Returns the rays ``b(w)``, which are the steps at ``t = 1``, the
+        facet's Jacobian there, and the ``(n + 1, points)`` coefficients of
+        the stay fraction along each ray as a polynomial in ``t`` (see
+        ``_facet_values``).
+        """
+        rays, jac = self.steps(np.hstack([np.ones((len(w), 1)), w]), k)
+        stay = _stay_polynomial(np.ones_like(rays) if self.cell.is_simplex else np.abs(rays))
+        return rays, jac, stay
+
+    @functools.cached_property
+    def first_pass(self):
+        """The facet boxes that start every radial solve, and their node data.
+
+        They are ``boxes([0, 1])`` without the radial axis: the corners
+        ``lo, hi``, the cone of each box, and ``facet_nodes`` at the boxes'
+        nodes, all read-only.  Built on first use, once per cell.
+        """
+        lo, hi, k = self.boxes([0.0, 1.0])
+        lo, hi = lo[:, 1:], hi[:, 1:]
+        data = (lo, hi, k, *self.facet_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
+        for array in data:
+            array.flags.writeable = False
+        return data[:3], data[3:]
+
 
 def _cones(cell: ReferenceCell) -> _Cones:
     facets = _support_facets(cell)
@@ -508,6 +609,7 @@ def _cones(cell: ReferenceCell) -> _Cones:
         frames.append(np.vstack([vertices[0], rel]))
     frames = np.array(frames)
     return _Cones(
+        cell=cell,
         frames=frames,
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
         abs_det=np.abs(np.linalg.det(frames)),
@@ -554,22 +656,24 @@ def _transition_boxes(a, b, c, d, dist):
     return edges[:-1], edges[1:]
 
 
-def _solve(f, lo, hi, tag, config: QuadratureConfig | None, start: float, complement: bool) -> ProbabilityEstimate:
+def _solve(f, lo, hi, tag, config: QuadratureConfig | None, start: float, complement: bool,
+           values=None) -> ProbabilityEstimate:
     """The deterministic solve shared by the escape and transition solvers.
 
-    Integrates ``f`` over the boxes ``lo, hi, tag`` as ``_integrate_boxes``
-    takes them; the wall time runs from ``start``.  The probability is the
+    Integrates ``f`` over the boxes ``lo, hi, tag``, with the integrand's
+    ``values`` at their nodes when known, as ``_integrate_boxes`` takes
+    them; the wall time runs from ``start``.  The probability is the
     integral, or its complement ``1 - integral`` when ``complement`` is set,
     clamped into ``[0, 1]``; the relative tolerance applies to it.  A
     ``ToleranceNotMet`` is re-raised with that probability of its best value.
     """
-    config = config or QuadratureConfig()
+    config = config or _DEFAULT_CONFIG
 
     def probability(integral: float) -> float:
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
 
     try:
-        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config, probability)
+        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config, probability, values)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(probability(exc.value), exc.error_estimate) from None
     return ProbabilityEstimate(
@@ -616,9 +720,13 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     amap = build_affine_map(element)
     mixture = _mixture_hook(dist)
     if mixture is not None:
-        lo, hi, k = cones.boxes([0.0, 1.0])
-        f = _facet_integrand(cell, cones, amap, mixture)
-        return _solve(f, lo[:, 1:], hi[:, 1:], k, config, start, complement=True)
+        (lo, hi, k), nodes = cones.first_pass
+
+        def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return _facet_values(cones.facet_nodes(w, k), amap, mixture)
+
+        first = _facet_values(nodes, amap, mixture)
+        return _solve(f, lo, hi, k, config, start, complement=True, values=first)
     lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -629,8 +737,8 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     return _solve(f, lo, hi, k, config, start, complement=True)
 
 
-def _facet_integrand(cell: ReferenceCell, cones: _Cones, amap, mixture):
-    """The stay integrand over the facet coordinates ``w`` of the cones.
+def _facet_values(nodes, amap, mixture) -> np.ndarray:
+    """The stay integrand at facet nodes, from their ``_Cones.facet_nodes`` data.
 
     On cone ``k`` the stay fraction at ``d = t b(w)`` is
     ``prod_i (1 - t a_i)``, with ``a_i = |b_i(w)|`` on a box and ``a_i = 1``
@@ -639,20 +747,14 @@ def _facet_integrand(cell: ReferenceCell, cones: _Cones, amap, mixture):
     ``sum_j c_j M_(n-1+j)(alpha)`` with ``alpha = |A b(w)|^2 / (2 sigma^2)``.
     ``mixture`` is the law's ``_scale_mixture`` hook.
     """
-    n = cell.dim
-
-    def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # the steps at t = 1 are the facet points b(w), with the facet's Jacobian
-        rays, jac = cones.steps(np.hstack([np.ones((len(w), 1)), w]), k)
-        radii = np.linalg.norm(amap.global_step(rays), axis=1)
-        scales, weights = mixture(radii)
-        moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
-        stay = _stay_polynomial(np.ones_like(rays) if cell.is_simplex else np.abs(rays))
-        radial = np.einsum("jm,jmq->mq", stay, moments)
-        gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)
-        return (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
-
-    return f
+    rays, jac, stay = nodes
+    n = rays.shape[1]
+    radii = np.linalg.norm(amap.global_step(rays), axis=1)
+    scales, weights = mixture(radii)
+    moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
+    radial = np.einsum("jm,jmq->mq", stay, moments)
+    gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)
+    return (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:

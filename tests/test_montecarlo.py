@@ -349,6 +349,28 @@ class TestUserLawOfWrongWidth:
                 transition_probability_mc(element, neighbour, law, config)
 
 
+class WrongCount(StepDistribution):
+    """A 2D user law whose ``sample`` returns ``extra`` rows more than asked for."""
+
+    dim = 2
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def sample(self, rng, size):
+        return rng.standard_normal((size + self.extra, 2))
+
+
+class TestUserLawOfWrongCount:
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-over"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_steps_of_the_wrong_count_name_the_shapes(self, benchmark_elements, extra, workers):
+        # one row short used to end in a bare numpy broadcast ValueError
+        config = McConfig(particles=10**4, seed=1)
+        with pytest.raises(DimensionMismatch, match=rf"\({10**4 + extra}, 2\).*\({10**4}, 2\)"):
+            escape_probability_mc(benchmark_elements["triangle"], WrongCount(extra), config, workers=workers)
+
+
 class TestTransitionMc:
     def test_zero_step_stays_in_source(self, benchmark_elements):
         tri = benchmark_elements["triangle"]

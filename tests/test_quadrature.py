@@ -15,6 +15,7 @@ from cellescape import (
     ToleranceNotMet,
     VelocityJumpStep,
     WienerStep,
+    build_affine_map,
     escape_probability_det,
     integrate_adaptive,
     mesh_element,
@@ -24,6 +25,7 @@ from cellescape import (
 from cellescape import bench, quadrature
 from cellescape.quadrature import (
     _CONE_CACHE,
+    _MOMENT_BLOCK,
     _UPWARD_FROM,
     _WG7,
     _WGK,
@@ -164,23 +166,54 @@ class TestIntegrateAdaptive:
         assert config.abs_tol == np.float32(1e-6) and config.rel_tol == 0.0
 
 
-class TestRadialMoments:
-    def test_moments_match_kummer_function(self):
-        # M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1) (DLMF 8.5.1),
-        # on each slice of orders the facet integrand takes in 1D, 2D and 3D
-        from scipy.special import hyp1f1
+def kummer_moments(alpha, first, last):
+    """``M_first .. M_last`` from ``M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1)`` (DLMF 8.5.1)."""
+    from scipy.special import hyp1f1
 
-        alpha = np.concatenate([
+    a = 0.5 * np.arange(first + 1, last + 2).reshape((-1,) + (1,) * np.ndim(alpha))
+    return hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
+
+
+# the slices of orders the facet integrand takes in 1D, 2D and 3D
+ORDER_SLICES = [(0, 1), (1, 3), (2, 5)]
+
+
+class TestRadialMoments:
+    @pytest.mark.parametrize("alpha", [
+        np.concatenate([
             np.geomspace(1e-14, 1e12, 521),
             np.linspace(2.0, 40.0, 3_801),  # where the erfc term still counts
             _UPWARD_FROM * (1.0 + np.linspace(-1e-3, 1e-3, 21)),
-        ])
-        for first, last in [(0, 1), (1, 3), (2, 5)]:
-            a = 0.5 * np.arange(first + 1, last + 2)[:, None]
-            expected = hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
+        ]),
+        # y = sqrt(alpha) = 4 switches Cody's fit of erfcx
+        16.0 * (1.0 + np.linspace(-1e-3, 1e-3, 41)),
+        np.array([np.nextafter(16.0, 0.0), 16.0, np.nextafter(16.0, 32.0)]),
+        # longer than a block, with both sides of alpha = 2 in every block
+        np.random.default_rng(5).permutation(np.geomspace(1e-6, 1e6, 2 * _MOMENT_BLOCK + 7)),
+        # wholly on one side of alpha = 2, over several blocks
+        np.linspace(0.0, np.nextafter(_UPWARD_FROM, 0.0), 3 * _MOMENT_BLOCK + 1),
+        np.geomspace(_UPWARD_FROM, 1e12, 3 * _MOMENT_BLOCK + 1),
+        # one node per integrand call, as on a segment
+        np.array([0.5]),
+        np.array([50.0]),
+    ], ids=["range", "across-16", "next-to-16", "mixed-blocks", "below-2", "from-2", "one-below", "one-above"])
+    def test_moments_match_kummer_function(self, alpha):
+        for first, last in ORDER_SLICES:
+            expected = kummer_moments(alpha, first, last)
             got = _radial_moments(alpha, first, last)
             assert got.shape == expected.shape
             assert np.all(np.abs(got - expected) <= 1e-14 * expected), (first, last)
+
+    def test_keeps_the_shape_of_alpha(self):
+        # the facet integrand passes one column per mixture scale
+        alpha = np.geomspace(1e-3, 1e3, 2 * _MOMENT_BLOCK + 3).reshape(-1, 1)
+        got = _radial_moments(alpha, 2, 5)
+        assert got.shape == (4,) + alpha.shape
+        assert np.array_equal(got[:, :, 0], _radial_moments(alpha[:, 0], 2, 5))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 1)])
+    def test_empty(self, shape):
+        assert _radial_moments(np.empty(shape), 1, 3).shape == (3,) + shape
 
 
 class TestRadialPath:
@@ -228,6 +261,57 @@ class TestCones:
         # a tenth of the 31,981,500 evaluations the orthant tiling needed
         est = escape_probability_det(benchmark_elements["tetrahedron"], WienerStep(dt=0.1, dim=3))
         assert est.cost < 3_198_150
+
+
+class TestFirstPass:
+    """The radial path's first pass reads node data cached per cell."""
+
+    @pytest.mark.parametrize("cell", list(ReferenceCell))
+    def test_cached_node_data_is_that_of_the_first_boxes(self, cell):
+        cones = _CONE_CACHE[cell]
+        (lo, hi, k), cached = cones.first_pass
+        cone_lo, cone_hi, cone_k = cones.boxes([0.0, 1.0])
+        assert np.array_equal(lo, cone_lo[:, 1:]) and np.array_equal(hi, cone_hi[:, 1:])
+        assert np.array_equal(k, cone_k)
+        computed = []
+
+        def record(w, tags):
+            # the node data a refinement pass computes at these boxes' nodes
+            computed.append(cones.facet_nodes(w, tags))
+            return np.zeros(len(w))
+
+        quadrature._evaluate(record, lo, hi, k)
+        [data] = computed
+        assert len(cached) == len(data) == 3
+        for got, want in zip(cached, data):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert not any(array.flags.writeable for array in (lo, hi, k, *cached))
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    def test_cached_first_pass_changes_nothing(self, kind):
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        cones = _CONE_CACHE[element.reference_cell]
+        (lo, hi, k), nodes = cones.first_pass
+        amap = build_affine_map(element)
+        mixture = quadrature._mixture_hook(WienerStep(dt=0.1, dim=element.dim))
+
+        def f(w, tags):
+            return quadrature._facet_values(cones.facet_nodes(w, tags), amap, mixture)
+
+        config = QuadratureConfig()
+        cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, amap, mixture))
+        assert cached == _integrate_boxes(f, lo, hi, k, config)
+
+    def test_grid_eval_counts(self):
+        counts = {
+            kind: sum(escape_probability_det(element, WienerStep(dt=dt, dim=element.dim)).cost
+                      for dt in bench.DT_GRID)
+            for kind, element in bench.BENCHMARK_ELEMENTS.items()
+        }
+        assert counts == {
+            "segment": 12, "triangle": 660, "parallelogram": 720, "tetrahedron": 30_150, "parallelepiped": 32_400,
+        }
+        assert sum(counts.values()) == 63_942
 
 
 class TestErrorEstimateHonesty:
@@ -405,14 +489,18 @@ class TestEscapeDeterministic:
             return integrate_boxes(recording_f, *args, **kwargs)
 
         # the radial-moment path integrates over the facets, one dimension less
-        box_dim = element.dim - (quadrature._mixture_hook(law) is not None)
+        radial = quadrature._mixture_hook(law) is not None
+        box_dim = element.dim - radial
         limit = 3 * 15**box_dim  # three boxes per call
         monkeypatch.setattr(quadrature, "_MAX_POINTS", limit)
         monkeypatch.setattr(quadrature, "_integrate_boxes", recording_integrate_boxes)
         split = escape_probability_det(element, law, config)
         assert (split.value, split.error_estimate, split.cost) == (whole.value, whole.error_estimate, whole.cost)
         assert max(sizes) == limit
-        assert sum(sizes) == whole.cost
+        # the radial path reads its first pass from the cell's cache and
+        # calls the integrand on split boxes only
+        rays = _CONE_CACHE[element.reference_cell].first_pass[1][0]
+        assert sum(sizes) == whole.cost - (len(rays) if radial else 0)
 
 
 class TestTypicalScale:
