@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInterval, InputError
-from .geometry import MeshElement, ReferenceCell, _as_batch, build_affine_map, to_local
+from .geometry import MeshElement, ReferenceCell, _as_batch, build_affine_map
 
 __all__ = [
     "stay_fraction",
@@ -79,18 +79,28 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
     """Escape probability for a fixed global step.
 
     Equals ``1 - stay_fraction`` of the step expressed in the element's
-    reference-cell coordinates; affine maps preserve volume ratios, so no
-    geometry-specific overlap computation is needed.
+    reference-cell coordinates, ``A^-1 @ step`` (a displacement, so no
+    offset); affine maps preserve volume ratios, so no geometry-specific
+    overlap computation is needed.  ``global_step`` is one step ``(n,)``
+    or a batch ``(m, n)``.
 
     Raises
     ------
-    DegenerateElement
-        Propagated from the affine map construction.
+    DimensionMismatch
+        A step without the element's ``n`` components, or one whose local
+        coordinates are not finite.
     """
     amap = build_affine_map(element)
-    local = to_local(amap, global_step)
-    stay = stay_fraction(element.reference_cell, local)
-    return 1.0 - stay
+    step = np.asarray(global_step, dtype=float)
+    if step.ndim == 0 or step.shape[-1] != amap.dim:
+        raise DimensionMismatch(
+            f"step of shape {step.shape} does not have the element's {amap.dim} component(s)"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        local = amap.local_step(step)
+    if not np.isfinite(local).all():
+        raise DimensionMismatch("step produced non-finite local coordinates")
+    return 1.0 - stay_fraction(element.reference_cell, local)
 
 
 def conditional_transition_1d(source, target, step) -> float | np.ndarray:

@@ -72,7 +72,8 @@ class StepDistribution(ABC):
 
     A density that is a mixture of centred isotropic Gaussians may also be
     described by the private hook ``_scale_mixture(radii)``, which returns
-    ``(scales, weights)`` of shape ``(len(radii), q)``: the density is
+    ``(scales, weights)`` of shape ``(len(radii), q)``, or ``(1, q)`` when
+    they do not depend on the radius: the density is
     ``sum_j weights[:, j] N(0, scales[:, j]^2 I)`` along the rays whose
     longest steps have the given ``radii``.  The deterministic solver then
     integrates the radial coordinate of each cone in closed form.
@@ -175,8 +176,7 @@ class WienerStep(StepDistribution):
         return np.multiply(math.sqrt(self.dt), steps, out=steps)
 
     def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = len(radii)
-        return np.full((m, 1), self.typical_scale), np.ones((m, 1))
+        return np.array([[self.typical_scale]]), np.array([[1.0]])
 
 
 # The velocity-jump density is an integral taken in v = log u by the

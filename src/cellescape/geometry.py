@@ -3,14 +3,15 @@
 An element is described by its spanning vertices.  Each element kind is
 affinely equivalent to a reference unit cell; the map ``g(xi) = A @ xi + b``
 sends the reference cell onto the element, with the columns of ``A`` being
-the edge vectors from the first vertex.  All heavy operations (containment,
-uniform sampling) are vectorized over numpy arrays of points.
+the edge vectors from the first vertex.  Each element builds its map once,
+when it is made, and keeps it.  All heavy operations (containment, uniform
+sampling) are vectorized over numpy arrays of points.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "element_to_dict",
     "load_element",
     "build_affine_map",
-    "to_local",
     "contains",
     "sample_uniform",
     "measure",
@@ -104,15 +104,23 @@ class MeshElement:
 
     Use :func:`mesh_element` to construct one; it accepts either the
     spanning vertices or the full list and validates implied vertices.
+    The element's affine map is built once, when the element is made, and
+    kept on it read-only as ``affine_map``; degenerate spanning edges raise
+    ``DegenerateElement`` then.  Nothing on an element changes after it is
+    made, so threads may share it.
     """
 
     kind: ElementKind
     vertices: np.ndarray
+    affine_map: "AffineMap" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float)
+        # a copy, so that no array of the caller's can change the vertices
+        # under the map built from them
+        verts = np.array(self.vertices, dtype=float)
         verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "affine_map", _element_map(self))
 
     @property
     def dim(self) -> int:
@@ -160,8 +168,8 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
         Wrong vertex count, wrong coordinate dimension, non-finite
         coordinates, or redundant vertices that contradict the implied ones.
     DegenerateElement
-        Spanning edges that are linearly dependent, by the check of
-        :func:`build_affine_map`.
+        Spanning edges that are linearly dependent, by the check that
+        builds the element's affine map (see :func:`build_affine_map`).
     """
     try:
         kind = ElementKind(kind)
@@ -198,9 +206,7 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
                 f"supplied {kind.value} vertices are inconsistent with the "
                 f"vertices implied by the spanning ones",
             )
-    element = MeshElement(kind=kind, vertices=full)
-    build_affine_map(element)
-    return element
+    return MeshElement(kind=kind, vertices=full)
 
 
 def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -326,7 +332,15 @@ def build_affine_map(element: MeshElement) -> AffineMap:
     """Affine map sending the element's reference cell onto the element.
 
     Columns of the matrix are the edge vectors from the first vertex to the
-    other spanning vertices; the offset is the first vertex.
+    other spanning vertices; the offset is the first vertex.  The map is
+    the one built when the element was made, so every call returns the
+    same read-only object.
+    """
+    return element.affine_map
+
+
+def _element_map(element: MeshElement) -> AffineMap:
+    """The affine map of ``element``, built from its spanning vertices.
 
     Raises
     ------
@@ -348,23 +362,6 @@ def build_affine_map(element: MeshElement) -> AffineMap:
             f"(|det| = {abs(det):.3e} <= {eps:.3e})"
         )
     return AffineMap.from_matrix(matrix, a.copy(), det)
-
-
-def to_local(affine_map: AffineMap, global_step) -> np.ndarray:
-    """Convert a global displacement to reference-cell coordinates.
-
-    Returns ``A^-1 @ step``; no offset is applied because steps are
-    displacement vectors, not points.
-    """
-    step = np.asarray(global_step, dtype=float)
-    if step.ndim == 0 or step.shape[-1] != affine_map.dim:
-        raise DimensionMismatch(
-            f"step of shape {step.shape} does not have the map's {affine_map.dim} component(s)"
-        )
-    local = affine_map.local_step(step)
-    if not np.all(np.isfinite(local)):
-        raise DimensionMismatch("step produced non-finite local coordinates")
-    return local
 
 
 def _reference_contains(cell: ReferenceCell, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -17,9 +17,10 @@ the thread pool are made once.  Worker ``g`` of ``W`` draws, maps and tests
 the chunks ``g, g + W, ...`` of every run in place, in one workspace sized
 for one chunk: a buffer that takes the uniforms and then the law's steps,
 the reference points and the landing points as coordinate columns, and
-the containment mask.  A chunk then allocates nothing of its size apart
-from the temporaries of a law's ``sample`` and of the maps, so the heap is
-not trimmed and refilled chunk after chunk.  A law whose ``sample`` takes
+a mask that takes the landing points' finiteness check and then the
+containment test.  A chunk then allocates nothing of its size apart from
+the temporaries of a law's ``sample`` and of the maps, so the heap is not
+trimmed and refilled chunk after chunk.  A law whose ``sample`` takes
 no ``out`` draws into its own array, which is used as it is.  No workspace
 outlives its call.
 """
@@ -101,7 +102,9 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
 
     With ``complement`` it is the fraction that does not land there.  The
     error estimate is the binomial standard deviation at the value.  Run 0's
-    wall time also covers the setup that the runs share.
+    wall time also covers the setup that the runs share.  Steps of the
+    wrong shape, or that are not finite or too large to map, raise
+    ``DimensionMismatch``.
     """
     config = config or McConfig()
     workers = _check_workers(workers)
@@ -130,10 +133,10 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
     size = min(_CHUNK, config.particles)
     workers = min(workers, chunks)
     # One workspace per worker: the uniforms and then the steps, the
-    # reference points, the landing points, and the containment mask.  They
-    # are made in this thread, so they share its heap: made in the worker
-    # threads, which glibc serves from heaps of their own, they raised the
-    # benchmark's peak RSS by 4-7 MB.
+    # reference points, the landing points, and a mask for their finiteness
+    # and then for the containment test.  They are made in this thread, so
+    # they share its heap: made in the worker threads, which glibc serves
+    # from heaps of their own, they raised the benchmark's peak RSS by 4-7 MB.
     workspaces = [
         (np.empty(size * n), np.empty((n, size)), np.empty((n, size)), np.empty(size, dtype=bool))
         for _ in range(workers)
@@ -141,7 +144,7 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
 
     def count_landed(run: int, worker: int) -> int:
         """Particles of the chunks ``worker, worker + workers, ...`` of ``run`` that land in the target."""
-        draws, points, landing, inside = workspaces[worker]
+        draws, points, landing, mask = workspaces[worker]
         landed = 0
         for index in range(worker, chunks, workers):
             m = min(_CHUNK, config.particles - index * _CHUNK)
@@ -151,12 +154,18 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             steps = dist.sample(rng, m, out=raw.reshape(m, n)) if takes_out else dist.sample(rng, m)
             if np.shape(steps) != (m, n):
                 raise DimensionMismatch(f"the law sampled steps of shape {np.shape(steps)}, expected {(m, n)}")
-            local = step_map.to_global(steps, out=landing[:, :m].T)
+            with np.errstate(invalid="ignore", over="ignore"):  # refused below
+                local = step_map.to_global(steps, out=landing[:, :m].T)
             if reference_map is None:
                 local += xi
             else:  # the steps are mapped, so their buffer is free again
                 local += reference_map.to_global(xi, out=raw.reshape(n, m).T)
-            landed += int(np.count_nonzero(_reference_contains(tgt_cell, local, out=inside[:m])))
+            # A step with a NaN or infinite component lands at a point with no
+            # finite coordinate, which would count as outside the target: one
+            # coordinate column finds every such step.
+            if not np.isfinite(local[:, 0], out=mask[:m]).all():
+                raise DimensionMismatch("the law sampled non-finite steps, or steps too large to map")
+            landed += int(np.count_nonzero(_reference_contains(tgt_cell, local, out=mask[:m])))
         return landed
 
     estimates = []

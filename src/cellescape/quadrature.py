@@ -223,10 +223,10 @@ def _evaluate(f, lo, hi, tag):
 
 def _apply_rule(values, lo, hi):
     """The Kronrod estimate and the rule disagreement of each box, from its row of ``values`` at its nodes."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
     _, wh, wl = _RULE_CACHE[lo.shape[1]]
-    jac = np.prod(0.5 * (hi - lo), axis=1)
+    jac = (0.5 * (hi - lo)).prod(axis=1)
     high = jac * (values @ wh)
     low = jac * (values @ wl)
     return high, np.abs(high - low)
@@ -255,7 +255,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
     if lo.shape[0] == 0:
         return 0.0, 0.0, 0
     nodes_per_box = 15 ** lo.shape[1]
-    volumes = np.prod(hi - lo, axis=1)
+    volumes = (hi - lo).prod(axis=1)
     total_volume = float(volumes.sum())
     if values is None:
         high, err = _evaluate(f, lo, hi, tag)
@@ -267,19 +267,20 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
     while True:
         value = error = 0.0
         remaining_volume = total_volume
-        accepted = []  # (lo, hi, tag, high, err) of the accepted leaves
+        # (ok, lo, hi, tag, high, err) of each generation: the rows where
+        # ok is set are its accepted leaves, taken out only for a re-pass
+        accepted = []
         while True:
             rate = (budget - error) / remaining_volume
             ok = err <= rate * volumes
+            accepted.append((ok, lo, hi, tag, high, err))
             if ok.all():  # the last generation of a pass: no box to split
                 value += float(high.sum())
                 error += float(err.sum())
-                accepted.append((lo, hi, tag, high, err))
                 break
             value += float(high[ok].sum())
             error += float(err[ok].sum())
             remaining_volume -= float(volumes[ok].sum())
-            accepted.append((lo[ok], hi[ok], tag[ok], high[ok], err[ok]))
             split = ~ok
             lo, hi, tag = lo[split], hi[split], tag[split]
             if n_splits + lo.shape[0] > config.max_subdivisions:
@@ -296,7 +297,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
             lo = np.concatenate([lo, lo_right])
             hi = np.concatenate([hi_left, hi])
             tag = np.concatenate([tag, tag])
-            volumes = np.prod(hi - lo, axis=1)
+            volumes = (hi - lo).prod(axis=1)
             high, err = _evaluate(f, lo, hi, tag)
             n_evals += high.size * nodes_per_box
         goal = max(config.abs_tol, config.rel_tol * reported(value))
@@ -304,8 +305,9 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
             return value, error, n_evals
         # The relative goal tightened below the budget actually used:
         # re-process the accepted leaves against the smaller budget.
-        lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*accepted))
-        volumes = np.prod(hi - lo, axis=1)
+        leaves = [[array[ok] for array in arrays] for ok, *arrays in accepted]
+        lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*leaves))
+        volumes = (hi - lo).prod(axis=1)
         budget = goal
 
 
@@ -434,17 +436,22 @@ def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
     ``alpha = 2`` with no node in a block is skipped.
     """
     flat = alpha.reshape(-1)
-    out = np.empty((last - first + 1, flat.size))
-    for s in range(0, flat.size, _MOMENT_BLOCK):
-        a = flat[s:s + _MOMENT_BLOCK]
-        block = out[:, s:s + _MOMENT_BLOCK]
-        series = a < _UPWARD_FROM
-        for side, moments in ((series, _series_moments), (~series, _upward_moments)):
-            count = np.count_nonzero(side)
-            if count == len(a):  # no mask to apply
-                block[:] = moments(a, first, last)
-            elif count:
-                block[:, side] = moments(a[side], first, last)
+    if flat.size > _MOMENT_BLOCK:
+        out = np.empty((last - first + 1, flat.size))
+        for s in range(0, flat.size, _MOMENT_BLOCK):
+            out[:, s:s + _MOMENT_BLOCK] = _radial_moments(flat[s:s + _MOMENT_BLOCK], first, last)
+    else:
+        series = flat < _UPWARD_FROM
+        count = np.count_nonzero(series)
+        if count == flat.size:  # no mask to apply
+            out = _series_moments(flat, first, last)
+        elif count == 0:
+            out = _upward_moments(flat, first, last)
+        else:  # index arrays scatter faster than masks
+            out = np.empty((last - first + 1, flat.size))
+            below, above = np.flatnonzero(series), np.flatnonzero(~series)
+            out[:, below] = _series_moments(flat[below], first, last)
+            out[:, above] = _upward_moments(flat[above], first, last)
     return out.reshape(out.shape[:1] + alpha.shape)
 
 
@@ -468,11 +475,20 @@ def _mixture_hook(dist):
     counts only when that class also defines the law's ``density``: a
     subclass that overrides ``density`` alone is a law without the hook.
     """
+    return dist._scale_mixture if _owns_mixture(type(dist)) else None
+
+
+@functools.cache
+def _owns_mixture(law: type) -> bool:
+    """Whether the class in ``law``'s MRO that defines ``_scale_mixture`` also defines ``density``.
+
+    Decided once per class, from the class attributes as they are then.
+    """
     def owner(name):
-        return next((cls for cls in type(dist).__mro__ if name in vars(cls)), None)
+        return next((cls for cls in law.__mro__ if name in vars(cls)), None)
 
     hook = owner("_scale_mixture")
-    return dist._scale_mixture if hook is not None and hook is owner("density") else None
+    return hook is not None and hook is owner("density")
 
 
 def _bit_vectors(n: int) -> list[list[int]]:
@@ -531,6 +547,8 @@ class _Cones:
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
     abs_det: np.ndarray  # (cones,)
+    # (n + 1, 1): the stay polynomial of a simplex, the same on every ray; None on a box
+    simplex_stay: np.ndarray | None
 
     def boxes(self, breaks: list[float]):
         """One box per cone and radial interval between ``breaks``.
@@ -575,10 +593,13 @@ class _Cones:
         Returns the rays ``b(w)``, which are the steps at ``t = 1``, the
         facet's Jacobian there, and the ``(n + 1, points)`` coefficients of
         the stay fraction along each ray as a polynomial in ``t`` (see
-        ``_facet_values``).
+        ``_facet_values``); on a simplex they are the same on every ray and
+        come as one column, ``simplex_stay``.
         """
-        rays, jac = self.steps(np.hstack([np.ones((len(w), 1)), w]), k)
-        stay = _stay_polynomial(np.ones_like(rays) if self.cell.is_simplex else np.abs(rays))
+        x = np.ones((len(w), w.shape[1] + 1))
+        x[:, 1:] = w
+        rays, jac = self.steps(x, k)
+        stay = self.simplex_stay if self.cell.is_simplex else _stay_polynomial(np.abs(rays))
         return rays, jac, stay
 
     @functools.cached_property
@@ -613,6 +634,7 @@ def _cones(cell: ReferenceCell) -> _Cones:
         frames=frames,
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
         abs_det=np.abs(np.linalg.det(frames)),
+        simplex_stay=_stay_polynomial(np.ones((1, cell.dim))) if cell.is_simplex else None,
     )
 
 
@@ -749,10 +771,19 @@ def _facet_values(nodes, amap, mixture) -> np.ndarray:
     """
     rays, jac, stay = nodes
     n = rays.shape[1]
-    radii = np.linalg.norm(amap.global_step(rays), axis=1)
+    # |A b|^2 summed a coordinate column at a time, left to right as numpy
+    # sums a row: a reduce along rows of two or three runs one short loop
+    # per node, 5x slower on the 5,400 first-pass nodes of a parallelepiped
+    g = amap.global_step(rays)
+    squares = g * g
+    radii = squares[:, 0]
+    for j in range(1, n):
+        radii = radii + squares[:, j]
+    radii = np.sqrt(radii)
     scales, weights = mixture(radii)
     moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
-    radial = np.einsum("jm,jmq->mq", stay, moments)
+    # sum_j c_j M_(n-1+j); einsum's set-up costs more than this on few nodes
+    radial = np.add.reduce(stay[:, :, None] * moments, axis=0)
     gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)
     return (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
 

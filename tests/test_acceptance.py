@@ -25,7 +25,6 @@ from cellescape import (
     mesh_element,
     stay_fraction,
     theoretical_stat_error,
-    to_local,
     transition_probability_det_1d,
     transition_probability_mc,
 )
@@ -197,7 +196,7 @@ def test_criterion_5_property_suite():
         steps = rng.normal(size=(2000, element.dim)) * 3.0
         escapes = np.array([conditional_escape(element, s) for s in steps[:50]])
         range_ok &= bool(np.all((escapes >= 0.0) & (escapes <= 1.0)))
-        local = to_local(build_affine_map(element), steps)
+        local = build_affine_map(element).local_step(steps)
         values = 1.0 - stay_fraction(element.reference_cell, local)
         range_ok &= bool(np.all((values >= 0.0) & (values <= 1.0)))
     details.append(f"escape in [0,1]: {range_ok}")

@@ -237,14 +237,32 @@ class TestConditionalEscape:
         with pytest.raises(DimensionMismatch):
             conditional_escape(mesh_element("segment", [[0.0], [1.0]]), 0.5)
 
+    def test_wrong_width_step_is_a_dimension_mismatch(self, benchmark_elements):
+        for step in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], [1.0]):
+            with pytest.raises(DimensionMismatch):
+                conditional_escape(benchmark_elements["triangle"], step)
+
+    @pytest.mark.parametrize("step", [[np.nan, 0.0], [0.0, np.inf], [1e308, 1e308]])
+    def test_non_finite_local_step_is_a_dimension_mismatch(self, step):
+        # 1e308 is finite but overflows in the unit cell's coordinates
+        tiny = mesh_element("triangle", [[0, 0], [1e-3, 0], [0, 1e-3]])
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            conditional_escape(tiny, step)
+
+    def test_batch_of_steps(self, benchmark_elements):
+        steps = [[0.5, 0.0], [2.0, 0.0], [0.0, 0.0]]
+        escapes = conditional_escape(benchmark_elements["triangle"], steps)
+        assert escapes.shape == (3,)
+        assert list(escapes) == [conditional_escape(benchmark_elements["triangle"], s) for s in steps]
+
     def test_matches_stay_via_local_coordinates(self, benchmark_elements, rng):
-        from cellescape import build_affine_map, to_local
+        from cellescape import build_affine_map
 
         tet = benchmark_elements["tetrahedron"]
         amap = build_affine_map(tet)
         steps = rng.normal(size=(500, 3))
         escapes = np.array([conditional_escape(tet, s) for s in steps])
-        stays = stay_fraction(ReferenceCell.TETRAHEDRON, to_local(amap, steps))
+        stays = stay_fraction(ReferenceCell.TETRAHEDRON, amap.local_step(steps))
         assert np.allclose(escapes, 1.0 - stays)
 
 

@@ -11,6 +11,7 @@ from cellescape import (
     DimensionMismatch,
     ElementKind,
     InputError,
+    MeshElement,
     ReferenceCell,
     build_affine_map,
     contains,
@@ -20,7 +21,6 @@ from cellescape import (
     measure,
     mesh_element,
     sample_uniform,
-    to_local,
 )
 from cellescape.geometry import CONTAINMENT_TOL, _reference_contains, _sample_reference
 
@@ -92,6 +92,43 @@ class TestAffineMap:
         with pytest.raises(DegenerateElement):
             build_affine_map(mesh_element("triangle", [[0, 0], [1, 1], [2, 2]]))
 
+    @pytest.mark.parametrize("kind, vertices", [
+        ("segment", [[1.0], [1.0]]),
+        ("triangle", [[0, 0], [1, 1], [2, 2]]),
+        ("parallelogram", [[0, 0], [1, 2], [2, 4]]),
+        ("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+        ("parallelepiped", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+    ])
+    def test_degenerate_vertices_raise_when_the_element_is_made(self, kind, vertices):
+        with pytest.raises(DegenerateElement):
+            mesh_element(kind, vertices)
+        with pytest.raises(DegenerateElement):
+            MeshElement(kind=ElementKind(kind), vertices=np.asarray(vertices, dtype=float))
+
+    def test_one_map_per_element(self, benchmark_elements):
+        for element in benchmark_elements.values():
+            amap = build_affine_map(element)
+            assert build_affine_map(element) is amap
+            assert element.affine_map is amap
+
+    def test_caller_arrays_do_not_alias_the_element(self):
+        verts = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0]])
+        element = mesh_element("triangle", verts)
+        verts[1, 0] = 4.0
+        assert element.vertices[1, 0] == 2.0
+        assert np.array_equal(build_affine_map(element).matrix, [[2.0, 3.0], [0.0, 2.0]])
+        assert verts.flags.writeable
+
+    def test_map_arrays_are_read_only(self, benchmark_elements):
+        for element in benchmark_elements.values():
+            amap = build_affine_map(element)
+            for array in (amap.matrix, amap.offset, amap.inverse):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            with pytest.raises(AttributeError):
+                element.affine_map = amap
+
     def test_degeneracy_threshold_is_scale_free(self):
         # same shape, vastly different units: both must be rejected
         for scale in (1e-6, 1e6):
@@ -142,26 +179,26 @@ class TestAffineMap:
             assert np.allclose(back, points, rtol=1e-10, atol=1e-10)
 
 
-class TestToLocal:
+class TestLocalStep:
     def test_identity_map(self):
         amap = build_affine_map(mesh_element("triangle", [[0, 0], [1, 0], [0, 1]]))
-        assert np.allclose(to_local(amap, [0.3, -0.2]), [0.3, -0.2])
+        assert np.allclose(amap.local_step([0.3, -0.2]), [0.3, -0.2])
 
     def test_benchmark_triangle_edges(self, benchmark_elements):
         # (2,0) is exactly edge AB and (3,2) exactly edge AC
         amap = build_affine_map(benchmark_elements["triangle"])
-        assert np.allclose(to_local(amap, [2.0, 0.0]), [1.0, 0.0])
-        assert np.allclose(to_local(amap, [3.0, 2.0]), [0.0, 1.0])
-
-    def test_dimension_mismatch(self, benchmark_elements):
-        amap = build_affine_map(benchmark_elements["triangle"])
-        with pytest.raises(DimensionMismatch):
-            to_local(amap, [1.0, 2.0, 3.0])
+        assert np.allclose(amap.local_step([2.0, 0.0]), [1.0, 0.0])
+        assert np.allclose(amap.local_step([3.0, 2.0]), [0.0, 1.0])
 
     def test_batch_steps(self, benchmark_elements):
         amap = build_affine_map(benchmark_elements["triangle"])
-        local = to_local(amap, [[2.0, 0.0], [3.0, 2.0]])
+        local = amap.local_step([[2.0, 0.0], [3.0, 2.0]])
         assert np.allclose(local, [[1, 0], [0, 1]])
+
+    def test_steps_ignore_the_offset(self):
+        amap = build_affine_map(mesh_element("segment", [[0.5], [2.5]]))
+        assert np.array_equal(amap.local_step([[1.0]]), [[0.5]])
+        assert np.array_equal(amap.to_local([[1.0]]), [[0.25]])
 
 
 class TestContains:

@@ -371,6 +371,54 @@ class TestUserLawOfWrongCount:
             escape_probability_mc(benchmark_elements["triangle"], WrongCount(extra), config, workers=workers)
 
 
+class NonFiniteStep(StepDistribution):
+    """A user law whose ``sample`` returns Gaussian steps with one entry replaced by ``bad``.
+
+    The bad entry sits in the last row of every sample, in coordinate ``dim - 1``.
+    """
+
+    def __init__(self, dim, bad):
+        self.dim = dim
+        self.bad = bad
+
+    def sample(self, rng, size, out=None):
+        steps = rng.standard_normal((size, self.dim), out=out)
+        steps[-1, -1] = self.bad
+        return steps
+
+
+class TestUserLawOfNonFiniteSteps:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["segment", "triangle", "tetrahedron"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_steps_raise(self, benchmark_elements, bad, kind, workers):
+        # an all-NaN law on the triangle used to report escape 1.0 +- 0
+        element = benchmark_elements[kind]
+        law = NonFiniteStep(element.dim, bad)
+        config = McConfig(particles=2 * 2**16 + 3, seed=1)
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            escape_probability_mc(element, law, config, workers=workers)
+        neighbour = mesh_element(element.kind, element.vertices + 1.0)
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            transition_probability_mc(element, neighbour, law, config, workers=workers)
+
+    def test_steps_that_overflow_the_map_are_refused(self):
+        # 1e308 on a segment of length 1e-3 lands at 1e311 in reference coordinates
+        segment = mesh_element("segment", [[0.0], [1e-3]])
+        with pytest.raises(DimensionMismatch, match="too large to map"):
+            escape_probability_mc(segment, NonFiniteStep(1, 1e308), McConfig(particles=10**4, seed=1))
+
+    def test_all_nan_law_is_refused(self, benchmark_elements):
+        class AllNan(StepDistribution):
+            dim = 2
+
+            def sample(self, rng, size):
+                return np.full((size, 2), np.nan)
+
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            escape_probability_mc(benchmark_elements["triangle"], AllNan(), McConfig(particles=10**4, seed=1))
+
+
 class TestTransitionMc:
     def test_zero_step_stays_in_source(self, benchmark_elements):
         tri = benchmark_elements["triangle"]

@@ -234,10 +234,15 @@ class TestRadialPath:
                 return 0.5 * super().density(steps)
 
         law = ScaledWiener(dt=0.1, dim=2)
-        assert quadrature._mixture_hook(law) is None
         element = benchmark_elements["triangle"]
+        # the hook is decided once per class: a solve under the parent law
+        # first must not hand its decision to the subclass
+        radial = escape_probability_det(element, WienerStep(dt=0.1, dim=2))
+        assert quadrature._mixture_hook(WienerStep(dt=0.1, dim=2)) is not None
+        assert quadrature._mixture_hook(law) is None
         overridden = escape_probability_det(element, law)
         cone = escape_probability_det(element, ConeWiener(0.1, 2))
+        assert overridden.cost > radial.cost
         # half the stay probability: the override's density was integrated
         tolerance = overridden.error_estimate + 0.5 * cone.error_estimate
         assert abs((1.0 - overridden.value) - 0.5 * (1.0 - cone.value)) <= tolerance
@@ -301,6 +306,35 @@ class TestFirstPass:
         config = QuadratureConfig()
         cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, amap, mixture))
         assert cached == _integrate_boxes(f, lo, hi, k, config)
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    @pytest.mark.parametrize("dt", [0.01, 1.0, 100.0])
+    def test_facet_values_equal_the_norm_and_einsum_formula(self, kind, dt):
+        # the column sums of |A b|^2 and the product-and-reduce over the stay
+        # polynomial keep numpy's order of summation, so no bit moves
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        amap = build_affine_map(element)
+        law = WienerStep(dt=dt, dim=element.dim)
+        _, (rays, jac, stay) = _CONE_CACHE[element.reference_cell].first_pass
+        n = element.dim
+        radii = np.linalg.norm(rays @ amap.matrix.T, axis=1)
+        moments = _radial_moments(0.5 * (radii[:, None] / law.typical_scale) ** 2, n - 1, 2 * n - 1)
+        radial = np.einsum("jm,jmq->mq", np.broadcast_to(stay, (n + 1, len(rays))), moments)
+        gauss = (2.0 * math.pi * law.typical_scale**2) ** (-n / 2.0)
+        expected = (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
+        got = quadrature._facet_values((rays, jac, stay), amap, quadrature._mixture_hook(law))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    def test_rebuilt_element_solves_bit_for_bit(self, kind):
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        rebuilt = mesh_element(element.kind, element.vertices.tolist())
+        assert build_affine_map(rebuilt) is not build_affine_map(element)
+        for dist in (WienerStep(dt=0.1, dim=element.dim), ConeWiener(1.0, element.dim)):
+            if kind == "tetrahedron" and isinstance(dist, ConeWiener):
+                continue  # the cone cubature of the tetrahedron takes seconds
+            a, b = escape_probability_det(element, dist), escape_probability_det(rebuilt, dist)
+            assert (a.value.hex(), a.error_estimate.hex(), a.cost) == (b.value.hex(), b.error_estimate.hex(), b.cost)
 
     def test_grid_eval_counts(self):
         counts = {
