@@ -23,7 +23,6 @@ __all__ = [
     "ReferenceCell",
     "MeshElement",
     "AffineMap",
-    "Box",
     "mesh_element",
     "element_from_dict",
     "element_to_dict",
@@ -74,52 +73,64 @@ _KIND_INFO = {
 }
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by its lower and upper corners."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
-            raise ValueError("box corners must be non-empty 1D arrays of equal length")
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent along every axis")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshElement:
-    """A mesh cell given by its full (canonical) vertex list.
+    """A validated mesh cell, kept with its full (canonical) vertex list.
 
-    Use :func:`mesh_element` to construct one; it accepts either the
-    spanning vertices or the full list and validates implied vertices.
+    ``MeshElement(kind, vertices)`` and :func:`mesh_element` are the same
+    call: ``kind`` may be given as its name, and ``vertices`` as either the
+    spanning vertices or the full list, whose implied vertices are checked.
     The element's affine map is built once, when the element is made, and
     kept on it read-only as ``affine_map``; degenerate spanning edges raise
     ``DegenerateElement`` then.  Nothing on an element changes after it is
-    made, so threads may share it.
+    made, so threads may share it.  Elements compare and hash by identity.
     """
 
     kind: ElementKind
     vertices: np.ndarray
-    affine_map: "AffineMap" = field(init=False, repr=False, compare=False)
+    affine_map: "AffineMap" = field(init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            kind = ElementKind(self.kind)
+        except ValueError:
+            valid = ", ".join(k.value for k in ElementKind)
+            raise InputError("kind", f"unknown element kind {self.kind!r}; expected one of {valid}") from None
+        dim, n_span, n_full, _ = _KIND_INFO[kind]
+
         # a copy, so that no array of the caller's can change the vertices
         # under the map built from them
         verts = np.array(self.vertices, dtype=float)
-        verts.flags.writeable = False
-        object.__setattr__(self, "vertices", verts)
+        if kind == ElementKind.SEGMENT and verts.ndim == 1:
+            verts = verts[:, None]
+        if verts.ndim != 2:
+            raise InputError("vertices", "expected a 2D array of vertex coordinates")
+        if verts.shape[1] != dim:
+            raise InputError(
+                "vertices",
+                f"{kind.value} vertices must have {dim} coordinate(s), got {verts.shape[1]}",
+            )
+        if not np.all(np.isfinite(verts)):
+            raise InputError("vertices", "coordinates must be finite numbers")
+        if verts.shape[0] not in (n_span, n_full):
+            expected = str(n_span) if n_span == n_full else f"{n_span} or {n_full}"
+            raise InputError(
+                "vertices",
+                f"{kind.value} expects {expected} vertices, got {verts.shape[0]}",
+            )
+
+        full = _implied_vertices(kind, verts[:n_span])
+        if verts.shape[0] == n_full and n_full > n_span:
+            scale = max(np.max(np.abs(full)), 1.0)
+            if not np.allclose(verts[n_span:], full[n_span:], rtol=0.0, atol=IMPLIED_VERTEX_RTOL * scale):
+                raise InputError(
+                    "vertices",
+                    f"supplied {kind.value} vertices are inconsistent with the "
+                    f"vertices implied by the spanning ones",
+                )
+        full.flags.writeable = False
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vertices", full)
         object.__setattr__(self, "affine_map", _element_map(self))
 
     @property
@@ -148,7 +159,7 @@ def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
 
 
 def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
-    """Build a validated mesh element.
+    """Build a validated mesh element; the same as ``MeshElement(kind, vertices)``.
 
     Parameters
     ----------
@@ -165,48 +176,14 @@ def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
     Raises
     ------
     InputError
-        Wrong vertex count, wrong coordinate dimension, non-finite
-        coordinates, or redundant vertices that contradict the implied ones.
+        Unknown kind, wrong vertex count, wrong coordinate dimension,
+        non-finite coordinates, or redundant vertices that contradict the
+        implied ones.
     DegenerateElement
         Spanning edges that are linearly dependent, by the check that
         builds the element's affine map (see :func:`build_affine_map`).
     """
-    try:
-        kind = ElementKind(kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in ElementKind)
-        raise InputError("kind", f"unknown element kind {kind!r}; expected one of {valid}") from None
-    dim, n_span, n_full, _ = _KIND_INFO[kind]
-
-    verts = np.asarray(vertices, dtype=float)
-    if kind == ElementKind.SEGMENT and verts.ndim == 1:
-        verts = verts[:, None]
-    if verts.ndim != 2:
-        raise InputError("vertices", "expected a 2D array of vertex coordinates")
-    if verts.shape[1] != dim:
-        raise InputError(
-            "vertices",
-            f"{kind.value} vertices must have {dim} coordinate(s), got {verts.shape[1]}",
-        )
-    if not np.all(np.isfinite(verts)):
-        raise InputError("vertices", "coordinates must be finite numbers")
-    if verts.shape[0] not in (n_span, n_full):
-        expected = str(n_span) if n_span == n_full else f"{n_span} or {n_full}"
-        raise InputError(
-            "vertices",
-            f"{kind.value} expects {expected} vertices, got {verts.shape[0]}",
-        )
-
-    full = _implied_vertices(kind, verts[:n_span])
-    if verts.shape[0] == n_full and n_full > n_span:
-        scale = max(np.max(np.abs(full)), 1.0)
-        if not np.allclose(verts[n_span:], full[n_span:], rtol=0.0, atol=IMPLIED_VERTEX_RTOL * scale):
-            raise InputError(
-                "vertices",
-                f"supplied {kind.value} vertices are inconsistent with the "
-                f"vertices implied by the spanning ones",
-            )
-    return MeshElement(kind=kind, vertices=full)
+    return MeshElement(kind, vertices)
 
 
 def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:

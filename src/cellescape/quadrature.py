@@ -48,13 +48,12 @@ import numpy as np
 
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law, _integer
-from .errors import DimensionMismatch, NonFiniteIntegrand, ToleranceNotMet
-from .geometry import Box, MeshElement, ReferenceCell, _check_element, build_affine_map
+from .errors import NonFiniteIntegrand, ToleranceNotMet
+from .geometry import MeshElement, ReferenceCell, _check_element, build_affine_map
 
 __all__ = [
     "QuadratureConfig",
     "ProbabilityEstimate",
-    "integrate_adaptive",
     "escape_probability_det",
     "transition_probability_det_1d",
 ]
@@ -309,42 +308,6 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
         lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*leaves))
         volumes = (hi - lo).prod(axis=1)
         budget = goal
-
-
-def integrate_adaptive(f, box: Box, config: QuadratureConfig | None = None):
-    """Integrate ``f`` over an axis-aligned box (1 <= dim <= 3).
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand mapping an ``(m, n)`` array of points to an
-        ``(m,)`` array of values.
-    box : Box
-        Integration domain with positive volume.
-    config : QuadratureConfig, optional
-
-    Returns
-    -------
-    (value, error_estimate) : tuple of float
-        ``error_estimate`` is the accumulated rule disagreement of the
-        accepted boxes and satisfies
-        ``error_estimate <= max(abs_tol, rel_tol * |value|)``.
-
-    Raises
-    ------
-    ToleranceNotMet
-        When ``max_subdivisions`` is exhausted; carries the best value and
-        the achieved error estimate.
-    NonFiniteIntegrand
-        If any integrand evaluation is NaN or infinite.
-    """
-    config = config or _DEFAULT_CONFIG
-    if box.dim not in (1, 2, 3):
-        raise DimensionMismatch("adaptive integration supports dimensions 1-3")
-    value, error, _ = _integrate_boxes(
-        lambda x, _: f(x), box.lo[None], box.hi[None], np.zeros(1, dtype=np.intp), config
-    )
-    return value, error
 
 
 # Cody's rational Chebyshev approximations of the scaled complementary error

@@ -289,6 +289,9 @@ EXIT_CODE_TABLE = {
     "transition-degenerate-triangle": (
         ["transition", "--source", "degenerate", "--target", "degenerate",
          "--distribution", "wiener", "--method", "mc"], None, 2, "vertices"),
+    "transition-1d-source-2d-target": (
+        ["transition", "--source", "unit", "--target", "triangle", "--distribution", "wiener"],
+        None, 2, "vertices"),
     "missing-geometry": (
         ["escape", "--geometry", "missing", "--distribution", "wiener"], None, 2, "geometry"),
     "missing-source": (

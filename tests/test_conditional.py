@@ -307,6 +307,17 @@ class TestConditionalTransition1D:
             transition_probability_det_1d(source, target, WienerStep(dt=1.0, dim=1))
         assert info.value.field == field
 
+    @pytest.mark.parametrize("pair", [(0.0,), (0.0, 1.0, 2.0), None, "ab"], ids=["one", "three", "none", "str"])
+    @pytest.mark.parametrize("field", ["source", "target"])
+    def test_interval_that_is_not_a_pair_named(self, field, pair):
+        intervals = {"source": (0.0, 1.0), "target": (1.0, 2.0), field: pair}
+        with pytest.raises(InputError) as info:
+            conditional_transition_1d(intervals["source"], intervals["target"], 0.5)
+        assert info.value.field == field
+        with pytest.raises(InputError) as info:
+            transition_probability_det_1d(intervals["source"], intervals["target"], WienerStep(dt=1.0, dim=1))
+        assert info.value.field == field
+
     def test_interval_overlap_oracle(self, rng):
         a, b, c, d = 0.3, 1.7, 1.2, 2.9
         for dx in rng.uniform(-3, 4, size=200):

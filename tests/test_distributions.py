@@ -294,6 +294,14 @@ class TestConfig:
             distribution_from_dict({"law": "levy"}, dim=1)
         with pytest.raises(InputError, match="dt"):
             distribution_from_dict({"law": "wiener", "dt": "fast"}, dim=1)
+        with pytest.raises(InputError, match="'distribution'"):
+            distribution_from_dict([], dim=1)
+
+        class UserLaw(StepDistribution):
+            dim = 1
+
+        with pytest.raises(InputError, match="'law'"):
+            distribution_to_dict(UserLaw())
 
     @pytest.mark.parametrize("value", [True, np.bool_(True), "0.1", None, [0.1]],
                              ids=["bool", "np.bool", "str", "none", "list"])

@@ -75,6 +75,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             element.vertices[0] = 5.0
 
+    def test_elements_compare_and_hash_by_identity(self):
+        vertices = [[0, 0], [2, 0], [3, 2]]
+        a = mesh_element("triangle", vertices)
+        assert a == a
+        assert a != mesh_element("triangle", vertices)
+        assert {a: 1}[a] == 1
+        assert hash(a) == hash(a)
+
 
 class TestAffineMap:
     def test_benchmark_triangle(self, benchmark_elements):
@@ -92,18 +100,35 @@ class TestAffineMap:
         with pytest.raises(DegenerateElement):
             build_affine_map(mesh_element("triangle", [[0, 0], [1, 1], [2, 2]]))
 
-    @pytest.mark.parametrize("kind, vertices", [
-        ("segment", [[1.0], [1.0]]),
-        ("triangle", [[0, 0], [1, 1], [2, 2]]),
-        ("parallelogram", [[0, 0], [1, 2], [2, 4]]),
-        ("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
-        ("parallelepiped", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+    @pytest.mark.parametrize("kind, vertices, error, field", [
+        ("segment", [[1.0], [1.0]], DegenerateElement, None),
+        ("triangle", [[0, 0], [1, 1], [2, 2]], DegenerateElement, None),
+        ("parallelogram", [[0, 0], [1, 2], [2, 4]], DegenerateElement, None),
+        ("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, None),
+        ("parallelepiped", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, None),
+        ("triangle", [[0, 0], [1, 0]], InputError, "vertices"),
+        ("triangle", [[0, 0, 0], [1, 0, 0], [0, 1, 0]], InputError, "vertices"),
+        ("triangle", [[0, 0], [1, 0], [0, math.nan]], InputError, "vertices"),
+        ("triangle", [0.0, 1.0, 2.0], InputError, "vertices"),
+        ("hexagon", [[0, 0]], InputError, "kind"),
     ])
-    def test_degenerate_vertices_raise_when_the_element_is_made(self, kind, vertices):
-        with pytest.raises(DegenerateElement):
-            mesh_element(kind, vertices)
-        with pytest.raises(DegenerateElement):
-            MeshElement(kind=ElementKind(kind), vertices=np.asarray(vertices, dtype=float))
+    def test_degenerate_vertices_raise_when_the_element_is_made(self, kind, vertices, error, field):
+        # the class and the function run the same checks
+        for make in (mesh_element, MeshElement):
+            with pytest.raises(error) as info:
+                make(kind, vertices)
+            assert getattr(info.value, "field", None) == field
+
+    @pytest.mark.parametrize("kind, vertices, full", [
+        ("triangle", [[0, 0], [2, 0], [3, 2]], [[0, 0], [2, 0], [3, 2]]),
+        ("parallelogram", [[0, 0], [2, 0], [1, 2]], [[0, 0], [2, 0], [1, 2], [3, 2]]),
+        ("segment", [0.0, 2.0], [[0.0], [2.0]]),
+    ])
+    def test_both_constructors_make_the_same_element(self, kind, vertices, full):
+        for make in (mesh_element, MeshElement):
+            element = make(kind, vertices)
+            assert element.kind is ElementKind(kind)
+            assert element_to_dict(element) == {"kind": kind, "vertices": full}
 
     def test_one_map_per_element(self, benchmark_elements):
         for element in benchmark_elements.values():
@@ -167,6 +192,11 @@ class TestAffineMap:
             mapped = amap.to_global(np.asarray(reference_corners[name], dtype=float))
             scale = np.max(np.abs(element.vertices))
             assert np.allclose(mapped, element.vertices, atol=1e-12 * scale)
+
+    def test_points_of_the_wrong_width(self, benchmark_elements):
+        amap = build_affine_map(benchmark_elements["triangle"])
+        with pytest.raises(DimensionMismatch):
+            amap.to_global(np.zeros((4, 3)))
 
     def test_round_trip(self, rng):
         from conftest import random_element
@@ -400,11 +430,16 @@ class TestSerialization:
             assert rebuilt.kind == element.kind
             assert np.array_equal(rebuilt.vertices, element.vertices)
 
-    def test_missing_fields_named(self):
-        with pytest.raises(InputError, match="kind"):
-            element_from_dict({"vertices": [[0], [1]]})
-        with pytest.raises(InputError, match="vertices"):
-            element_from_dict({"kind": "segment"})
+    @pytest.mark.parametrize("data, field", [
+        ({"vertices": [[0], [1]]}, "kind"),
+        ({"kind": "segment"}, "vertices"),
+        ([], "geometry"),
+        ({"kind": "triangle", "vertices": [[0, "a"], [1, 0], [0, 1]]}, "vertices"),
+    ])
+    def test_malformed_fields_named(self, data, field):
+        with pytest.raises(InputError) as info:
+            element_from_dict(data)
+        assert info.value.field == field
 
     def test_load_element(self, tmp_path):
         path = tmp_path / "tri.json"
