@@ -5,9 +5,11 @@ uniformly in the source cell; the estimate is the fraction of particles
 that end up outside (escape) or inside the target (transition).  The value
 is a multiple of 1/N -- quantized, but unbiased.
 
-Particles are processed in chunks of ``_CHUNK``, each driven by its own
-counter-based Philox stream keyed by ``(seed, chunk index)``; the repeated
-runs of one configuration start that stream at distinct counters.  Chunk
+Particles are processed in chunks of ``_CHUNK``.  Chunk ``i`` of run ``r``
+of seed ``s`` draws from its own SFC64 stream, seeded by
+``SeedSequence(s, spawn_key=(i, r))``, which hashes the whole key into the
+generator's state, so distinct ``(seed, chunk, run)`` keys draw from
+unrelated streams and no run of one seed repeats a run of another.  Chunk
 results are exact integer counts, so the estimate is a deterministic
 function of the configuration and independent of how many workers process
 the chunks.
@@ -58,9 +60,9 @@ _CHUNK = 2**16
 class McConfig:
     """Monte Carlo run configuration.
 
-    ``seed`` is any integer in ``[0, 2**64)``.  Run ``r`` of
-    :func:`repeat_escape_probability_mc` keeps the seed and starts every
-    chunk's stream at the counter ``r * 2**192``, so run 0 is the
+    ``seed`` is any integer in ``[0, 2**64)``.  Chunk ``i`` of run ``r`` of
+    :func:`repeat_escape_probability_mc` draws from
+    ``SFC64(SeedSequence(seed, spawn_key=(i, r)))``, so run 0 is the
     single-call estimate and no run of one seed repeats a run of another.
     """
 
@@ -83,10 +85,8 @@ class McConfig:
 
 
 def _chunk_stream(seed: int, index: int, run: int) -> np.random.Generator:
-    """Philox keyed by ``(seed, chunk index)``, its counter's top word set to the run."""
-    key = np.array([seed, index], dtype=np.uint64)
-    counter = np.array([0, 0, 0, run], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    """SFC64 seeded by ``SeedSequence(seed, spawn_key=(chunk index, run))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index, run))))
 
 
 def _check_workers(workers: int) -> int:
@@ -222,9 +222,10 @@ def repeat_escape_probability_mc(
 ) -> list[ProbabilityEstimate]:
     """Run the escape estimator ``config.runs`` times with independent streams.
 
-    Run ``r`` keeps ``config.seed`` and starts its streams at the Philox
-    counter ``r * 2**192``, so the first entry reproduces a single
-    :func:`escape_probability_mc` call with the same config.
+    Run ``r`` keeps ``config.seed`` and draws chunk ``i`` from
+    ``SFC64(SeedSequence(config.seed, spawn_key=(i, r)))``, so the first
+    entry reproduces a single :func:`escape_probability_mc` call with the
+    same config.
     """
     _check_element("element", element)
     config = config or McConfig()

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +77,11 @@ def test_module_names_are_public(module):
     names = importlib.import_module(f"cellescape.{module}").__all__
     assert len(names) == len(set(names))
     assert set(names) <= PUBLIC_NAMES
+
+
+def test_package_and_project_versions_agree():
+    # the report's provenance.version names the Monte Carlo stream rule, so
+    # the installed metadata must carry the same version as the package
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE).group(1)
+    assert project == cellescape.__version__
