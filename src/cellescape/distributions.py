@@ -18,7 +18,6 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-import operator
 from abc import ABC
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     OriginSingularity,
     SamplerUnavailable,
 )
-from .geometry import _as_batch
+from .geometry import _as_batch, _integer
 
 __all__ = [
     "StepDistribution",
@@ -130,16 +129,6 @@ def _sample_takes_out(dist) -> bool:
     except (TypeError, ValueError):  # a callable without a readable signature
         return False
     return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in parameters)
-
-
-def _integer(value) -> int | None:
-    """``value`` as an int if it is an integer, numpy's too, but not a bool; else None."""
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 def _positive(field: str, value) -> float:

@@ -11,6 +11,7 @@ sampling) are vectorized over numpy arrays of points.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,14 +64,23 @@ class ReferenceCell(Enum):
         self.is_simplex = is_simplex
 
 
-_KIND_INFO = {
-    # kind: (dim, number of spanning vertices, full vertex count, reference cell)
-    ElementKind.SEGMENT: (1, 2, 2, ReferenceCell.INTERVAL),
-    ElementKind.TRIANGLE: (2, 3, 3, ReferenceCell.TRIANGLE),
-    ElementKind.PARALLELOGRAM: (2, 3, 4, ReferenceCell.SQUARE),
-    ElementKind.TETRAHEDRON: (3, 4, 4, ReferenceCell.TETRAHEDRON),
-    ElementKind.PARALLELEPIPED: (3, 4, 8, ReferenceCell.CUBE),
+_KIND_CELL = {
+    ElementKind.SEGMENT: ReferenceCell.INTERVAL,
+    ElementKind.TRIANGLE: ReferenceCell.TRIANGLE,
+    ElementKind.PARALLELOGRAM: ReferenceCell.SQUARE,
+    ElementKind.TETRAHEDRON: ReferenceCell.TETRAHEDRON,
+    ElementKind.PARALLELEPIPED: ReferenceCell.CUBE,
 }
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is an integer, numpy's too, but not a bool; else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +106,9 @@ class MeshElement:
         except ValueError:
             valid = ", ".join(k.value for k in ElementKind)
             raise InputError("kind", f"unknown element kind {self.kind!r}; expected one of {valid}") from None
-        dim, n_span, n_full, _ = _KIND_INFO[kind]
+        cell = _KIND_CELL[kind]
+        dim, n_span = cell.dim, cell.dim + 1  # the first vertex and one per edge span
+        n_full = n_span if cell.is_simplex else 2**dim  # a box has all its corners
 
         # a copy, so that no array of the caller's can change the vertices
         # under the map built from them
@@ -135,15 +147,15 @@ class MeshElement:
 
     @property
     def dim(self) -> int:
-        return _KIND_INFO[self.kind][0]
+        return self.reference_cell.dim
 
     @property
     def reference_cell(self) -> ReferenceCell:
-        return _KIND_INFO[self.kind][3]
+        return _KIND_CELL[self.kind]
 
     @property
     def spanning_vertices(self) -> np.ndarray:
-        return self.vertices[: _KIND_INFO[self.kind][1]]
+        return self.vertices[: self.dim + 1]
 
 
 def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
@@ -415,10 +427,14 @@ def sample_uniform(element: MeshElement, rng: np.random.Generator, size: int | N
 
     Samples uniformly in the reference cell and applies the affine map,
     which preserves uniformity.  Returns shape ``(n,)`` when ``size`` is
-    None, else ``(size, n)``.  Only the supplied generator is mutated.
+    None, else ``(size, n)``; any other ``size`` than a non-negative
+    integer (not a bool) raises ``InputError``.  Only the supplied generator
+    is mutated.
     """
+    m = 1 if size is None else _integer(size)
+    if m is None or m < 0:
+        raise InputError("size", f"expected a non-negative integer, got {size!r}")
     amap = build_affine_map(element)
-    m = 1 if size is None else int(size)
     local = _sample_reference(element.reference_cell, rng, m)
     pts = amap.to_global(local)
     if size is None:

@@ -36,9 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_law, _integer, _sample_takes_out
+from .distributions import _check_law, _sample_takes_out
 from .errors import DimensionMismatch, InputError, TooFewRuns
-from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference, build_affine_map
+from .geometry import (
+    AffineMap, MeshElement, _check_element, _integer, _reference_contains, _sample_reference, build_affine_map,
+)
 from .quadrature import ProbabilityEstimate
 
 __all__ = [
@@ -236,8 +238,8 @@ def theoretical_stat_error(p: float, n: int) -> float:
     """Binomial standard deviation ``sqrt(p (1 - p) / n)``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if _integer(n) is None or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     return math.sqrt(p * (1.0 - p) / n)
 
 

@@ -24,15 +24,16 @@ and its radial integral against each Gaussian is a sum of the moments
 ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, in closed form: a
 series below ``alpha = 2`` and Cody's rational approximations of
 ``exp(y^2) erfc(y)`` above, each one product of a coefficient table and a
-power table, taken over blocks of bounded size.  The cubature runs over the
-facet coordinates ``w`` alone, and a segment's two cones need none.  Every
-such solve starts on the same facet boxes of its reference cell, so the
-rays, facet Jacobians and stay polynomials at their nodes are built once
-per cell; a solve applies its affine map and its law to them, and computes
-node data afresh only for the boxes it splits.  Every other law --
-``VelocityJumpStep``, user laws, and subclasses that override ``density``
--- keeps the cubature over whole cones, whose radial axis is split
-geometrically toward the zero step and integrated down to it.
+power table over all nodes of an integrand call, whose size ``_MAX_POINTS``
+bounds on both paths.  The cubature runs over the facet coordinates ``w``
+alone, and a segment's two cones need none.  Every such solve starts on
+the same facet boxes of its reference cell, so the rays, facet Jacobians
+and stay polynomials at their nodes are built once per cell; a solve
+applies its affine map and its law to them, and computes node data afresh
+only for the boxes it splits.  Every other law -- ``VelocityJumpStep``,
+user laws, and subclasses that override ``density`` -- keeps the cubature
+over whole cones, whose radial axis is split geometrically toward the zero
+step and integrated down to it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import _interval, conditional_transition_1d, stay_fraction
-from .distributions import _check_law, _integer
+from .distributions import _check_law
 from .errors import NonFiniteIntegrand, ToleranceNotMet
-from .geometry import MeshElement, ReferenceCell, _check_element, build_affine_map
+from .geometry import MeshElement, ReferenceCell, _check_element, _integer, build_affine_map
 
 __all__ = [
     "QuadratureConfig",
@@ -185,9 +186,10 @@ def _rule(n: int):
 
 _RULE_CACHE = {n: _rule(n) for n in (0, 1, 2, 3)}
 
-# Most integrand nodes per call of ``f``, so that the integrand's
-# temporaries stay bounded however many boxes a refinement pass holds.
-_MAX_POINTS = 2**19
+# Most integrand nodes per call of ``f``: the one bound on the temporaries of
+# both paths, however many boxes a pass holds.  A full call peaks at 74-93 MB
+# on parallelepiped facets and 29 MB on tetrahedron cones (tracemalloc).
+_MAX_POINTS = 2**18
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -251,8 +253,6 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
     Returns ``(value, error_estimate, n_evals)`` with
     ``error_estimate <= max(abs_tol, rel_tol * reported(value))``.
     """
-    if lo.shape[0] == 0:
-        return 0.0, 0.0, 0
     nodes_per_box = 15 ** lo.shape[1]
     volumes = (hi - lo).prod(axis=1)
     total_volume = float(volumes.sum())
@@ -340,9 +340,6 @@ _UPWARD_FROM = 2.0
 # 4^j / (3 * 5 ... (2j + 1)) of the first, so the 23 terms kept leave at most
 # 6.5e-17 relative for every order.
 _SERIES = np.array([[1 / math.prod(range(k + 1, k + 2 * j + 2, 2)) for j in range(23)] for k in range(6)])
-# Nodes per block of the moment kernel, which bounds its temporaries (the
-# series' power table of a block takes 377 kB); smaller blocks cost more calls.
-_MOMENT_BLOCK = 2048
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
@@ -394,27 +391,22 @@ def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
     denominator of ``erfcx`` from one product of a coefficient table and a
     power table.  Below, the recurrence run downward is the series of
     ``_SERIES``, which is one product of its rows and the powers of
-    ``2 alpha``.  Both keep about 1e-15 relative.  The nodes are taken in
-    blocks of ``_MOMENT_BLOCK``, so the tables stay small, and a side of
-    ``alpha = 2`` with no node in a block is skipped.
+    ``2 alpha``.  Both keep about 1e-15 relative.  All nodes go at once, as
+    many as ``_MAX_POINTS`` allows, and a side of ``alpha = 2`` with none is
+    skipped; the series' 23-row power table is most of the temporaries.
     """
     flat = alpha.reshape(-1)
-    if flat.size > _MOMENT_BLOCK:
+    series = flat < _UPWARD_FROM
+    count = np.count_nonzero(series)
+    if count == flat.size:  # no mask to apply
+        out = _series_moments(flat, first, last)
+    elif count == 0:
+        out = _upward_moments(flat, first, last)
+    else:  # index arrays scatter faster than masks
         out = np.empty((last - first + 1, flat.size))
-        for s in range(0, flat.size, _MOMENT_BLOCK):
-            out[:, s:s + _MOMENT_BLOCK] = _radial_moments(flat[s:s + _MOMENT_BLOCK], first, last)
-    else:
-        series = flat < _UPWARD_FROM
-        count = np.count_nonzero(series)
-        if count == flat.size:  # no mask to apply
-            out = _series_moments(flat, first, last)
-        elif count == 0:
-            out = _upward_moments(flat, first, last)
-        else:  # index arrays scatter faster than masks
-            out = np.empty((last - first + 1, flat.size))
-            below, above = np.flatnonzero(series), np.flatnonzero(~series)
-            out[:, below] = _series_moments(flat[below], first, last)
-            out[:, above] = _upward_moments(flat[above], first, last)
+        below, above = np.flatnonzero(series), np.flatnonzero(~series)
+        out[:, below] = _series_moments(flat[below], first, last)
+        out[:, above] = _upward_moments(flat[above], first, last)
     return out.reshape(out.shape[:1] + alpha.shape)
 
 

@@ -315,6 +315,18 @@ class TestSampleUniform:
         sigma_mean = points.std(axis=0, ddof=1) / math.sqrt(len(points))
         assert (np.abs(points.mean(axis=0) - centroid) < 4.0 * sigma_mean).all()
 
+    @pytest.mark.parametrize("size", [2.7, True, "3", -1, 3.0],
+                             ids=["float", "bool", "str", "negative", "whole-float"])
+    def test_size_must_be_a_non_negative_integer(self, benchmark_elements, rng, size):
+        with pytest.raises(InputError) as info:
+            sample_uniform(benchmark_elements["triangle"], rng, size=size)
+        assert info.value.field == "size"
+
+    def test_integer_sizes_keep_working(self, benchmark_elements, rng):
+        tri = benchmark_elements["triangle"]
+        assert sample_uniform(tri, rng, size=0).shape == (0, 2)
+        assert sample_uniform(tri, rng, size=np.int64(3)).shape == (3, 2)
+
     def test_same_seed_reproduces(self, benchmark_elements):
         tet = benchmark_elements["tetrahedron"]
         a = sample_uniform(tet, np.random.default_rng(7), size=100)

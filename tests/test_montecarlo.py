@@ -527,12 +527,19 @@ class TestErrorFormulas:
 
     def test_small_n(self):
         assert theoretical_stat_error(0.5, 4) == 0.25
+        assert theoretical_stat_error(0.5, np.int64(4)) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
             theoretical_stat_error(1.5, 10)
         with pytest.raises(ValueError):
             theoretical_stat_error(0.5, 0)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.bool_(True), 10.0, "10"],
+                             ids=["float", "bool", "numpy-bool", "whole-float", "str"])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            theoretical_stat_error(0.5, n)
 
     def test_empirical_identical_values(self):
         assert empirical_stat_error([0.3, 0.3, 0.3]) == 0.0

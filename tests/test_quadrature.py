@@ -23,7 +23,6 @@ from cellescape import (
 from cellescape import bench, quadrature
 from cellescape.quadrature import (
     _CONE_CACHE,
-    _MOMENT_BLOCK,
     _UPWARD_FROM,
     _WG7,
     _WGK,
@@ -195,11 +194,11 @@ class TestRadialMoments:
         # y = sqrt(alpha) = 4 switches Cody's fit of erfcx
         16.0 * (1.0 + np.linspace(-1e-3, 1e-3, 41)),
         np.array([np.nextafter(16.0, 0.0), 16.0, np.nextafter(16.0, 32.0)]),
-        # longer than a block, with both sides of alpha = 2 in every block
-        np.random.default_rng(5).permutation(np.geomspace(1e-6, 1e6, 2 * _MOMENT_BLOCK + 7)),
-        # wholly on one side of alpha = 2, over several blocks
-        np.linspace(0.0, np.nextafter(_UPWARD_FROM, 0.0), 3 * _MOMENT_BLOCK + 1),
-        np.geomspace(_UPWARD_FROM, 1e12, 3 * _MOMENT_BLOCK + 1),
+        # thousands of nodes, with both sides of alpha = 2 interleaved
+        np.random.default_rng(5).permutation(np.geomspace(1e-6, 1e6, 4103)),
+        # thousands of nodes wholly on one side of alpha = 2
+        np.linspace(0.0, np.nextafter(_UPWARD_FROM, 0.0), 6145),
+        np.geomspace(_UPWARD_FROM, 1e12, 6145),
         # one node per integrand call, as on a segment
         np.array([0.5]),
         np.array([50.0]),
@@ -213,7 +212,7 @@ class TestRadialMoments:
 
     def test_keeps_the_shape_of_alpha(self):
         # the facet integrand passes one column per mixture scale
-        alpha = np.geomspace(1e-3, 1e3, 2 * _MOMENT_BLOCK + 3).reshape(-1, 1)
+        alpha = np.geomspace(1e-3, 1e3, 4099).reshape(-1, 1)
         got = _radial_moments(alpha, 2, 5)
         assert got.shape == (4,) + alpha.shape
         assert np.array_equal(got[:, :, 0], _radial_moments(alpha[:, 0], 2, 5))
@@ -509,13 +508,15 @@ class TestEscapeDeterministic:
         assert 0.0 <= excinfo.value.value <= 1.0
         assert excinfo.value.value == pytest.approx(0.4082, abs=0.05)
 
-    @pytest.mark.parametrize("kind, law", [
-        ("tetrahedron", WienerStep(dt=0.1, dim=3)),
-        ("triangle", VelocityJumpStep(rate=1.0, dim=2)),
+    @pytest.mark.parametrize("kind, law, abs_tol", [
+        ("tetrahedron", WienerStep(dt=0.1, dim=3), 1e-5),
+        ("triangle", VelocityJumpStep(rate=1.0, dim=2), 1e-5),
+        # at 1e-5 the box cell's first pass is accepted and the integrand never called
+        ("parallelepiped", WienerStep(dt=0.01, dim=3), 1e-8),
     ])
-    def test_bounded_integrand_calls_change_nothing(self, benchmark_elements, monkeypatch, kind, law):
+    def test_bounded_integrand_calls_change_nothing(self, benchmark_elements, monkeypatch, kind, law, abs_tol):
         element = benchmark_elements[kind]
-        config = QuadratureConfig(abs_tol=1e-5, rel_tol=0.0)
+        config = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
         whole = escape_probability_det(element, law, config)
         sizes = []
         integrate_boxes = quadrature._integrate_boxes
