@@ -38,6 +38,11 @@ print("\nconditional escape, benchmark triangle, step (2, 0):",
       conditional_escape(triangle, [2.0, 0.0]))
 print("conditional escape, benchmark triangle, step (0.2, 0.1):",
       round(conditional_escape(triangle, [0.2, 0.1]), 6))
+# the element keeps that map as ``triangle.affine_map``; it takes the step
+# to reference-cell coordinates, where the stay fraction gives the same value
+local = triangle.affine_map.local_step([0.2, 0.1])
+print("1 - stay fraction of the reference-cell step:",
+      round(1.0 - stay_fraction(ReferenceCell.TRIANGLE, local), 6))
 
 try:
     import matplotlib

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInterval, InputError
-from .geometry import MeshElement, ReferenceCell, _as_batch, build_affine_map
+from .geometry import MeshElement, ReferenceCell, _as_batch
 
 __all__ = [
     "stay_fraction",
@@ -90,7 +90,7 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
         A step without the element's ``n`` components, or one whose local
         coordinates are not finite.
     """
-    amap = build_affine_map(element)
+    amap = element.affine_map
     step = np.asarray(global_step, dtype=float)
     if step.ndim == 0 or step.shape[-1] != amap.dim:
         raise DimensionMismatch(

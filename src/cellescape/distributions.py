@@ -29,7 +29,7 @@ from .errors import (
     OriginSingularity,
     SamplerUnavailable,
 )
-from .geometry import _as_batch, _integer
+from .geometry import _as_batch, _integer, _size
 
 __all__ = [
     "StepDistribution",
@@ -60,7 +60,8 @@ class StepDistribution(ABC):
     passes ``out`` to a ``sample`` with a parameter of that name or with
     ``**kwargs``, and maps whatever array comes back, so a law without
     ``out``, or one that ignores it, gives the same estimate.  The shipped
-    laws take ``out``.
+    laws take ``out``, and refuse any ``size`` but a non-negative integer
+    (a bool too) with ``InputError``.
 
     ``typical_scale``, when set, is the rough magnitude of one step: a
     positive finite real number.  The deterministic solver uses it to seed
@@ -161,7 +162,7 @@ class WienerStep(StepDistribution):
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        steps = rng.standard_normal((int(size), self.dim), out=out)
+        steps = rng.standard_normal((_size(size), self.dim), out=out)
         return np.multiply(math.sqrt(self.dt), steps, out=steps)
 
     def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +215,7 @@ class VelocityJumpStep(StepDistribution):
         self.typical_scale = 1.0 / self.rate
 
     def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        size = int(size)
+        size = _size(size)
         travel = rng.standard_exponential(size)
         travel *= 1.0 / self.rate
         velocity = rng.standard_normal((size, self.dim), out=out)

@@ -57,14 +57,13 @@ class ToleranceNotMet(QuadratureFailure):
     Carries the best available result so callers can still report it.
     """
 
-    def __init__(self, value: float, error_estimate: float, message: str = ""):
+    def __init__(self, value: float, error_estimate: float):
         self.value = value
         self.error_estimate = error_estimate
-        detail = message or (
+        super().__init__(
             f"subdivision budget exhausted; best value {value!r} "
             f"with error estimate {error_estimate:.3e}"
         )
-        super().__init__(detail)
 
 
 class NonFiniteIntegrand(QuadratureFailure):

@@ -4,13 +4,15 @@ An element is described by its spanning vertices.  Each element kind is
 affinely equivalent to a reference unit cell; the map ``g(xi) = A @ xi + b``
 sends the reference cell onto the element, with the columns of ``A`` being
 the edge vectors from the first vertex.  Each element builds its map once,
-when it is made, and keeps it.  All heavy operations (containment, uniform
-sampling) are vectorized over numpy arrays of points.
+when it is made, and keeps it as ``element.affine_map``.  All heavy
+operations (containment, uniform sampling) are vectorized over numpy arrays
+of points.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +30,6 @@ __all__ = [
     "element_from_dict",
     "element_to_dict",
     "load_element",
-    "build_affine_map",
     "contains",
     "sample_uniform",
     "measure",
@@ -83,17 +84,47 @@ def _integer(value) -> int | None:
         return None
 
 
+def _size(size) -> int:
+    """``size`` as an int; ``InputError`` naming it unless it is a non-negative integer, not a bool."""
+    m = _integer(size)
+    if m is None or m < 0:
+        raise InputError("size", f"expected a non-negative integer, got {size!r}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class MeshElement:
     """A validated mesh cell, kept with its full (canonical) vertex list.
 
-    ``MeshElement(kind, vertices)`` and :func:`mesh_element` are the same
-    call: ``kind`` may be given as its name, and ``vertices`` as either the
-    spanning vertices or the full list, whose implied vertices are checked.
-    The element's affine map is built once, when the element is made, and
-    kept on it read-only as ``affine_map``; degenerate spanning edges raise
-    ``DegenerateElement`` then.  Nothing on an element changes after it is
-    made, so threads may share it.  Elements compare and hash by identity.
+    The map ``g(xi) = A @ xi + b`` from the reference cell, with the edges
+    from the first vertex to the other spanning ones as the columns of
+    ``A`` and that vertex as ``b``, is built when the element is made and
+    kept on it read-only as ``affine_map``.  Nothing on an element changes
+    after that, so threads may share it.  Elements compare and hash by
+    identity.  ``mesh_element`` is another name for this class.
+
+    Parameters
+    ----------
+    kind : ElementKind or str
+        One of ``segment``, ``triangle``, ``parallelogram``, ``tetrahedron``,
+        ``parallelepiped``.
+    vertices : array_like
+        Ordered vertex coordinates, shape ``(count, dim)`` (a plain list of
+        numbers is accepted for segments), as ints, floats or a numeric
+        numpy array.  Either the spanning vertices or the full list
+        (parallelogram: 4th vertex ``B + C - A``; parallelepiped: the 4
+        remaining corners) may be given; redundant vertices are checked
+        against the implied ones.
+
+    Raises
+    ------
+    InputError
+        Unknown kind; coordinates that are strings or bools; wrong vertex
+        count, wrong coordinate dimension, non-finite coordinates, or
+        redundant vertices that contradict the implied ones.
+    DegenerateElement
+        If ``|det A| <= 1e-14 * scale**n``, with ``scale`` the longest
+        spanning edge: linearly dependent edges, in any unit.
     """
 
     kind: ElementKind
@@ -110,9 +141,17 @@ class MeshElement:
         dim, n_span = cell.dim, cell.dim + 1  # the first vertex and one per edge span
         n_full = n_span if cell.is_simplex else 2**dim  # a box has all its corners
 
+        # each coordinate as given: numpy would turn a string into a number,
+        # and a bool among numbers into one
+        coords = np.array(self.vertices, dtype=object)
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)) for x in coords.flat):
+            raise InputError("vertices", "coordinates must be real numbers, not strings or bools")
         # a copy, so that no array of the caller's can change the vertices
         # under the map built from them
-        verts = np.array(self.vertices, dtype=float)
+        try:
+            verts = coords.astype(float)
+        except OverflowError:  # an int beyond the largest float
+            raise InputError("vertices", "coordinates must be finite numbers") from None
         if kind == ElementKind.SEGMENT and verts.ndim == 1:
             verts = verts[:, None]
         if verts.ndim != 2:
@@ -141,9 +180,18 @@ class MeshElement:
                     f"vertices implied by the spanning ones",
                 )
         full.flags.writeable = False
+        edges = full[1:n_span] - full[0]
+        scale = float(np.max(np.linalg.norm(edges, axis=1)))
+        det = float(np.linalg.det(edges.T))
+        eps = 1e-14 * scale**dim
+        if not np.isfinite(det) or abs(det) <= eps:
+            raise DegenerateElement(
+                f"{kind.value} vertices are degenerate: spanning edges are linearly dependent "
+                f"(|det| = {abs(det):.3e} <= {eps:.3e})"
+            )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vertices", full)
-        object.__setattr__(self, "affine_map", _element_map(self))
+        object.__setattr__(self, "affine_map", AffineMap.from_matrix(edges.T, full[0].copy(), det))
 
     @property
     def dim(self) -> int:
@@ -153,9 +201,8 @@ class MeshElement:
     def reference_cell(self) -> ReferenceCell:
         return _KIND_CELL[self.kind]
 
-    @property
-    def spanning_vertices(self) -> np.ndarray:
-        return self.vertices[: self.dim + 1]
+
+mesh_element = MeshElement
 
 
 def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
@@ -168,34 +215,6 @@ def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
         extra = [b + c - a, b + d - a, b + c + d - 2 * a, c + d - a]
         return np.vstack([spanning, extra])
     return spanning
-
-
-def mesh_element(kind: ElementKind | str, vertices) -> MeshElement:
-    """Build a validated mesh element; the same as ``MeshElement(kind, vertices)``.
-
-    Parameters
-    ----------
-    kind : ElementKind or str
-        One of ``segment``, ``triangle``, ``parallelogram``, ``tetrahedron``,
-        ``parallelepiped``.
-    vertices : array_like
-        Ordered vertex coordinates, shape ``(count, dim)`` (a plain list of
-        numbers is accepted for segments).  Either the spanning vertices or
-        the full list (parallelogram: 4th vertex ``B + C - A``;
-        parallelepiped: the 4 remaining corners) may be given; redundant
-        vertices are checked against the implied ones.
-
-    Raises
-    ------
-    InputError
-        Unknown kind, wrong vertex count, wrong coordinate dimension,
-        non-finite coordinates, or redundant vertices that contradict the
-        implied ones.
-    DegenerateElement
-        Spanning edges that are linearly dependent, by the check that
-        builds the element's affine map (see :func:`build_affine_map`).
-    """
-    return MeshElement(kind, vertices)
 
 
 def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -317,42 +336,6 @@ class AffineMap:
         return np.asarray(local_step, dtype=float) @ self.matrix.T
 
 
-def build_affine_map(element: MeshElement) -> AffineMap:
-    """Affine map sending the element's reference cell onto the element.
-
-    Columns of the matrix are the edge vectors from the first vertex to the
-    other spanning vertices; the offset is the first vertex.  The map is
-    the one built when the element was made, so every call returns the
-    same read-only object.
-    """
-    return element.affine_map
-
-
-def _element_map(element: MeshElement) -> AffineMap:
-    """The affine map of ``element``, built from its spanning vertices.
-
-    Raises
-    ------
-    DegenerateElement
-        If ``|det| <= 1e-14 * scale**n`` where ``scale`` is the largest
-        spanning edge norm (unit-independent degeneracy check).
-    """
-    span = element.spanning_vertices
-    a = span[0]
-    edges = span[1:] - a
-    matrix = edges.T
-    n = element.dim
-    scale = float(np.max(np.linalg.norm(edges, axis=1)))
-    det = float(np.linalg.det(matrix))
-    eps = 1e-14 * scale**n
-    if not np.isfinite(det) or abs(det) <= eps:
-        raise DegenerateElement(
-            f"{element.kind.value} vertices are degenerate: spanning edges are linearly dependent "
-            f"(|det| = {abs(det):.3e} <= {eps:.3e})"
-        )
-    return AffineMap.from_matrix(matrix, a.copy(), det)
-
-
 def _reference_contains(cell: ReferenceCell, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Boundary-inclusive membership of points ``(..., n)`` in the reference cell.
 
@@ -384,8 +367,7 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     a boolean array accordingly.
     """
     pts, one = _as_batch(point, element.dim, "point")
-    amap = build_affine_map(element)
-    result = _reference_contains(element.reference_cell, amap.to_local(pts))
+    result = _reference_contains(element.reference_cell, element.affine_map.to_local(pts))
     return bool(result[0]) if one else result
 
 
@@ -431,18 +413,11 @@ def sample_uniform(element: MeshElement, rng: np.random.Generator, size: int | N
     integer (not a bool) raises ``InputError``.  Only the supplied generator
     is mutated.
     """
-    m = 1 if size is None else _integer(size)
-    if m is None or m < 0:
-        raise InputError("size", f"expected a non-negative integer, got {size!r}")
-    amap = build_affine_map(element)
-    local = _sample_reference(element.reference_cell, rng, m)
-    pts = amap.to_global(local)
-    if size is None:
-        return pts[0]
-    return pts
+    local = _sample_reference(element.reference_cell, rng, 1 if size is None else _size(size))
+    pts = element.affine_map.to_global(local)
+    return pts[0] if size is None else pts
 
 
 def measure(element: MeshElement) -> float:
     """Length, area, or volume: ``|det(A)| * measure(reference cell)``."""
-    amap = build_affine_map(element)
-    return amap.abs_det * element.reference_cell.measure
+    return element.affine_map.abs_det * element.reference_cell.measure

@@ -38,9 +38,7 @@ import numpy as np
 
 from .distributions import _check_law, _sample_takes_out
 from .errors import DimensionMismatch, InputError, TooFewRuns
-from .geometry import (
-    AffineMap, MeshElement, _check_element, _integer, _reference_contains, _sample_reference, build_affine_map,
-)
+from .geometry import AffineMap, MeshElement, _check_element, _integer, _reference_contains, _sample_reference
 from .quadrature import ProbabilityEstimate
 
 __all__ = [
@@ -116,8 +114,8 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             f"source dimension {source.dim} != target dimension {target.dim}"
         )
     start = time.perf_counter()
-    src_map = build_affine_map(source)
-    tgt_map = build_affine_map(target)
+    src_map = source.affine_map
+    tgt_map = target.affine_map
     src_cell = source.reference_cell
     tgt_cell = target.reference_cell
     # A particle at source-reference point xi that takes the global step d

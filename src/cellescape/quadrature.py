@@ -50,7 +50,7 @@ import numpy as np
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law
 from .errors import NonFiniteIntegrand, ToleranceNotMet
-from .geometry import MeshElement, ReferenceCell, _check_element, _integer, build_affine_map
+from .geometry import MeshElement, ReferenceCell, _check_element, _integer
 
 __all__ = [
     "QuadratureConfig",
@@ -519,55 +519,49 @@ class _Cones:
         hi[:, 0] = np.tile(breaks[1:], cones)
         return lo, hi, np.repeat(np.arange(cones), radial)
 
-    def steps(self, x: np.ndarray, k: np.ndarray):
-        """Local steps at the coordinates ``x`` of cones ``k``, and the map's Jacobian there.
+    def facet_nodes(self, w: np.ndarray, k: np.ndarray):
+        """The rays ``b(w)`` at the facet coordinates ``w`` of cones ``k``, and the facet's Jacobian there.
 
-        The points of one box share a cone and arrive in one run, so each
-        run is mapped by a single matrix product.
+        A ray is the step at ``t = 1``: the step at ``(t, w)`` is ``t b(w)``,
+        and the map's Jacobian there is ``t^(n-1)`` times the facet's,
+        ``s abs_det[k]``.  The points of one box share a cone and arrive in
+        one run, so each run is mapped by a single matrix product.
         """
-        m, n = x.shape
-        t = x[:, 0]
-        coef = np.empty((m, n))
-        coef[:, 0] = t
-        for j in range(1, n):
-            np.multiply(x[:, j], t, out=coef[:, j])
-        jac = self.abs_det[k] * t ** (n - 1)
+        m, n = len(w), w.shape[1] + 1
+        coef = np.ones((m, n))
+        coef[:, 1:] = w
+        jac = self.abs_det[k]
         if self.collapse.any():
-            squeeze = np.where(self.collapse[k], x[:, 1], 1.0)
+            squeeze = np.where(self.collapse[k], w[:, 0], 1.0)
             coef[:, 2] *= squeeze
             jac *= squeeze
-        steps = np.empty((m, n))
+        rays = np.empty((m, n))
         cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, m]):
-            np.matmul(coef[lo:hi], self.frames[k[lo]], out=steps[lo:hi])
-        return steps, jac
+            np.matmul(coef[lo:hi], self.frames[k[lo]], out=rays[lo:hi])
+        return rays, jac
 
-    def facet_nodes(self, w: np.ndarray, k: np.ndarray):
-        """What the facet integrand reads at the facet coordinates ``w`` of cones ``k``.
+    def radial_nodes(self, w: np.ndarray, k: np.ndarray):
+        """``facet_nodes`` and the stay fraction along each ray, which only the radial path reads.
 
-        Returns the rays ``b(w)``, which are the steps at ``t = 1``, the
-        facet's Jacobian there, and the ``(n + 1, points)`` coefficients of
-        the stay fraction along each ray as a polynomial in ``t`` (see
-        ``_facet_values``); on a simplex they are the same on every ray and
-        come as one column, ``simplex_stay``.
+        The stay fraction comes as the ``(n + 1, points)`` coefficients of a
+        polynomial in ``t`` (see ``_facet_values``), or on a simplex as the
+        one column ``simplex_stay``, the same on every ray.
         """
-        x = np.ones((len(w), w.shape[1] + 1))
-        x[:, 1:] = w
-        rays, jac = self.steps(x, k)
-        stay = self.simplex_stay if self.cell.is_simplex else _stay_polynomial(np.abs(rays))
-        return rays, jac, stay
+        rays, jac = self.facet_nodes(w, k)
+        return rays, jac, self.simplex_stay if self.cell.is_simplex else _stay_polynomial(np.abs(rays))
 
     @functools.cached_property
     def first_pass(self):
         """The facet boxes that start every radial solve, and their node data.
 
         They are ``boxes([0, 1])`` without the radial axis: the corners
-        ``lo, hi``, the cone of each box, and ``facet_nodes`` at the boxes'
+        ``lo, hi``, the cone of each box, and ``radial_nodes`` at the boxes'
         nodes, all read-only.  Built on first use, once per cell.
         """
         lo, hi, k = self.boxes([0.0, 1.0])
         lo, hi = lo[:, 1:], hi[:, 1:]
-        data = (lo, hi, k, *self.facet_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
+        data = (lo, hi, k, *self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
         for array in data:
             array.flags.writeable = False
         return data[:3], data[3:]
@@ -694,28 +688,31 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     start = time.perf_counter()
     cell = element.reference_cell
     cones = _CONE_CACHE[cell]
-    amap = build_affine_map(element)
+    amap = element.affine_map
     mixture = _mixture_hook(dist)
     if mixture is not None:
         (lo, hi, k), nodes = cones.first_pass
 
         def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return _facet_values(cones.facet_nodes(w, k), amap, mixture)
+            return _facet_values(cones.radial_nodes(w, k), amap, mixture)
 
         first = _facet_values(nodes, amap, mixture)
         return _solve(f, lo, hi, k, config, start, complement=True, values=first)
     lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        local_steps, jac = cones.steps(x, k)
+        t = x[:, 0]
+        rays, jac = cones.facet_nodes(x[:, 1:], k)
+        local_steps = t[:, None] * rays
         global_steps = amap.global_step(local_steps)
+        jac *= t ** (cell.dim - 1)
         return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
     return _solve(f, lo, hi, k, config, start, complement=True)
 
 
 def _facet_values(nodes, amap, mixture) -> np.ndarray:
-    """The stay integrand at facet nodes, from their ``_Cones.facet_nodes`` data.
+    """The stay integrand at facet nodes, from their ``_Cones.radial_nodes`` data.
 
     On cone ``k`` the stay fraction at ``d = t b(w)`` is
     ``prod_i (1 - t a_i)``, with ``a_i = |b_i(w)|`` on a box and ``a_i = 1``

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cellescape import ElementKind, build_affine_map, mesh_element
+from cellescape import ElementKind, mesh_element
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,7 +66,7 @@ def random_element(kind, rng, scale=1.0, max_cond=20.0):
         vertices = rng.normal(size=(_SPANNING[kind], n)) * scale
         try:
             element = mesh_element(kind, vertices)
-            amap = build_affine_map(element)
+            amap = element.affine_map
         except Exception:
             continue
         if np.linalg.cond(amap.matrix) <= max_cond:

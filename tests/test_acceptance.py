@@ -18,7 +18,6 @@ from cellescape import (
     ReferenceCell,
     VelocityJumpStep,
     WienerStep,
-    build_affine_map,
     conditional_escape,
     escape_probability_det,
     escape_probability_mc,
@@ -196,7 +195,7 @@ def test_criterion_5_property_suite():
         steps = rng.normal(size=(2000, element.dim)) * 3.0
         escapes = np.array([conditional_escape(element, s) for s in steps[:50]])
         range_ok &= bool(np.all((escapes >= 0.0) & (escapes <= 1.0)))
-        local = build_affine_map(element).local_step(steps)
+        local = element.affine_map.local_step(steps)
         values = 1.0 - stay_fraction(element.reference_cell, local)
         range_ok &= bool(np.all((values >= 0.0) & (values <= 1.0)))
     details.append(f"escape in [0,1]: {range_ok}")

@@ -41,6 +41,10 @@ def files(tmp_path):
             "degenerate.json", {"kind": "triangle", "vertices": [[0, 0], [1, 1], [2, 2]]}
         ),
         "law_list": write("law_list.json", {"law": []}),
+        "string_vertices": write("string_vertices.json", {"kind": "segment", "vertices": [["0"], ["2"]]}),
+        "bool_vertices": write("bool_vertices.json", {"kind": "segment", "vertices": [[False], [True]]}),
+        "mixed_bool_vertices": write("mixed_bool_vertices.json", {"kind": "segment", "vertices": [[0.5], [True]]}),
+        "huge_int_vertices": write("huge_int_vertices.json", {"kind": "segment", "vertices": [[0], [10**400]]}),
         "latin1": str(tmp_path / "latin1.json"),
         "missing": str(tmp_path / "missing.json"),
         "unwritable": str(tmp_path / "no-such-directory" / "report.json"),
@@ -292,6 +296,15 @@ EXIT_CODE_TABLE = {
     "transition-1d-source-2d-target": (
         ["transition", "--source", "unit", "--target", "triangle", "--distribution", "wiener"],
         None, 2, "vertices"),
+    "string-coordinates": (
+        ["escape", "--geometry", "string_vertices", "--distribution", "wiener"], None, 2, "vertices"),
+    "bool-coordinates": (
+        ["escape", "--geometry", "bool_vertices", "--distribution", "wiener"], None, 2, "vertices"),
+    "bool-among-numbers": (
+        ["transition", "--source", "unit", "--target", "mixed_bool_vertices", "--distribution", "wiener"],
+        None, 2, "vertices"),
+    "int-beyond-float": (
+        ["escape", "--geometry", "huge_int_vertices", "--distribution", "wiener"], None, 2, "vertices"),
     "missing-geometry": (
         ["escape", "--geometry", "missing", "--distribution", "wiener"], None, 2, "geometry"),
     "missing-source": (

@@ -256,10 +256,8 @@ class TestConditionalEscape:
         assert list(escapes) == [conditional_escape(benchmark_elements["triangle"], s) for s in steps]
 
     def test_matches_stay_via_local_coordinates(self, benchmark_elements, rng):
-        from cellescape import build_affine_map
-
         tet = benchmark_elements["tetrahedron"]
-        amap = build_affine_map(tet)
+        amap = tet.affine_map
         steps = rng.normal(size=(500, 3))
         escapes = np.array([conditional_escape(tet, s) for s in steps])
         stays = stay_fraction(ReferenceCell.TETRAHEDRON, amap.local_step(steps))

@@ -221,6 +221,22 @@ class TestVelocityJumpDensity:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("law", [WienerStep(0.1, 2), VelocityJumpStep(1.0, 2)], ids=["wiener", "velocity-jump"])
+    @pytest.mark.parametrize("size", [2.7, True, "3", -1, 3.0, None],
+                             ids=["float", "bool", "str", "negative", "whole-float", "none"])
+    def test_sample_size_must_be_a_non_negative_integer(self, law, size):
+        with pytest.raises(InputError) as info:
+            law.sample(np.random.default_rng(0), size)
+        assert info.value.field == "size"
+
+    @pytest.mark.parametrize("law", [WienerStep(0.1, 2), VelocityJumpStep(1.0, 2)], ids=["wiener", "velocity-jump"])
+    def test_integer_sample_sizes_keep_working(self, law):
+        rng = np.random.default_rng(0)
+        assert law.sample(rng, 0).shape == (0, 2)
+        assert law.sample(rng, np.int64(3)).shape == (3, 2)
+        out = np.empty((4, 2))
+        assert law.sample(rng, np.uint8(4), out=out) is out
+
     def test_import_leaves_out_scipy_stats_and_integrate(self):
         code = (
             "import sys, cellescape; "

@@ -7,16 +7,19 @@ import pytest
 from scipy.stats import chi2
 
 from cellescape import (
+    AffineMap,
     DegenerateElement,
     DimensionMismatch,
     ElementKind,
     InputError,
     MeshElement,
     ReferenceCell,
-    build_affine_map,
+    WienerStep,
+    conditional_escape,
     contains,
     element_from_dict,
     element_to_dict,
+    escape_probability_det,
     load_element,
     measure,
     mesh_element,
@@ -45,6 +48,9 @@ class TestConstruction:
     def test_non_finite_coordinates(self):
         with pytest.raises(InputError):
             mesh_element("segment", [[0.0], [math.nan]])
+        with pytest.raises(InputError) as info:
+            mesh_element("segment", [[0], [10**400]])  # an int beyond the largest float
+        assert info.value.field == "vertices"
 
     def test_parallelogram_fourth_vertex_implied(self):
         three = mesh_element("parallelogram", [[0, 0], [2, 0], [1, 2]])
@@ -83,22 +89,54 @@ class TestConstruction:
         assert {a: 1}[a] == 1
         assert hash(a) == hash(a)
 
+    @pytest.mark.parametrize("kind, vertices", [
+        ("segment", [["0"], ["2"]]),
+        ("segment", ["0", "2"]),
+        ("segment", [[False], [True]]),
+        ("segment", [[0.5], [True]]),
+        ("triangle", [[0, 0], [2, 0], [3, np.True_]]),
+        ("triangle", [[0, 0], [2, "0"], [3, 2]]),
+        ("triangle", np.array([[0, 0], [1, 0], [0, 1]], dtype=bool)),
+        ("triangle", np.array([["0", "0"], ["1", "0"], ["0", "1"]])),
+    ], ids=["strings", "flat-strings", "bools", "bool-among-floats", "numpy-bool-among-ints",
+            "string-among-ints", "bool-array", "string-array"])
+    def test_coordinates_must_be_numbers(self, kind, vertices):
+        with pytest.raises(InputError) as info:
+            MeshElement(kind, vertices)
+        assert info.value.field == "vertices"
+        with pytest.raises(InputError) as info:
+            element_from_dict({"kind": kind, "vertices": vertices})
+        assert info.value.field == "vertices"
+
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [2, 0], [3, 2]],
+        [[0.0, 0], [2, 0.0], [3, 2.0]],
+        np.array([[0, 0], [2, 0], [3, 2]], dtype=np.int32),
+        np.array([[0, 0], [2, 0], [3, 2]], dtype=np.float32),
+        [np.array([0, 0]), (np.int64(2), np.float64(0)), [3, 2]],
+    ], ids=["ints", "mixed-ints-and-floats", "int32-array", "float32-array", "numpy-rows-and-scalars"])
+    def test_numeric_coordinates_keep_working(self, vertices):
+        assert MeshElement("triangle", vertices).vertices.tolist() == [[0.0, 0.0], [2.0, 0.0], [3.0, 2.0]]
+
+    def test_mesh_element_is_the_class(self):
+        assert mesh_element is MeshElement
+
 
 class TestAffineMap:
     def test_benchmark_triangle(self, benchmark_elements):
-        amap = build_affine_map(benchmark_elements["triangle"])
+        amap = benchmark_elements["triangle"].affine_map
         assert np.array_equal(amap.matrix, [[2.0, 3.0], [0.0, 2.0]])
         assert np.array_equal(amap.offset, [0.0, 0.0])
         assert amap.abs_det == 4.0
 
     def test_unit_triangle_is_identity(self):
-        amap = build_affine_map(mesh_element("triangle", [[0, 0], [1, 0], [0, 1]]))
+        amap = mesh_element("triangle", [[0, 0], [1, 0], [0, 1]]).affine_map
         assert np.array_equal(amap.matrix, np.eye(2))
         assert np.array_equal(amap.offset, [0.0, 0.0])
 
     def test_collinear_triangle_is_degenerate(self):
         with pytest.raises(DegenerateElement):
-            build_affine_map(mesh_element("triangle", [[0, 0], [1, 1], [2, 2]]))
+            mesh_element("triangle", [[0, 0], [1, 1], [2, 2]])
 
     @pytest.mark.parametrize("kind, vertices, error, field", [
         ("segment", [[1.0], [1.0]], DegenerateElement, None),
@@ -113,7 +151,7 @@ class TestAffineMap:
         ("hexagon", [[0, 0]], InputError, "kind"),
     ])
     def test_degenerate_vertices_raise_when_the_element_is_made(self, kind, vertices, error, field):
-        # the class and the function run the same checks
+        # mesh_element is the class: both names make the same checks
         for make in (mesh_element, MeshElement):
             with pytest.raises(error) as info:
                 make(kind, vertices)
@@ -130,23 +168,32 @@ class TestAffineMap:
             assert element.kind is ElementKind(kind)
             assert element_to_dict(element) == {"kind": kind, "vertices": full}
 
-    def test_one_map_per_element(self, benchmark_elements):
+    def test_one_map_per_element(self, benchmark_elements, monkeypatch, rng):
+        # the geometry and the solvers read the element's map; none builds one
+        built = []
+        compose = AffineMap.from_matrix
+        monkeypatch.setattr(AffineMap, "from_matrix", lambda *args: built.append(args) or compose(*args))
         for element in benchmark_elements.values():
-            amap = build_affine_map(element)
-            assert build_affine_map(element) is amap
-            assert element.affine_map is amap
+            assert isinstance(element.affine_map, AffineMap)
+            step = np.full(element.dim, 0.1)
+            contains(element, step)
+            sample_uniform(element, rng, 3)
+            measure(element)
+            conditional_escape(element, step)
+            escape_probability_det(element, WienerStep(dt=1.0, dim=element.dim))
+        assert built == []
 
     def test_caller_arrays_do_not_alias_the_element(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0]])
         element = mesh_element("triangle", verts)
         verts[1, 0] = 4.0
         assert element.vertices[1, 0] == 2.0
-        assert np.array_equal(build_affine_map(element).matrix, [[2.0, 3.0], [0.0, 2.0]])
+        assert np.array_equal(element.affine_map.matrix, [[2.0, 3.0], [0.0, 2.0]])
         assert verts.flags.writeable
 
     def test_map_arrays_are_read_only(self, benchmark_elements):
         for element in benchmark_elements.values():
-            amap = build_affine_map(element)
+            amap = element.affine_map
             for array in (amap.matrix, amap.offset, amap.inverse):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -159,10 +206,10 @@ class TestAffineMap:
         for scale in (1e-6, 1e6):
             verts = np.array([[0, 0], [1, 1], [2, 2 + 1e-16]]) * scale
             with pytest.raises(DegenerateElement):
-                build_affine_map(mesh_element("triangle", verts))
+                mesh_element("triangle", verts)
 
     def test_segment_map_is_edge_length(self):
-        amap = build_affine_map(mesh_element("segment", [[0.5], [2.5]]))
+        amap = mesh_element("segment", [[0.5], [2.5]]).affine_map
         assert amap.matrix[0, 0] == 2.0
         assert amap.offset[0] == 0.5
 
@@ -171,7 +218,7 @@ class TestAffineMap:
 
         for kind in ElementKind:
             element = random_element(kind, rng)
-            amap = build_affine_map(element)
+            amap = element.affine_map
             n = element.dim
             assert np.allclose(amap.matrix @ amap.inverse, np.eye(n), atol=1e-12)
             assert amap.abs_det == pytest.approx(abs(np.linalg.det(amap.matrix)), rel=1e-12)
@@ -188,13 +235,13 @@ class TestAffineMap:
             ],
         }
         for name, element in benchmark_elements.items():
-            amap = build_affine_map(element)
+            amap = element.affine_map
             mapped = amap.to_global(np.asarray(reference_corners[name], dtype=float))
             scale = np.max(np.abs(element.vertices))
             assert np.allclose(mapped, element.vertices, atol=1e-12 * scale)
 
     def test_points_of_the_wrong_width(self, benchmark_elements):
-        amap = build_affine_map(benchmark_elements["triangle"])
+        amap = benchmark_elements["triangle"].affine_map
         with pytest.raises(DimensionMismatch):
             amap.to_global(np.zeros((4, 3)))
 
@@ -203,7 +250,7 @@ class TestAffineMap:
 
         for kind in ElementKind:
             element = random_element(kind, rng, scale=3.0)
-            amap = build_affine_map(element)
+            amap = element.affine_map
             points = rng.normal(size=(100, element.dim)) * 5.0
             back = amap.to_global(amap.to_local(points))
             assert np.allclose(back, points, rtol=1e-10, atol=1e-10)
@@ -211,22 +258,22 @@ class TestAffineMap:
 
 class TestLocalStep:
     def test_identity_map(self):
-        amap = build_affine_map(mesh_element("triangle", [[0, 0], [1, 0], [0, 1]]))
+        amap = mesh_element("triangle", [[0, 0], [1, 0], [0, 1]]).affine_map
         assert np.allclose(amap.local_step([0.3, -0.2]), [0.3, -0.2])
 
     def test_benchmark_triangle_edges(self, benchmark_elements):
         # (2,0) is exactly edge AB and (3,2) exactly edge AC
-        amap = build_affine_map(benchmark_elements["triangle"])
+        amap = benchmark_elements["triangle"].affine_map
         assert np.allclose(amap.local_step([2.0, 0.0]), [1.0, 0.0])
         assert np.allclose(amap.local_step([3.0, 2.0]), [0.0, 1.0])
 
     def test_batch_steps(self, benchmark_elements):
-        amap = build_affine_map(benchmark_elements["triangle"])
+        amap = benchmark_elements["triangle"].affine_map
         local = amap.local_step([[2.0, 0.0], [3.0, 2.0]])
         assert np.allclose(local, [[1, 0], [0, 1]])
 
     def test_steps_ignore_the_offset(self):
-        amap = build_affine_map(mesh_element("segment", [[0.5], [2.5]]))
+        amap = mesh_element("segment", [[0.5], [2.5]]).affine_map
         assert np.array_equal(amap.local_step([[1.0]]), [[0.5]])
         assert np.array_equal(amap.to_local([[1.0]]), [[0.25]])
 
@@ -278,7 +325,7 @@ class TestContains:
                     facets.append((centre, np.eye(n)[j]))
             if cell.is_simplex and n > 1:
                 facets.append((np.full(n, 1.0 / n), np.full(n, 1.0 / n)))
-            amap = build_affine_map(element)
+            amap = element.affine_map
             points, expected = list(element.vertices), [True] * len(element.vertices)
             for centre, outward in facets:
                 for distance, inside in ((CONTAINMENT_TOL / 2, True), (10 * CONTAINMENT_TOL, False)):
@@ -342,7 +389,7 @@ class TestSampleUniform:
         element = benchmark_elements[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         n = element.dim
-        amap = build_affine_map(element)
+        amap = element.affine_map
         local = amap.to_local(sample_uniform(element, rng, size=10**6))
 
         edges = np.linspace(0.0, 1.0, 5)
@@ -382,7 +429,7 @@ class TestOutArguments:
 
     @pytest.mark.parametrize("name", KINDS)
     def test_to_global(self, benchmark_elements, name, rng):
-        amap = build_affine_map(benchmark_elements[name])
+        amap = benchmark_elements[name].affine_map
         points = rng.random((4001, amap.dim))
         columns = np.full((amap.dim, 4001), np.nan)
         got = amap.to_global(points, out=columns.T)

@@ -296,20 +296,28 @@ class TestOnePassPerCall:
         import cellescape.montecarlo as montecarlo
 
         maps, pools = [], []
-        build = montecarlo.build_affine_map
+        compose = montecarlo.AffineMap.from_matrix
+
+        def counted(*args, **kwargs):
+            maps.append(args)
+            return compose(*args, **kwargs)
 
         class CountedPool(montecarlo.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "build_affine_map", lambda element: maps.append(element) or build(element))
+        # the elements' own maps are read, and the step map into the target
+        # is composed once per call
+        monkeypatch.setattr(montecarlo.AffineMap, "from_matrix", counted)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
-        config = McConfig(particles=2 * 2**16 + 5, seed=3, runs=3)
-        runs = repeat_escape_probability_mc(benchmark_elements["segment"], WienerStep(dt=1.0, dim=1), config, workers=2)
-        assert len(runs) == 3
-        assert len(maps) == 2
-        assert len(pools) == 1
+        segment = benchmark_elements["segment"]
+        for calls, n_runs in enumerate((1, 3), start=1):
+            config = McConfig(particles=2 * 2**16 + 5, seed=3, runs=n_runs)
+            runs = repeat_escape_probability_mc(segment, WienerStep(dt=1.0, dim=1), config, workers=2)
+            assert len(runs) == n_runs
+            assert len(maps) == calls
+            assert len(pools) == calls
 
 
 class PlainWiener(StepDistribution):

@@ -14,7 +14,6 @@ from cellescape import (
     ToleranceNotMet,
     VelocityJumpStep,
     WienerStep,
-    build_affine_map,
     escape_probability_det,
     mesh_element,
     stay_fraction,
@@ -261,8 +260,9 @@ class TestCones:
         cones = _CONE_CACHE[cell]
 
         def f(x, k):
-            local_steps, jac = cones.steps(x, k)
-            return stay_fraction(cell, local_steps) * jac
+            t = x[:, 0]
+            rays, jac = cones.facet_nodes(x[:, 1:], k)
+            return stay_fraction(cell, t[:, None] * rays) * jac * t ** (cell.dim - 1)
 
         lo, hi, k = cones.boxes([0.0, 1.0])
         value, _, _ = _integrate_boxes(f, lo, hi, k, QuadratureConfig(abs_tol=1e-12))
@@ -288,7 +288,7 @@ class TestFirstPass:
 
         def record(w, tags):
             # the node data a refinement pass computes at these boxes' nodes
-            computed.append(cones.facet_nodes(w, tags))
+            computed.append(cones.radial_nodes(w, tags))
             return np.zeros(len(w))
 
         quadrature._evaluate(record, lo, hi, k)
@@ -303,11 +303,11 @@ class TestFirstPass:
         element = bench.BENCHMARK_ELEMENTS[kind]
         cones = _CONE_CACHE[element.reference_cell]
         (lo, hi, k), nodes = cones.first_pass
-        amap = build_affine_map(element)
+        amap = element.affine_map
         mixture = quadrature._mixture_hook(WienerStep(dt=0.1, dim=element.dim))
 
         def f(w, tags):
-            return quadrature._facet_values(cones.facet_nodes(w, tags), amap, mixture)
+            return quadrature._facet_values(cones.radial_nodes(w, tags), amap, mixture)
 
         config = QuadratureConfig()
         cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, amap, mixture))
@@ -319,7 +319,7 @@ class TestFirstPass:
         # the column sums of |A b|^2 and the product-and-reduce over the stay
         # polynomial keep numpy's order of summation, so no bit moves
         element = bench.BENCHMARK_ELEMENTS[kind]
-        amap = build_affine_map(element)
+        amap = element.affine_map
         law = WienerStep(dt=dt, dim=element.dim)
         _, (rays, jac, stay) = _CONE_CACHE[element.reference_cell].first_pass
         n = element.dim
@@ -335,7 +335,7 @@ class TestFirstPass:
     def test_rebuilt_element_solves_bit_for_bit(self, kind):
         element = bench.BENCHMARK_ELEMENTS[kind]
         rebuilt = mesh_element(element.kind, element.vertices.tolist())
-        assert build_affine_map(rebuilt) is not build_affine_map(element)
+        assert rebuilt.affine_map is not element.affine_map
         for dist in (WienerStep(dt=0.1, dim=element.dim), ConeWiener(1.0, element.dim)):
             if kind == "tetrahedron" and isinstance(dist, ConeWiener):
                 continue  # the cone cubature of the tetrahedron takes seconds
