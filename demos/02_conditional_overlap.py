@@ -2,34 +2,35 @@
 
 For a FIXED step d, the probability of staying inside the cell equals the
 volume fraction of the cell covered by the cell shifted by -d.  In the
-reference cells this has piecewise closed forms.  This demo prints a few
-values, shows the symmetry and monotonicity of the overlap, and plots the
-stay fraction along rays if matplotlib is available.
+reference cells this has piecewise closed forms.  Each ``ElementKind``
+names its reference cell, and ``stay_fraction`` takes a kind or its name.
+This demo prints a few values, shows the symmetry and monotonicity of the
+overlap, and plots the stay fraction along rays if matplotlib is available.
 """
 
 import numpy as np
 
-from cellescape import ReferenceCell, conditional_escape, mesh_element, stay_fraction
+from cellescape import ElementKind, conditional_escape, mesh_element, stay_fraction
 
 # A few hand-checkable values on the unit square: shifting by half the side
 # in both directions leaves a quarter of the area overlapping.
 print("stay fraction, unit square, step (0.5, 0.5):",
-      stay_fraction(ReferenceCell.SQUARE, [0.5, 0.5]))
+      stay_fraction(ElementKind.PARALLELOGRAM, [0.5, 0.5]))
 print("stay fraction, unit triangle, step (0.5, -0.25):",
-      stay_fraction(ReferenceCell.TRIANGLE, [0.5, -0.25]))
+      stay_fraction("triangle", [0.5, -0.25]))
 print("stay fraction, unit tetrahedron, step (0.5, 0, 0):",
-      stay_fraction(ReferenceCell.TETRAHEDRON, [0.5, 0.0, 0.0]))
+      stay_fraction(ElementKind.TETRAHEDRON, [0.5, 0.0, 0.0]))
 
 # The overlap of a set with its own translate is even in the translation,
 # and it can only shrink as the step grows along a fixed direction.
 rng = np.random.default_rng(0)
 steps = rng.uniform(-1, 1, size=(5, 2))
 print("\nsymmetry d -> -d:",
-      np.array_equal(stay_fraction(ReferenceCell.TRIANGLE, steps),
-                     stay_fraction(ReferenceCell.TRIANGLE, -steps)))
+      np.array_equal(stay_fraction(ElementKind.TRIANGLE, steps),
+                     stay_fraction(ElementKind.TRIANGLE, -steps)))
 ray = np.outer(np.linspace(0, 1.5, 7), [0.6, 0.8])
 print("stay along a ray (monotone):",
-      np.round(stay_fraction(ReferenceCell.TRIANGLE, ray), 4))
+      np.round(stay_fraction(ElementKind.TRIANGLE, ray), 4))
 
 # Arbitrary cells reduce to the reference cells through the affine map, so
 # the conditional escape probability needs no new geometry:
@@ -42,7 +43,7 @@ print("conditional escape, benchmark triangle, step (0.2, 0.1):",
 # to reference-cell coordinates, where the stay fraction gives the same value
 local = triangle.affine_map.local_step([0.2, 0.1])
 print("1 - stay fraction of the reference-cell step:",
-      round(1.0 - stay_fraction(ReferenceCell.TRIANGLE, local), 6))
+      round(1.0 - stay_fraction(ElementKind.TRIANGLE, local), 6))
 
 try:
     import matplotlib
@@ -55,13 +56,13 @@ else:
     t = np.linspace(0.0, 1.6, 400)
     fig, ax = plt.subplots(figsize=(6, 4))
     for cell, direction in [
-        (ReferenceCell.SQUARE, [1.0, 0.0]),
-        (ReferenceCell.SQUARE, [1.0, 1.0]),
-        (ReferenceCell.TRIANGLE, [1.0, 0.0]),
-        (ReferenceCell.TRIANGLE, [-1.0, -1.0]),
+        (ElementKind.PARALLELOGRAM, [1.0, 0.0]),
+        (ElementKind.PARALLELOGRAM, [1.0, 1.0]),
+        (ElementKind.TRIANGLE, [1.0, 0.0]),
+        (ElementKind.TRIANGLE, [-1.0, -1.0]),
     ]:
         d = np.outer(t, np.asarray(direction) / np.linalg.norm(direction))
-        ax.plot(t, stay_fraction(cell, d), label=f"{cell.label}, dir {direction}")
+        ax.plot(t, stay_fraction(cell, d), label=f"{cell.value}, dir {direction}")
     ax.set_xlabel("step magnitude")
     ax.set_ylabel("stay fraction")
     ax.legend()

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInterval, InputError
-from .geometry import MeshElement, ReferenceCell, _as_batch
+from .geometry import ElementKind, MeshElement, _as_batch, _check_element, _kind
 
 __all__ = [
     "stay_fraction",
@@ -56,14 +56,17 @@ def _stay_simplex(d: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, side) ** d.shape[1]
 
 
-def stay_fraction(cell: ReferenceCell, step) -> float | np.ndarray:
-    """Overlap ratio ``V(U ∩ (U - step)) / V(U)`` in [0, 1].
+def stay_fraction(cell: ElementKind | str, step) -> float | np.ndarray:
+    """Overlap ratio ``V(U ∩ (U - step)) / V(U)`` in [0, 1] on the reference cell ``U`` of a kind.
 
-    ``step`` is a single local step ``(n,)`` or a batch ``(m, n)``.
-    Interval: ``max(0, 1 - |d|)``; square/cube: per-axis product of the
-    same factor; triangle/tetrahedron: the simplex overlap described in the
-    module docstring.
+    ``cell`` is an ``ElementKind`` or its name; anything else raises
+    ``InputError`` naming ``cell``.  ``step`` is a single local step
+    ``(n,)`` or a batch ``(m, n)``.  Segment: ``max(0, 1 - |d|)``;
+    parallelogram/parallelepiped: per-axis product of the same factor;
+    triangle/tetrahedron: the simplex overlap described in the module
+    docstring.  Both closed forms lie in [0, 1] as they stand.
     """
+    cell = _kind("cell", cell)
     d, scalar = _as_batch(step, cell.dim, "step")
     if not np.all(np.isfinite(d)):
         raise DimensionMismatch("step components must be finite")
@@ -71,7 +74,6 @@ def stay_fraction(cell: ReferenceCell, step) -> float | np.ndarray:
         out = _stay_simplex(d)
     else:
         out = _stay_box(d)
-    out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -89,7 +91,10 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
     DimensionMismatch
         A step without the element's ``n`` components, or one whose local
         coordinates are not finite.
+    InputError
+        An ``element`` that is not a ``MeshElement``.
     """
+    _check_element("element", element)
     amap = element.affine_map
     step = np.asarray(global_step, dtype=float)
     if step.ndim == 0 or step.shape[-1] != amap.dim:
@@ -100,7 +105,7 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
         local = amap.local_step(step)
     if not np.isfinite(local).all():
         raise DimensionMismatch("step produced non-finite local coordinates")
-    return 1.0 - stay_fraction(element.reference_cell, local)
+    return 1.0 - stay_fraction(element.kind, local)
 
 
 def conditional_transition_1d(source, target, step) -> float | np.ndarray:

@@ -1,7 +1,8 @@
 """Mesh elements, reference cells, and the affine transformation between them.
 
 An element is described by its spanning vertices.  Each element kind is
-affinely equivalent to a reference unit cell; the map ``g(xi) = A @ xi + b``
+affinely equivalent to one reference unit cell, whose dimension, measure
+and shape (simplex or box) the kind carries; the map ``g(xi) = A @ xi + b``
 sends the reference cell onto the element, with the columns of ``A`` being
 the edge vectors from the first vertex.  Each element builds its map once,
 when it is made, and keeps it as ``element.affine_map``.  All heavy
@@ -23,7 +24,6 @@ from .errors import DegenerateElement, DimensionMismatch, InputError
 
 __all__ = [
     "ElementKind",
-    "ReferenceCell",
     "MeshElement",
     "AffineMap",
     "mesh_element",
@@ -42,36 +42,36 @@ IMPLIED_VERTEX_RTOL = 1e-12
 
 
 class ElementKind(str, Enum):
-    SEGMENT = "segment"
-    TRIANGLE = "triangle"
-    PARALLELOGRAM = "parallelogram"
-    TETRAHEDRON = "tetrahedron"
-    PARALLELEPIPED = "parallelepiped"
+    """A kind of element, named by its JSON value, and its reference cell.
 
+    Each member carries the reference cell's ``dim``, its ``measure``
+    (length, area or volume) and ``is_simplex``: the segment, triangle and
+    tetrahedron map from the unit simplex, the parallelogram and the
+    parallelepiped from the unit box.
+    """
 
-class ReferenceCell(Enum):
-    """Canonical unit cells that elements are affinely equivalent to."""
-
-    INTERVAL = ("interval", 1, 1.0, True)
+    SEGMENT = ("segment", 1, 1.0, True)
     TRIANGLE = ("triangle", 2, 0.5, True)
-    SQUARE = ("square", 2, 1.0, False)
+    PARALLELOGRAM = ("parallelogram", 2, 1.0, False)
     TETRAHEDRON = ("tetrahedron", 3, 1.0 / 6.0, True)
-    CUBE = ("cube", 3, 1.0, False)
+    PARALLELEPIPED = ("parallelepiped", 3, 1.0, False)
 
-    def __init__(self, label: str, dim: int, measure: float, is_simplex: bool):
-        self.label = label
-        self.dim = dim
-        self.measure = measure
-        self.is_simplex = is_simplex
+    def __new__(cls, value: str, dim: int, measure: float, is_simplex: bool):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.dim = dim
+        member.measure = measure
+        member.is_simplex = is_simplex
+        return member
 
 
-_KIND_CELL = {
-    ElementKind.SEGMENT: ReferenceCell.INTERVAL,
-    ElementKind.TRIANGLE: ReferenceCell.TRIANGLE,
-    ElementKind.PARALLELOGRAM: ReferenceCell.SQUARE,
-    ElementKind.TETRAHEDRON: ReferenceCell.TETRAHEDRON,
-    ElementKind.PARALLELEPIPED: ReferenceCell.CUBE,
-}
+def _kind(argument: str, value) -> ElementKind:
+    """``value`` as an ``ElementKind``; ``InputError`` naming ``argument`` unless it is a member or its name."""
+    try:
+        return ElementKind(value)
+    except ValueError:
+        valid = ", ".join(k.value for k in ElementKind)
+        raise InputError(argument, f"unknown element kind {value!r}; expected one of {valid}") from None
 
 
 def _integer(value) -> int | None:
@@ -132,14 +132,9 @@ class MeshElement:
     affine_map: "AffineMap" = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            kind = ElementKind(self.kind)
-        except ValueError:
-            valid = ", ".join(k.value for k in ElementKind)
-            raise InputError("kind", f"unknown element kind {self.kind!r}; expected one of {valid}") from None
-        cell = _KIND_CELL[kind]
-        dim, n_span = cell.dim, cell.dim + 1  # the first vertex and one per edge span
-        n_full = n_span if cell.is_simplex else 2**dim  # a box has all its corners
+        kind = _kind("kind", self.kind)
+        dim, n_span = kind.dim, kind.dim + 1  # the first vertex and one per edge span
+        n_full = n_span if kind.is_simplex else 2**dim  # a box has all its corners
 
         # each coordinate as given: numpy would turn a string into a number,
         # and a bool among numbers into one
@@ -191,15 +186,12 @@ class MeshElement:
             )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vertices", full)
-        object.__setattr__(self, "affine_map", AffineMap.from_matrix(edges.T, full[0].copy(), det))
+        affine_map = AffineMap(edges.T, full[0].copy(), np.linalg.inv(edges.T), abs(det))
+        object.__setattr__(self, "affine_map", affine_map)
 
     @property
     def dim(self) -> int:
-        return self.reference_cell.dim
-
-    @property
-    def reference_cell(self) -> ReferenceCell:
-        return _KIND_CELL[self.kind]
+        return self.kind.dim
 
 
 mesh_element = MeshElement
@@ -274,7 +266,10 @@ def load_element(path) -> MeshElement:
 class AffineMap:
     """The pair ``(A, b)`` mapping reference-cell coordinates to global ones.
 
-    ``inverse`` and ``abs_det`` are computed once and cached on the instance.
+    It is made with ``A``'s ``inverse`` and ``abs_det``, which its maker
+    already holds (an element from its edges, a composed map from its
+    factors'), so the map itself computes neither.  Its arrays are made
+    read-only.
     """
 
     matrix: np.ndarray
@@ -282,19 +277,9 @@ class AffineMap:
     inverse: np.ndarray
     abs_det: float
 
-    @classmethod
-    def from_matrix(cls, matrix, offset, det: float | None = None) -> "AffineMap":
-        """The map of ``matrix`` and ``offset``; ``det``, when given, is ``np.linalg.det(matrix)``."""
-        matrix = np.asarray(matrix, dtype=float)
-        offset = np.asarray(offset, dtype=float)
-        if det is None:
-            det = float(np.linalg.det(matrix))
-        if det == 0.0 or not np.isfinite(det):
-            raise DegenerateElement("affine matrix is singular")
-        inverse = np.linalg.inv(matrix)
-        for arr in (matrix, offset, inverse):
+    def __post_init__(self):
+        for arr in (self.matrix, self.offset, self.inverse):
             arr.flags.writeable = False
-        return cls(matrix=matrix, offset=offset, inverse=inverse, abs_det=abs(det))
 
     @property
     def dim(self) -> int:
@@ -336,18 +321,18 @@ class AffineMap:
         return np.asarray(local_step, dtype=float) @ self.matrix.T
 
 
-def _reference_contains(cell: ReferenceCell, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Boundary-inclusive membership of points ``(..., n)`` in the reference cell.
+def _reference_contains(kind: ElementKind, local: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Boundary-inclusive membership of points ``(..., n)`` in the reference cell of ``kind``.
 
     Compares whole coordinate columns, so one point gives a 0-d result and
     a batch ``(m, n)`` an ``(m,)`` array by the same path.  A simplex sums
     its coordinates left to right.  With ``out``, a boolean array of the
     result's shape, the result is written into it and ``out`` is returned.
     """
-    cols = [local[..., j] for j in range(cell.dim)]
+    cols = [local[..., j] for j in range(kind.dim)]
     # a simplex bounds the sum of its coordinates from above, a box each one
     upper = cols
-    if cell.is_simplex and cell.dim > 1:
+    if kind.is_simplex and kind.dim > 1:
         total = cols[0] + cols[1]
         for col in cols[2:]:
             total += col
@@ -366,16 +351,17 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     Accepts a single point ``(n,)`` or a batch ``(m, n)``; returns a bool or
     a boolean array accordingly.
     """
+    _check_element("element", element)
     pts, one = _as_batch(point, element.dim, "point")
-    result = _reference_contains(element.reference_cell, element.affine_map.to_local(pts))
+    result = _reference_contains(element.kind, element.affine_map.to_local(pts))
     return bool(result[0]) if one else result
 
 
 def _sample_reference(
-    cell: ReferenceCell, rng: np.random.Generator, m: int,
+    kind: ElementKind, rng: np.random.Generator, m: int,
     out: np.ndarray | None = None, draws: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform samples in the reference cell, shape (m, dim), with contiguous columns.
+    """Uniform samples in the reference cell of ``kind``, shape (m, dim), with contiguous columns.
 
     One point is one row of ``rng.random((m, dim))``, copied into
     coordinate columns.  A box keeps them.  A simplex sorts each point's
@@ -389,17 +375,17 @@ def _sample_reference(
     C-contiguous ``(m, dim)`` array, receives the uniforms and then serves
     as the sort's scratch.  Either is allocated when not given.
     """
-    draws = rng.random((m, cell.dim), out=draws)
-    cols = np.empty((cell.dim, m)) if out is None else out.T
+    draws = rng.random((m, kind.dim), out=draws)
+    cols = np.empty((kind.dim, m)) if out is None else out.T
     cols[...] = draws.T
-    if cell.is_simplex:
+    if kind.is_simplex:
         low = draws.reshape(-1)[:m]
-        for end in range(cell.dim - 1, 0, -1):
+        for end in range(kind.dim - 1, 0, -1):
             for j in range(end):
                 np.minimum(cols[j], cols[j + 1], out=low)
                 np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
                 cols[j] = low
-        for j in range(cell.dim - 1, 0, -1):
+        for j in range(kind.dim - 1, 0, -1):
             cols[j] -= cols[j - 1]
     return cols.T
 
@@ -413,11 +399,13 @@ def sample_uniform(element: MeshElement, rng: np.random.Generator, size: int | N
     integer (not a bool) raises ``InputError``.  Only the supplied generator
     is mutated.
     """
-    local = _sample_reference(element.reference_cell, rng, 1 if size is None else _size(size))
+    _check_element("element", element)
+    local = _sample_reference(element.kind, rng, 1 if size is None else _size(size))
     pts = element.affine_map.to_global(local)
     return pts[0] if size is None else pts
 
 
 def measure(element: MeshElement) -> float:
     """Length, area, or volume: ``|det(A)| * measure(reference cell)``."""
-    return element.affine_map.abs_det * element.reference_cell.measure
+    _check_element("element", element)
+    return element.affine_map.abs_det * element.kind.measure

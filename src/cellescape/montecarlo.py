@@ -116,15 +116,17 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
     start = time.perf_counter()
     src_map = source.affine_map
     tgt_map = target.affine_map
-    src_cell = source.reference_cell
-    tgt_cell = target.reference_cell
     # A particle at source-reference point xi that takes the global step d
     # lands at target-reference point M xi + T^-1 d + c, where the columns
     # of M are the source's edges and c its first vertex, both in target
-    # coordinates.  For escape M is the identity and c is 0.
-    step_map = AffineMap.from_matrix(tgt_map.inverse, tgt_map.to_local(src_map.offset))
-    reference_map = None if source is target else AffineMap.from_matrix(
-        tgt_map.local_step(src_map.matrix.T).T, np.zeros(source.dim)
+    # coordinates.  For escape M is the identity and c is 0.  Both maps are
+    # composed from the elements' own matrices, inverses and determinants:
+    # no determinant or inverse is computed again, which on an element of
+    # tiny edges would overflow.
+    step_map = AffineMap(tgt_map.inverse, tgt_map.to_local(src_map.offset), tgt_map.matrix, 1.0 / tgt_map.abs_det)
+    reference_map = None if source is target else AffineMap(
+        tgt_map.local_step(src_map.matrix.T).T, np.zeros(source.dim),
+        src_map.local_step(tgt_map.matrix.T).T, src_map.abs_det / tgt_map.abs_det,
     )
 
     n = source.dim
@@ -150,7 +152,7 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             m = min(_CHUNK, config.particles - index * _CHUNK)
             rng = _chunk_stream(config.seed, index, run)
             raw = draws[:m * n]
-            xi = _sample_reference(src_cell, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
+            xi = _sample_reference(source.kind, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
             steps = dist.sample(rng, m, out=raw.reshape(m, n)) if takes_out else dist.sample(rng, m)
             if np.shape(steps) != (m, n):
                 raise DimensionMismatch(f"the law sampled steps of shape {np.shape(steps)}, expected {(m, n)}")
@@ -165,7 +167,7 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             # coordinate column finds every such step.
             if not np.isfinite(local[:, 0], out=mask[:m]).all():
                 raise DimensionMismatch("the law sampled non-finite steps, or steps too large to map")
-            landed += int(np.count_nonzero(_reference_contains(tgt_cell, local, out=mask[:m])))
+            landed += int(np.count_nonzero(_reference_contains(target.kind, local, out=mask[:m])))
         return landed
 
     estimates = []

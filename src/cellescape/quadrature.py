@@ -50,7 +50,7 @@ import numpy as np
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law
 from .errors import NonFiniteIntegrand, ToleranceNotMet
-from .geometry import MeshElement, ReferenceCell, _check_element, _integer
+from .geometry import ElementKind, MeshElement, _check_element, _integer
 
 __all__ = [
     "QuadratureConfig",
@@ -450,8 +450,8 @@ def _bit_vectors(n: int) -> list[list[int]]:
     return [[(mask >> i) & 1 for i in range(n)] for mask in range(2**n)]
 
 
-def _support_facets(cell: ReferenceCell) -> list[np.ndarray]:
-    """Vertex lists of the facet pieces of the stay support of ``cell``.
+def _support_facets(kind: ElementKind) -> list[np.ndarray]:
+    """Vertex lists of the facet pieces of the stay support of the reference cell of ``kind``.
 
     On a simplex the support is the difference body ``U - U``: its vertices
     are the differences of the cell's vertices, and its facets lie on the
@@ -462,9 +462,9 @@ def _support_facets(cell: ReferenceCell) -> list[np.ndarray]:
     ``[-1, 1]^n`` and ``prod(1 - |d_i|)`` is smooth on the cone over each
     facet piece cut off by the coordinate planes.
     """
-    n = cell.dim
+    n = kind.dim
     eye = np.eye(n)
-    if cell.is_simplex:
+    if kind.is_simplex:
         corners = np.vstack([np.zeros(n), eye])
         vertices = np.array([p - q for i, p in enumerate(corners) for j, q in enumerate(corners) if i != j])
         normals = [sign * np.array(bits) for sign in (1, -1) for bits in _bit_vectors(n) if any(bits)]
@@ -498,7 +498,7 @@ class _Cones:
     precision next to every apex.
     """
 
-    cell: ReferenceCell
+    kind: ElementKind
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
     abs_det: np.ndarray  # (cones,)
@@ -549,7 +549,7 @@ class _Cones:
         one column ``simplex_stay``, the same on every ray.
         """
         rays, jac = self.facet_nodes(w, k)
-        return rays, jac, self.simplex_stay if self.cell.is_simplex else _stay_polynomial(np.abs(rays))
+        return rays, jac, self.simplex_stay if self.kind.is_simplex else _stay_polynomial(np.abs(rays))
 
     @functools.cached_property
     def first_pass(self):
@@ -567,8 +567,8 @@ class _Cones:
         return data[:3], data[3:]
 
 
-def _cones(cell: ReferenceCell) -> _Cones:
-    facets = _support_facets(cell)
+def _cones(kind: ElementKind) -> _Cones:
+    facets = _support_facets(kind)
     frames = []
     for vertices in facets:
         rel = vertices[1:] - vertices[0]
@@ -579,15 +579,15 @@ def _cones(cell: ReferenceCell) -> _Cones:
         frames.append(np.vstack([vertices[0], rel]))
     frames = np.array(frames)
     return _Cones(
-        cell=cell,
+        kind=kind,
         frames=frames,
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
         abs_det=np.abs(np.linalg.det(frames)),
-        simplex_stay=_stay_polynomial(np.ones((1, cell.dim))) if cell.is_simplex else None,
+        simplex_stay=_stay_polynomial(np.ones((1, kind.dim))) if kind.is_simplex else None,
     )
 
 
-_CONE_CACHE = {cell: _cones(cell) for cell in ReferenceCell}
+_CONE_CACHE = {kind: _cones(kind) for kind in ElementKind}
 
 
 def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
@@ -686,8 +686,8 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     _check_element("element", element)
     _check_law(dist, element.dim)
     start = time.perf_counter()
-    cell = element.reference_cell
-    cones = _CONE_CACHE[cell]
+    kind = element.kind
+    cones = _CONE_CACHE[kind]
     amap = element.affine_map
     mixture = _mixture_hook(dist)
     if mixture is not None:
@@ -705,8 +705,8 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
         rays, jac = cones.facet_nodes(x[:, 1:], k)
         local_steps = t[:, None] * rays
         global_steps = amap.global_step(local_steps)
-        jac *= t ** (cell.dim - 1)
-        return stay_fraction(cell, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
+        jac *= t ** (kind.dim - 1)
+        return stay_fraction(kind, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
 
     return _solve(f, lo, hi, k, config, start, complement=True)
 

@@ -13,9 +13,9 @@ import numpy as np
 from scipy.stats import kstest
 
 from cellescape import (
+    ElementKind,
     McConfig,
     QuadratureConfig,
-    ReferenceCell,
     VelocityJumpStep,
     WienerStep,
     conditional_escape,
@@ -105,11 +105,11 @@ def test_criterion_4_overlap_grid_oracle():
     rng = np.random.default_rng(404)
     n_steps = 10**4
     cases = [
-        (ReferenceCell.INTERVAL, 10**6, lambda s, r: overlap_interval(s, r)),
-        (ReferenceCell.SQUARE, 2000, overlap_box),
-        (ReferenceCell.TRIANGLE, 2000, overlap_triangle),
-        (ReferenceCell.CUBE, 400, overlap_box),
-        (ReferenceCell.TETRAHEDRON, 400, overlap_tetrahedron),
+        (ElementKind.SEGMENT, 10**6, lambda s, r: overlap_interval(s, r)),
+        (ElementKind.PARALLELOGRAM, 2000, overlap_box),
+        (ElementKind.TRIANGLE, 2000, overlap_triangle),
+        (ElementKind.PARALLELEPIPED, 400, overlap_box),
+        (ElementKind.TETRAHEDRON, 400, overlap_tetrahedron),
     ]
     details = []
     ok = True
@@ -118,18 +118,18 @@ def test_criterion_4_overlap_grid_oracle():
         error = np.abs(stay_fraction(cell, steps) - oracle(steps, res)).max()
         bound = 2.0 * cell.dim / res
         ok &= error <= bound
-        details.append(f"{cell.label} {error:.1e}<={bound:.1e}")
+        details.append(f"{cell.value} {error:.1e}<={bound:.1e}")
     elapsed = time.perf_counter() - start
     ok &= elapsed <= 600.0
     record(4, ok, "; ".join(details) + f"; {elapsed:.0f}s of 600s budget")
 
 
 CONTINUITY_MANIFOLDS = {
-    ReferenceCell.INTERVAL: [(1.0,)],
-    ReferenceCell.SQUARE: [(1, 0), (0, 1)],
-    ReferenceCell.TRIANGLE: [(1, 0), (0, 1), (1, 1)],
-    ReferenceCell.CUBE: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-    ReferenceCell.TETRAHEDRON: [
+    ElementKind.SEGMENT: [(1.0,)],
+    ElementKind.PARALLELOGRAM: [(1, 0), (0, 1)],
+    ElementKind.TRIANGLE: [(1, 0), (0, 1), (1, 1)],
+    ElementKind.PARALLELEPIPED: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ElementKind.TETRAHEDRON: [
         (1, 0, 0), (0, 1, 0), (0, 0, 1),
         (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1),
     ],
@@ -196,7 +196,7 @@ def test_criterion_5_property_suite():
         escapes = np.array([conditional_escape(element, s) for s in steps[:50]])
         range_ok &= bool(np.all((escapes >= 0.0) & (escapes <= 1.0)))
         local = element.affine_map.local_step(steps)
-        values = 1.0 - stay_fraction(element.reference_cell, local)
+        values = 1.0 - stay_fraction(element.kind, local)
         range_ok &= bool(np.all((values >= 0.0) & (values <= 1.0)))
     details.append(f"escape in [0,1]: {range_ok}")
 

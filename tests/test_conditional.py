@@ -3,9 +3,9 @@ import pytest
 
 from cellescape import (
     DimensionMismatch,
+    ElementKind,
     EmptyInterval,
     InputError,
-    ReferenceCell,
     WienerStep,
     conditional_escape,
     conditional_transition_1d,
@@ -22,38 +22,52 @@ from oracles import (
 )
 
 ALL_CELLS = [
-    ReferenceCell.INTERVAL,
-    ReferenceCell.TRIANGLE,
-    ReferenceCell.SQUARE,
-    ReferenceCell.TETRAHEDRON,
-    ReferenceCell.CUBE,
+    ElementKind.SEGMENT,
+    ElementKind.TRIANGLE,
+    ElementKind.PARALLELOGRAM,
+    ElementKind.TETRAHEDRON,
+    ElementKind.PARALLELEPIPED,
 ]
 
 
 class TestStayFractionValues:
     def test_unit_square_half_step(self):
-        assert stay_fraction(ReferenceCell.SQUARE, [0.5, 0.5]) == pytest.approx(0.25)
+        assert stay_fraction(ElementKind.PARALLELOGRAM, [0.5, 0.5]) == pytest.approx(0.25)
 
     def test_zero_step_full_overlap(self):
-        assert stay_fraction(ReferenceCell.TRIANGLE, [0.0, 0.0]) == 1.0
+        assert stay_fraction(ElementKind.TRIANGLE, [0.0, 0.0]) == 1.0
 
     def test_triangle_opposite_sign_case(self):
         # case with eta * (xi + eta) < 0: overlap (1 - |xi|)^2
-        assert stay_fraction(ReferenceCell.TRIANGLE, [0.5, -0.25]) == pytest.approx(0.25)
+        assert stay_fraction(ElementKind.TRIANGLE, [0.5, -0.25]) == pytest.approx(0.25)
 
     def test_tetrahedron_axis_step(self):
         # same-sign case with |xi + eta + zeta| = 0.5: (1 - 0.5)^3
-        assert stay_fraction(ReferenceCell.TETRAHEDRON, [0.5, 0.0, 0.0]) == pytest.approx(0.125)
+        assert stay_fraction(ElementKind.TETRAHEDRON, [0.5, 0.0, 0.0]) == pytest.approx(0.125)
 
     def test_interval(self):
-        assert stay_fraction(ReferenceCell.INTERVAL, [0.25]) == pytest.approx(0.75)
-        assert stay_fraction(ReferenceCell.INTERVAL, [-2.0]) == 0.0
+        assert stay_fraction(ElementKind.SEGMENT, [0.25]) == pytest.approx(0.75)
+        assert stay_fraction(ElementKind.SEGMENT, [-2.0]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            stay_fraction(ReferenceCell.TRIANGLE, [0.5])
+            stay_fraction(ElementKind.TRIANGLE, [0.5])
         with pytest.raises(DimensionMismatch):
-            stay_fraction(ReferenceCell.INTERVAL, [np.nan])
+            stay_fraction(ElementKind.SEGMENT, [np.nan])
+
+
+class TestStayFractionCell:
+    """``stay_fraction`` reads its cell as ``MeshElement`` reads ``kind``."""
+
+    def test_kind_name_is_accepted(self):
+        assert stay_fraction("triangle", [0.5, -0.25]) == stay_fraction(ElementKind.TRIANGLE, [0.5, -0.25])
+        assert stay_fraction("triangle", [0.5, -0.25]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("cell", ["square", "interval", "TRIANGLE", None, 2, [0.5]])
+    def test_anything_else_is_an_input_error_naming_cell(self, cell):
+        with pytest.raises(InputError) as info:
+            stay_fraction(cell, [0.5, 0.5])
+        assert info.value.field == "cell"
 
 
 class TestTriangleCaseTable:
@@ -71,21 +85,21 @@ class TestTriangleCaseTable:
             rng, lambda x, y: (x * y > 0) & (np.abs(x + y) <= 1)
         )
         expected = (1 - np.abs(steps[:, 0]) - np.abs(steps[:, 1])) ** 2
-        assert np.allclose(stay_fraction(ReferenceCell.TRIANGLE, steps), expected)
+        assert np.allclose(stay_fraction(ElementKind.TRIANGLE, steps), expected)
 
     def test_eta_opposed_case(self, rng):
         steps = self._sample_region(
             rng, lambda x, y: (y * (x + y) < 0) & (np.abs(x) <= 1)
         )
         expected = (1 - np.abs(steps[:, 0])) ** 2
-        assert np.allclose(stay_fraction(ReferenceCell.TRIANGLE, steps), expected)
+        assert np.allclose(stay_fraction(ElementKind.TRIANGLE, steps), expected)
 
     def test_xi_opposed_case(self, rng):
         steps = self._sample_region(
             rng, lambda x, y: (x * (x + y) < 0) & (np.abs(y) <= 1)
         )
         expected = (1 - np.abs(steps[:, 1])) ** 2
-        assert np.allclose(stay_fraction(ReferenceCell.TRIANGLE, steps), expected)
+        assert np.allclose(stay_fraction(ElementKind.TRIANGLE, steps), expected)
 
     def test_otherwise_zero(self, rng):
         steps = self._sample_region(
@@ -95,7 +109,7 @@ class TestTriangleCaseTable:
             & ~((x * (x + y) <= 0) & (np.abs(y) <= 1)),
             n=500,
         )
-        assert np.all(stay_fraction(ReferenceCell.TRIANGLE, steps) == 0.0)
+        assert np.all(stay_fraction(ElementKind.TRIANGLE, steps) == 0.0)
 
 
 class TestTetrahedronCaseTable:
@@ -110,7 +124,7 @@ class TestTetrahedronCaseTable:
         return steps[mask][:n]
 
     def _check(self, steps, expected):
-        assert np.allclose(stay_fraction(ReferenceCell.TETRAHEDRON, steps), expected)
+        assert np.allclose(stay_fraction(ElementKind.TETRAHEDRON, steps), expected)
 
     def test_same_sign_case(self, rng):
         s = self._sample(rng, lambda x, y, z, t: (x * y > 0) & (x * z > 0) & (y * z > 0) & (np.abs(t) <= 1))
@@ -157,34 +171,34 @@ class TestTetrahedronCaseTable:
 
     def test_outside_support_zero(self, rng):
         steps = rng.uniform(1.0, 2.0, size=(2000, 3)) * rng.choice([-1, 1], size=(2000, 3))
-        assert np.all(stay_fraction(ReferenceCell.TETRAHEDRON, steps) == 0.0)
+        assert np.all(stay_fraction(ElementKind.TETRAHEDRON, steps) == 0.0)
 
 
 class TestGridCountOracle:
     # quick versions; the full-resolution runs live in the acceptance suite
     def test_interval(self, rng):
         steps = rng.uniform(-1.4, 1.4, size=(2000, 1))
-        got = stay_fraction(ReferenceCell.INTERVAL, steps)
+        got = stay_fraction(ElementKind.SEGMENT, steps)
         assert np.abs(got - overlap_interval(steps, res=10**5)).max() < 2e-5
 
     def test_square(self, rng):
         steps = rng.uniform(-1.2, 1.2, size=(2000, 2))
-        got = stay_fraction(ReferenceCell.SQUARE, steps)
+        got = stay_fraction(ElementKind.PARALLELOGRAM, steps)
         assert np.abs(got - overlap_box(steps, res=1000)).max() < 4e-3
 
     def test_triangle(self, rng):
         steps = rng.uniform(-1.2, 1.2, size=(2000, 2))
-        got = stay_fraction(ReferenceCell.TRIANGLE, steps)
+        got = stay_fraction(ElementKind.TRIANGLE, steps)
         assert np.abs(got - overlap_triangle(steps, res=1000)).max() < 4e-3
 
     def test_cube(self, rng):
         steps = rng.uniform(-1.2, 1.2, size=(2000, 3))
-        got = stay_fraction(ReferenceCell.CUBE, steps)
+        got = stay_fraction(ElementKind.PARALLELEPIPED, steps)
         assert np.abs(got - overlap_box(steps, res=200)).max() < 3e-2
 
     def test_tetrahedron(self, rng):
         steps = rng.uniform(-1.2, 1.2, size=(500, 3))
-        got = stay_fraction(ReferenceCell.TETRAHEDRON, steps)
+        got = stay_fraction(ElementKind.TETRAHEDRON, steps)
         assert np.abs(got - overlap_tetrahedron(steps, res=200)).max() < 3e-2
 
 
@@ -260,7 +274,7 @@ class TestConditionalEscape:
         amap = tet.affine_map
         steps = rng.normal(size=(500, 3))
         escapes = np.array([conditional_escape(tet, s) for s in steps])
-        stays = stay_fraction(ReferenceCell.TETRAHEDRON, amap.local_step(steps))
+        stays = stay_fraction(ElementKind.TETRAHEDRON, amap.local_step(steps))
         assert np.allclose(escapes, 1.0 - stays)
 
 

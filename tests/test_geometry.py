@@ -13,7 +13,6 @@ from cellescape import (
     ElementKind,
     InputError,
     MeshElement,
-    ReferenceCell,
     WienerStep,
     conditional_escape,
     contains,
@@ -122,6 +121,31 @@ class TestConstruction:
         assert mesh_element is MeshElement
 
 
+class TestElementKind:
+    @pytest.mark.parametrize("kind, dim, cell_measure, is_simplex", [
+        ("segment", 1, 1.0, True),
+        ("triangle", 2, 0.5, True),
+        ("parallelogram", 2, 1.0, False),
+        ("tetrahedron", 3, 1.0 / 6.0, True),
+        ("parallelepiped", 3, 1.0, False),
+    ])
+    def test_kind_carries_its_reference_cell(self, kind, dim, cell_measure, is_simplex):
+        member = ElementKind(kind)
+        assert member == kind and member.value == kind
+        assert (member.dim, member.measure, member.is_simplex) == (dim, cell_measure, is_simplex)
+
+    @pytest.mark.parametrize("call", [
+        lambda element, rng: contains(element, [0.1, 0.1]),
+        lambda element, rng: sample_uniform(element, rng, 3),
+        lambda element, rng: measure(element),
+        lambda element, rng: conditional_escape(element, [0.1, 0.1]),
+    ], ids=["contains", "sample_uniform", "measure", "conditional_escape"])
+    def test_non_element_is_an_input_error_naming_element(self, call, rng):
+        with pytest.raises(InputError) as info:
+            call("tri", rng)
+        assert info.value.field == "element"
+
+
 class TestAffineMap:
     def test_benchmark_triangle(self, benchmark_elements):
         amap = benchmark_elements["triangle"].affine_map
@@ -171,8 +195,8 @@ class TestAffineMap:
     def test_one_map_per_element(self, benchmark_elements, monkeypatch, rng):
         # the geometry and the solvers read the element's map; none builds one
         built = []
-        compose = AffineMap.from_matrix
-        monkeypatch.setattr(AffineMap, "from_matrix", lambda *args: built.append(args) or compose(*args))
+        make = AffineMap.__init__
+        monkeypatch.setattr(AffineMap, "__init__", lambda *args: built.append(args) or make(*args))
         for element in benchmark_elements.values():
             assert isinstance(element.affine_map, AffineMap)
             step = np.full(element.dim, 0.1)
@@ -312,7 +336,7 @@ class TestContains:
         # Points CONTAINMENT_TOL/2 beyond a facet count as inside, points
         # 10 CONTAINMENT_TOL beyond it as outside, one at a time and as a batch.
         for element in benchmark_elements.values():
-            cell = element.reference_cell
+            cell = element.kind
             n = cell.dim
             facets = []  # (reference point on the facet, outward offset per unit)
             for j in range(n):
@@ -394,13 +418,13 @@ class TestSampleUniform:
 
         edges = np.linspace(0.0, 1.0, 5)
         hist, _ = np.histogramdd(local, bins=[edges] * n)
-        simplex = element.reference_cell in (ReferenceCell.TRIANGLE, ReferenceCell.TETRAHEDRON)
+        simplex = element.kind in (ElementKind.TRIANGLE, ElementKind.TETRAHEDRON)
         probs = np.zeros_like(hist)
         for idx in np.ndindex(hist.shape):
             lo = edges[list(idx)]
             hi = edges[[i + 1 for i in idx]]
             if simplex:
-                probs[idx] = simplex_box_volume(lo, hi) / element.reference_cell.measure
+                probs[idx] = simplex_box_volume(lo, hi) / element.kind.measure
             else:
                 probs[idx] = np.prod(hi - lo)
         keep = probs > 1e-15
@@ -418,7 +442,7 @@ class TestOutArguments:
 
     @pytest.mark.parametrize("name", KINDS)
     def test_sample_reference(self, benchmark_elements, name):
-        cell = benchmark_elements[name].reference_cell
+        cell = benchmark_elements[name].kind
         m = 5003
         expected = _sample_reference(cell, np.random.default_rng(41), m)
         columns = np.full((cell.dim, m), np.nan)
@@ -438,7 +462,7 @@ class TestOutArguments:
 
     @pytest.mark.parametrize("name", KINDS)
     def test_reference_contains(self, benchmark_elements, name, rng):
-        cell = benchmark_elements[name].reference_cell
+        cell = benchmark_elements[name].kind
         points = rng.uniform(-0.2, 1.2, (4001, cell.dim))
         mask = np.ones(4001, dtype=bool)
         got = _reference_contains(cell, points, out=mask)

@@ -86,6 +86,23 @@ class TestEscapeMc:
         with pytest.raises(DimensionMismatch):
             escape_probability_mc(benchmark_elements["segment"], WienerStep(dt=1.0, dim=2))
 
+    def test_tiny_element_matches_its_unit_scaling(self, monkeypatch):
+        # edges of 1e-103 give |det A| = 1e-309: the composed maps invert and
+        # take no determinant, which would overflow, so the estimate is that
+        # of the unit cell at the same seed and dt / h^2
+        h = 1e-103
+        tiny = mesh_element("tetrahedron", [[0, 0, 0], [h, 0, 0], [0, h, 0], [0, 0, h]])
+        unit = mesh_element("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        config = McConfig(particles=50000, seed=4)
+        want = escape_probability_mc(unit, WienerStep(dt=0.1, dim=3), config).value
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the estimator called np.linalg")
+
+        for name in ("det", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        assert escape_probability_mc(tiny, WienerStep(dt=0.1 * h * h, dim=3), config).value == want
+
     def test_unbiased_over_many_seeds(self, benchmark_elements):
         seg = benchmark_elements["segment"]
         dist = WienerStep(dt=1.0, dim=1)
@@ -296,11 +313,11 @@ class TestOnePassPerCall:
         import cellescape.montecarlo as montecarlo
 
         maps, pools = [], []
-        compose = montecarlo.AffineMap.from_matrix
+        make = montecarlo.AffineMap.__init__
 
         def counted(*args, **kwargs):
             maps.append(args)
-            return compose(*args, **kwargs)
+            make(*args, **kwargs)
 
         class CountedPool(montecarlo.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
@@ -309,7 +326,7 @@ class TestOnePassPerCall:
 
         # the elements' own maps are read, and the step map into the target
         # is composed once per call
-        monkeypatch.setattr(montecarlo.AffineMap, "from_matrix", counted)
+        monkeypatch.setattr(montecarlo.AffineMap, "__init__", counted)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountedPool)
         segment = benchmark_elements["segment"]
         for calls, n_runs in enumerate((1, 3), start=1):

@@ -6,10 +6,10 @@ import pytest
 from cellescape import (
     DensityUnavailable,
     DimensionMismatch,
+    ElementKind,
     InputError,
     NonFiniteIntegrand,
     QuadratureConfig,
-    ReferenceCell,
     StepDistribution,
     ToleranceNotMet,
     VelocityJumpStep,
@@ -87,7 +87,7 @@ class TestIntegrateAdaptive:
 
     def test_stay_fraction_over_square_support(self):
         # per axis: integral of (1 - |u|) over [-1, 1] is 1, so the product is 1
-        f = lambda x: stay_fraction(ReferenceCell.SQUARE, x)
+        f = lambda x: stay_fraction(ElementKind.PARALLELOGRAM, x)
         value, err, _ = integrate(f, [-1.0, -1.0], [1.0, 1.0])
         assert value == pytest.approx(1.0, abs=1e-8)
 
@@ -254,7 +254,7 @@ class TestRadialPath:
 
 
 class TestCones:
-    @pytest.mark.parametrize("cell", list(ReferenceCell))
+    @pytest.mark.parametrize("cell", list(ElementKind))
     def test_stay_integrates_to_cell_measure(self, cell):
         # the integral of V(U ∩ (U - d)) / V(U) over all steps d is V(U)
         cones = _CONE_CACHE[cell]
@@ -277,7 +277,7 @@ class TestCones:
 class TestFirstPass:
     """The radial path's first pass reads node data cached per cell."""
 
-    @pytest.mark.parametrize("cell", list(ReferenceCell))
+    @pytest.mark.parametrize("cell", list(ElementKind))
     def test_cached_node_data_is_that_of_the_first_boxes(self, cell):
         cones = _CONE_CACHE[cell]
         (lo, hi, k), cached = cones.first_pass
@@ -301,7 +301,7 @@ class TestFirstPass:
     @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
     def test_cached_first_pass_changes_nothing(self, kind):
         element = bench.BENCHMARK_ELEMENTS[kind]
-        cones = _CONE_CACHE[element.reference_cell]
+        cones = _CONE_CACHE[element.kind]
         (lo, hi, k), nodes = cones.first_pass
         amap = element.affine_map
         mixture = quadrature._mixture_hook(WienerStep(dt=0.1, dim=element.dim))
@@ -321,7 +321,7 @@ class TestFirstPass:
         element = bench.BENCHMARK_ELEMENTS[kind]
         amap = element.affine_map
         law = WienerStep(dt=dt, dim=element.dim)
-        _, (rays, jac, stay) = _CONE_CACHE[element.reference_cell].first_pass
+        _, (rays, jac, stay) = _CONE_CACHE[element.kind].first_pass
         n = element.dim
         radii = np.linalg.norm(rays @ amap.matrix.T, axis=1)
         moments = _radial_moments(0.5 * (radii[:, None] / law.typical_scale) ** 2, n - 1, 2 * n - 1)
@@ -541,7 +541,7 @@ class TestEscapeDeterministic:
         assert max(sizes) == limit
         # the radial path reads its first pass from the cell's cache and
         # calls the integrand on split boxes only
-        rays = _CONE_CACHE[element.reference_cell].first_pass[1][0]
+        rays = _CONE_CACHE[element.kind].first_pass[1][0]
         assert sum(sizes) == whole.cost - (len(rays) if radial else 0)
 
 
