@@ -63,25 +63,26 @@ MC_SIGMA_FACTOR = 4.0
 
 
 def run_benchmark(
-    particles: int = 10**6,
-    seed: int = 0,
-    abs_tol: float = 1e-6,
+    qconfig: QuadratureConfig = QuadratureConfig(rel_tol=0.0),
+    mc_config: McConfig = McConfig(),
     workers: int = 1,
 ) -> dict:
     """Solve every benchmark cell deterministically and by Monte Carlo.
 
-    Returns a JSON-serializable artifact with one record per (geometry, dt)
-    cell, each marked pass/fail against the reference tolerance and the
-    4-sigma consistency bound.
+    Each cell is solved under ``qconfig`` and estimated from
+    ``mc_config.particles`` particles of ``mc_config.seed``, on ``workers``
+    threads.  Returns a JSON-serializable artifact with one record per
+    (geometry, dt) cell, each marked pass/fail against the reference
+    tolerance and the 4-sigma consistency bound.
     """
-    qconfig = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
+    particles = mc_config.particles
     cells = []
     n_pass = 0
     for name, element in BENCHMARK_ELEMENTS.items():
         for j, dt in enumerate(DT_GRID):
             dist = WienerStep(dt=dt, dim=element.dim)
             det = escape_probability_det(element, dist, qconfig)
-            mc = escape_probability_mc(element, dist, McConfig(particles=particles, seed=seed), workers=workers)
+            mc = escape_probability_mc(element, dist, mc_config, workers=workers)
             reference = REFERENCE_DET[name][j]
             sigma = theoretical_stat_error(det.value, particles)
             det_ok = abs(det.value - reference) <= DET_TOLERANCE
@@ -105,8 +106,8 @@ def run_benchmark(
     return {
         "config": {
             "particles": particles,
-            "seed": seed,
-            "abs_tol": abs_tol,
+            "seed": mc_config.seed,
+            "abs_tol": qconfig.abs_tol,
             "workers": workers,
         },
         "cells": cells,

@@ -10,10 +10,10 @@ Subcommands:
 Exit codes, one table for every command:
 
 * 0 success; 1 ``bench`` only, when some grid cell fails its check.
-* 2 malformed input, with ``error: ...`` naming the field on stderr and no
-  traceback: ``InputError``, ``DegenerateElement``, ``DimensionMismatch``,
-  ``EmptyInterval``, an unreadable input file, an ``--output`` file that
-  cannot be written (checked before any solve), or a ``--tol``,
+* 2 malformed input: an ``InputError``, with ``error: field '...': ...``
+  on stderr and no traceback.  That covers a bad geometry or law, an
+  unreadable input file, an ``--output`` file that cannot be written
+  (checked before any solve), and a ``--tol`` (named ``abs_tol``),
   ``--particles``, ``--seed``, ``--runs`` or ``--workers`` value the
   configs reject.
 * 3 solver failure, with a partial report: ``ToleranceNotMet`` keeps the
@@ -33,18 +33,10 @@ from datetime import datetime, timezone
 from . import __version__
 from .bench import render_benchmark, run_benchmark
 from .distributions import distribution_from_dict, distribution_to_dict
-from .errors import (
-    CellEscapeError,
-    DegenerateElement,
-    DimensionMismatch,
-    EmptyInterval,
-    InputError,
-    ToleranceNotMet,
-)
+from .errors import CellEscapeError, InputError, ToleranceNotMet, _integer
 from .geometry import _read_json, element_from_dict, element_to_dict
 from .montecarlo import (
     McConfig,
-    _check_workers,
     empirical_stat_error,
     repeat_escape_probability_mc,
     theoretical_stat_error,
@@ -105,11 +97,10 @@ def _check_flags(args) -> tuple[QuadratureConfig, McConfig]:
     """The solver configs of the flags, checked with the ``--output`` file before any work.
 
     The output check opens the file for appending, so a file that did not
-    exist is created empty.  A bad flag raises ``ValueError`` or
-    ``InputError``.
+    exist is created empty.  A bad flag raises ``InputError``.
     """
     quad_config = _quad_config(args)
-    _check_workers(args.workers)
+    _integer("workers", args.workers, 1)
     mc_config = McConfig(particles=args.particles, seed=args.seed, runs=args.runs)
     if args.output:
         try:
@@ -146,7 +137,7 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
     """
     try:
         quad_config, mc_config = _check_flags(args)
-    except (ValueError, InputError) as exc:
+    except InputError as exc:
         return _reject(exc)
     results: dict = {}
     status = "ok"
@@ -177,7 +168,7 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
             results["monte_carlo"] = solve_mc(*elements, dist, mc_config)
     except _Unsupported as exc:
         return _reject(exc, EXIT_UNSUPPORTED)
-    except (InputError, DegenerateElement, DimensionMismatch, EmptyInterval) as exc:
+    except InputError as exc:
         return _reject(exc)
     except CellEscapeError as exc:
         status = f"solver_failure: {exc}"
@@ -240,15 +231,10 @@ def cmd_transition(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        _check_flags(args)
-    except (ValueError, InputError) as exc:
+        quad_config, mc_config = _check_flags(args)
+    except InputError as exc:
         return _reject(exc)
-    artifact = run_benchmark(
-        particles=args.particles,
-        seed=args.seed,
-        abs_tol=args.tol,
-        workers=args.workers,
-    )
+    artifact = run_benchmark(quad_config, mc_config, workers=args.workers)
     _emit(artifact, args)
     print(render_benchmark(artifact), file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK if artifact["summary"]["failed"] == 0 else 1

@@ -34,7 +34,8 @@ def _interval(which: str, pair) -> tuple[float, float]:
     """The ends ``(lo, hi)`` of a finite 1D interval of positive length.
 
     Raises ``InputError`` naming ``which`` unless ``pair`` is two finite
-    numbers, and ``EmptyInterval`` unless ``lo < hi``.
+    numbers, and ``EmptyInterval``, an ``InputError`` naming it too, unless
+    ``lo < hi``.
     """
     try:
         lo, hi = (float(x) for x in pair)
@@ -43,7 +44,7 @@ def _interval(which: str, pair) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(which, f"interval ends must be finite, got [{lo}, {hi}]")
     if hi <= lo:
-        raise EmptyInterval(f"{which} interval [{lo}, {hi}] has non-positive length")
+        raise EmptyInterval(which, f"interval [{lo}, {hi}] has non-positive length")
     return lo, hi
 
 
@@ -69,7 +70,7 @@ def stay_fraction(cell: ElementKind | str, step) -> float | np.ndarray:
     cell = _kind("cell", cell)
     d, scalar = _as_batch(step, cell.dim, "step")
     if not np.all(np.isfinite(d)):
-        raise DimensionMismatch("step components must be finite")
+        raise DimensionMismatch("step", "components must be finite")
     if cell.is_simplex and cell.dim > 1:
         out = _stay_simplex(d)
     else:
@@ -89,8 +90,8 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
     Raises
     ------
     DimensionMismatch
-        A step without the element's ``n`` components, or one whose local
-        coordinates are not finite.
+        Naming ``step``: a step without the element's ``n`` components, or
+        one whose local coordinates are not finite.
     InputError
         An ``element`` that is not a ``MeshElement``.
     """
@@ -98,13 +99,11 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
     amap = element.affine_map
     step = np.asarray(global_step, dtype=float)
     if step.ndim == 0 or step.shape[-1] != amap.dim:
-        raise DimensionMismatch(
-            f"step of shape {step.shape} does not have the element's {amap.dim} component(s)"
-        )
+        raise DimensionMismatch("step", f"shape {step.shape} does not have the element's {amap.dim} component(s)")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         local = amap.local_step(step)
     if not np.isfinite(local).all():
-        raise DimensionMismatch("step produced non-finite local coordinates")
+        raise DimensionMismatch("step", "produced non-finite local coordinates")
     return 1.0 - stay_fraction(element.kind, local)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from abc import ABC
 
 import numpy as np
@@ -28,8 +27,10 @@ from .errors import (
     InputError,
     OriginSingularity,
     SamplerUnavailable,
+    _integer,
+    _real,
 )
-from .geometry import _as_batch, _integer, _size
+from .geometry import _as_batch
 
 __all__ = [
     "StepDistribution",
@@ -116,11 +117,9 @@ def _check_law(dist, dim: int, sampler: bool = False) -> None:
             f"{type(dist).__name__} offers no density; use the Monte Carlo estimator"
         )
     if not sampler and getattr(dist, "typical_scale", None) is not None:
-        _positive("typical_scale", dist.typical_scale)
+        _real("typical_scale", dist.typical_scale)
     if dist.dim != dim:
-        raise DimensionMismatch(
-            f"distribution dimension {dist.dim} != element dimension {dim}"
-        )
+        raise DimensionMismatch("dim", f"distribution dimension {dist.dim} != element dimension {dim}")
 
 
 def _sample_takes_out(dist) -> bool:
@@ -132,27 +131,12 @@ def _sample_takes_out(dist) -> bool:
     return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in parameters)
 
 
-def _positive(field: str, value) -> float:
-    """``value`` as a float; ``InputError`` naming ``field`` unless it is a positive finite real, not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise InputError(field, f"must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _check_dim(n: int) -> int:
-    """The dimension ``n`` as an int in {1, 2, 3}."""
-    value = _integer(n)
-    if value not in (1, 2, 3):
-        raise InputError("dim", f"dimension must be 1, 2, or 3, got {n!r}")
-    return value
-
-
 class WienerStep(StepDistribution):
     """Gaussian increments ``N(0, dt * I_n)`` of a Wiener process."""
 
     def __init__(self, dt: float, dim: int):
-        self.dt = _positive("dt", dt)
-        self.dim = _check_dim(dim)
+        self.dt = _real("dt", dt)
+        self.dim = _integer("dim", dim, 1, 4)
         self.typical_scale = math.sqrt(self.dt)
 
     def density(self, steps) -> float | np.ndarray:
@@ -162,7 +146,7 @@ class WienerStep(StepDistribution):
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        steps = rng.standard_normal((_size(size), self.dim), out=out)
+        steps = rng.standard_normal((_integer("size", size, 0), self.dim), out=out)
         return np.multiply(math.sqrt(self.dt), steps, out=steps)
 
     def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +194,12 @@ class VelocityJumpStep(StepDistribution):
     # exp(-u) < exp(-60 - 2 s).
 
     def __init__(self, rate: float, dim: int):
-        self.rate = _positive("lambda", rate)
-        self.dim = _check_dim(dim)
+        self.rate = _real("lambda", rate)
+        self.dim = _integer("dim", dim, 1, 4)
         self.typical_scale = 1.0 / self.rate
 
     def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        size = _size(size)
+        size = _integer("size", size, 0)
         travel = rng.standard_exponential(size)
         travel *= 1.0 / self.rate
         velocity = rng.standard_normal((size, self.dim), out=out)
@@ -277,7 +261,7 @@ def distribution_from_dict(data: dict, dim: int) -> StepDistribution:
     cls, field, _ = _LAWS[law]
     if field not in data:
         raise InputError(field, f"missing required field for the {law} law")
-    return cls(data[field], _check_dim(dim))
+    return cls(data[field], _integer("dim", dim, 1, 4))
 
 
 def distribution_to_dict(dist: StepDistribution) -> dict:

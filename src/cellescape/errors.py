@@ -1,4 +1,14 @@
-"""Exception types raised by the cellescape library."""
+"""Exception types raised by the cellescape library, and the checks of malformed input.
+
+Malformed input raises ``InputError``, or one of its subclasses, naming the
+bad field; ``InputError`` is also a ``ValueError``.
+"""
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 __all__ = [
     "CellEscapeError", "InputError", "DegenerateElement", "DimensionMismatch",
@@ -11,8 +21,8 @@ class CellEscapeError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(CellEscapeError):
-    """A configuration file or dictionary is malformed.
+class InputError(CellEscapeError, ValueError):
+    """Malformed input: an argument, a configuration field, or an entry of a file.
 
     ``field`` names the offending entry so callers (e.g. the CLI) can point
     the user at the exact problem.
@@ -20,18 +30,22 @@ class InputError(CellEscapeError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"field '{field}': {message}")
 
+    def __reduce__(self):  # pickle by the two arguments, not by the formatted text
+        return type(self), (self.field, self.message)
 
-class DegenerateElement(CellEscapeError):
+
+class DegenerateElement(InputError):
     """Spanning edge vectors are (numerically) linearly dependent."""
 
 
-class DimensionMismatch(CellEscapeError):
+class DimensionMismatch(InputError):
     """Point, step, or distribution dimension does not match the geometry."""
 
 
-class EmptyInterval(CellEscapeError):
+class EmptyInterval(InputError):
     """A 1D interval has non-positive length."""
 
 
@@ -72,3 +86,30 @@ class NonFiniteIntegrand(QuadratureFailure):
 
 class TooFewRuns(CellEscapeError):
     """Empirical error estimation needs at least two run values."""
+
+
+def _integer(field: str, value, minimum: int, limit: int | None = None) -> int:
+    """``value`` as an int; ``InputError`` naming ``field`` unless it is an integer in ``[minimum, limit)``.
+
+    An integer is a Python or numpy one, but not a bool.
+    """
+    try:
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum or (limit is not None and number >= limit):
+        span = f"of at least {minimum}" if limit is None else f"in [{minimum}, {limit})"
+        raise InputError(field, f"expected an integer {span}, got {value!r}")
+    return number
+
+
+def _real(field: str, value, positive: bool = True) -> float:
+    """``value`` as a float; ``InputError`` naming ``field`` unless it is a finite real number, not a bool.
+
+    It must be positive, or with ``positive=False`` non-negative.
+    """
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not (0 < value if positive else 0 <= value) or not value < math.inf):
+        sign = "positive" if positive else "non-negative"
+        raise InputError(field, f"expected a {sign} finite number, got {value!r}")
+    return float(value)

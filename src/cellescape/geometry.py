@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateElement, DimensionMismatch, InputError
+from .errors import DegenerateElement, DimensionMismatch, InputError, _integer
 
 __all__ = [
     "ElementKind",
@@ -74,24 +73,6 @@ def _kind(argument: str, value) -> ElementKind:
         raise InputError(argument, f"unknown element kind {value!r}; expected one of {valid}") from None
 
 
-def _integer(value) -> int | None:
-    """``value`` as an int if it is an integer, numpy's too, but not a bool; else None."""
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def _size(size) -> int:
-    """``size`` as an int; ``InputError`` naming it unless it is a non-negative integer, not a bool."""
-    m = _integer(size)
-    if m is None or m < 0:
-        raise InputError("size", f"expected a non-negative integer, got {size!r}")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class MeshElement:
     """A validated mesh cell, kept with its full (canonical) vertex list.
@@ -119,12 +100,15 @@ class MeshElement:
     Raises
     ------
     InputError
-        Unknown kind; coordinates that are strings or bools; wrong vertex
-        count, wrong coordinate dimension, non-finite coordinates, or
-        redundant vertices that contradict the implied ones.
+        Naming ``kind`` for an unknown kind, and ``vertices`` for vertices
+        that are not a rectangular array of numbers, coordinates that are
+        strings or bools, a wrong vertex count, a wrong coordinate
+        dimension, non-finite coordinates, or redundant vertices that
+        contradict the implied ones.
     DegenerateElement
-        If ``|det A| <= 1e-14 * scale**n``, with ``scale`` the longest
-        spanning edge: linearly dependent edges, in any unit.
+        An ``InputError`` naming ``vertices``, if ``|det A| <= 1e-14 *
+        scale**n``, with ``scale`` the longest spanning edge: linearly
+        dependent edges, in any unit.
     """
 
     kind: ElementKind
@@ -139,8 +123,12 @@ class MeshElement:
         # each coordinate as given: numpy would turn a string into a number,
         # and a bool among numbers into one
         coords = np.array(self.vertices, dtype=object)
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)) for x in coords.flat):
-            raise InputError("vertices", "coordinates must be real numbers, not strings or bools")
+        odd = [x for x in coords.flat if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real)]
+        if odd:
+            if all(isinstance(x, (str, bool, np.bool_)) for x in odd):
+                raise InputError("vertices", "coordinates must be real numbers, not strings or bools")
+            # a ragged list holds lists, and None or a dict stays one object
+            raise InputError("vertices", f"expected a rectangular array of numbers, got {self.vertices!r}")
         # a copy, so that no array of the caller's can change the vertices
         # under the map built from them
         try:
@@ -181,6 +169,7 @@ class MeshElement:
         eps = 1e-14 * scale**dim
         if not np.isfinite(det) or abs(det) <= eps:
             raise DegenerateElement(
+                "vertices",
                 f"{kind.value} vertices are degenerate: spanning edges are linearly dependent "
                 f"(|det| = {abs(det):.3e} <= {eps:.3e})"
             )
@@ -210,15 +199,16 @@ def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
 
 
 def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    """``points`` as an ``(m, dim)`` array, and whether one ``(dim,)`` point was given."""
+    """``points`` as an ``(m, dim)`` array, and whether one ``(dim,)`` point was given.
+
+    Any other shape raises ``DimensionMismatch`` naming ``what``.
+    """
     arr = np.asarray(points, dtype=float)
     one = arr.ndim == 1
     if one:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatch(
-            f"{what} must have {dim} component(s), got shape {np.shape(points)}"
-        )
+        raise DimensionMismatch(what, f"expected {dim} component(s), got shape {np.shape(points)}")
     return arr, one
 
 
@@ -236,10 +226,7 @@ def element_from_dict(data: dict) -> MeshElement:
         raise InputError("kind", "missing required field")
     if "vertices" not in data:
         raise InputError("vertices", "missing required field")
-    try:
-        return mesh_element(data["kind"], data["vertices"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("vertices", f"could not parse vertex coordinates: {exc}") from None
+    return mesh_element(data["kind"], data["vertices"])
 
 
 def element_to_dict(element: MeshElement) -> dict:
@@ -298,7 +285,7 @@ class AffineMap:
         """
         pts = np.asarray(local_points, dtype=float)
         if pts.shape[-1:] != (self.dim,):
-            raise DimensionMismatch(f"points must have {self.dim} component(s), got shape {pts.shape}")
+            raise DimensionMismatch("points", f"expected {self.dim} component(s), got shape {pts.shape}")
         if out is None:
             out = np.moveaxis(np.empty((self.dim,) + pts.shape[:-1]), 0, -1)
         product = np.empty(pts.shape[:-1]) if pts.shape[-1] > 1 else None
@@ -400,7 +387,7 @@ def sample_uniform(element: MeshElement, rng: np.random.Generator, size: int | N
     is mutated.
     """
     _check_element("element", element)
-    local = _sample_reference(element.kind, rng, 1 if size is None else _size(size))
+    local = _sample_reference(element.kind, rng, 1 if size is None else _integer("size", size, 0))
     pts = element.affine_map.to_global(local)
     return pts[0] if size is None else pts
 

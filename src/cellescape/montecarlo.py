@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _check_law, _sample_takes_out
-from .errors import DimensionMismatch, InputError, TooFewRuns
-from .geometry import AffineMap, MeshElement, _check_element, _integer, _reference_contains, _sample_reference
+from .errors import DimensionMismatch, InputError, TooFewRuns, _integer, _real
+from .geometry import AffineMap, MeshElement, _check_element, _reference_contains, _sample_reference
 from .quadrature import ProbabilityEstimate
 
 __all__ = [
@@ -71,30 +71,14 @@ class McConfig:
     runs: int = 10
 
     def __post_init__(self):
-        for name in ("particles", "runs", "seed"):
-            value = getattr(self, name)
-            if _integer(value) is None:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, _integer(value))  # numpy's integers become int
-        if self.particles < 1:
-            raise ValueError("particles must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # numpy's integers become int
+        for name, minimum, limit in (("particles", 1, None), ("seed", 0, 2**64), ("runs", 1, None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum, limit))
 
 
 def _chunk_stream(seed: int, index: int, run: int) -> np.random.Generator:
     """SFC64 seeded by ``SeedSequence(seed, spawn_key=(chunk index, run))``."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(index, run))))
-
-
-def _check_workers(workers: int) -> int:
-    """``workers`` as an int; ``InputError`` naming it unless it is an integer of at least 1."""
-    value = _integer(workers)
-    if value is None or value < 1:
-        raise InputError("workers", f"must be an integer of at least 1, got {workers!r}")
-    return value
 
 
 def _landing_estimates(source, target, dist, config, workers, complement, runs) -> list[ProbabilityEstimate]:
@@ -104,15 +88,13 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
     error estimate is the binomial standard deviation at the value.  Run 0's
     wall time also covers the setup that the runs share.  Steps of the
     wrong shape, or that are not finite or too large to map, raise
-    ``DimensionMismatch``.
+    ``DimensionMismatch`` naming ``law``.
     """
     config = config or McConfig()
-    workers = _check_workers(workers)
+    workers = _integer("workers", workers, 1)
     _check_law(dist, source.dim, sampler=True)
     if source.dim != target.dim:
-        raise DimensionMismatch(
-            f"source dimension {source.dim} != target dimension {target.dim}"
-        )
+        raise DimensionMismatch("target", f"source dimension {source.dim} != target dimension {target.dim}")
     start = time.perf_counter()
     src_map = source.affine_map
     tgt_map = target.affine_map
@@ -155,7 +137,7 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             xi = _sample_reference(source.kind, rng, m, out=points[:, :m].T, draws=raw.reshape(m, n))
             steps = dist.sample(rng, m, out=raw.reshape(m, n)) if takes_out else dist.sample(rng, m)
             if np.shape(steps) != (m, n):
-                raise DimensionMismatch(f"the law sampled steps of shape {np.shape(steps)}, expected {(m, n)}")
+                raise DimensionMismatch("law", f"sampled steps of shape {np.shape(steps)}, expected {(m, n)}")
             with np.errstate(invalid="ignore", over="ignore"):  # refused below
                 local = step_map.to_global(steps, out=landing[:, :m].T)
             if reference_map is None:
@@ -166,7 +148,7 @@ def _landing_estimates(source, target, dist, config, workers, complement, runs) 
             # finite coordinate, which would count as outside the target: one
             # coordinate column finds every such step.
             if not np.isfinite(local[:, 0], out=mask[:m]).all():
-                raise DimensionMismatch("the law sampled non-finite steps, or steps too large to map")
+                raise DimensionMismatch("law", "sampled non-finite steps, or steps too large to map")
             landed += int(np.count_nonzero(_reference_contains(target.kind, local, out=mask[:m])))
         return landed
 
@@ -235,12 +217,14 @@ def repeat_escape_probability_mc(
 
 
 def theoretical_stat_error(p: float, n: int) -> float:
-    """Binomial standard deviation ``sqrt(p (1 - p) / n)``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if _integer(n) is None or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
-    return math.sqrt(p * (1.0 - p) / n)
+    """Binomial standard deviation ``sqrt(p (1 - p) / n)``.
+
+    ``p`` must be a number in ``[0, 1]`` and ``n`` an integer of at least
+    1; ``InputError`` names the one that is not.
+    """
+    if _real("p", p, positive=False) > 1.0:
+        raise InputError("p", f"expected a number in [0, 1], got {p!r}")
+    return math.sqrt(p * (1.0 - p) / _integer("n", n, 1))
 
 
 def empirical_stat_error(estimates) -> float:

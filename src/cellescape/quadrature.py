@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -49,8 +48,8 @@ import numpy as np
 
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law
-from .errors import NonFiniteIntegrand, ToleranceNotMet
-from .geometry import ElementKind, MeshElement, _check_element, _integer
+from .errors import NonFiniteIntegrand, ToleranceNotMet, _integer, _real
+from .geometry import ElementKind, MeshElement, _check_element
 
 __all__ = [
     "QuadratureConfig",
@@ -113,7 +112,9 @@ class QuadratureConfig:
     """Tolerances and budget of the adaptive integrator.
 
     The solvers meet ``error_estimate <= max(abs_tol, rel_tol * p)`` for
-    the probability ``p`` they report.
+    the probability ``p`` they report.  ``abs_tol`` must be a positive and
+    ``rel_tol`` a non-negative finite number, and ``max_subdivisions`` an
+    integer of at least 1; ``InputError`` names the field that is not.
     """
 
     abs_tol: float = 1e-6
@@ -121,18 +122,9 @@ class QuadratureConfig:
     max_subdivisions: int = 10**6
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if not 0 <= self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be non-negative and finite, got {self.rel_tol!r}")
-        if _integer(self.max_subdivisions) is None or self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be an integer of at least 1, got {self.max_subdivisions!r}"
-            )
+        object.__setattr__(self, "abs_tol", _real("abs_tol", self.abs_tol))
+        object.__setattr__(self, "rel_tol", _real("rel_tol", self.rel_tol, positive=False))
+        object.__setattr__(self, "max_subdivisions", _integer("max_subdivisions", self.max_subdivisions, 1))
 
 
 _DEFAULT_CONFIG = QuadratureConfig()
@@ -736,8 +728,11 @@ def _facet_values(nodes, amap, mixture) -> np.ndarray:
     moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
     # sum_j c_j M_(n-1+j); einsum's set-up costs more than this on few nodes
     radial = np.add.reduce(stay[:, :, None] * moments, axis=0)
-    gauss = weights * (2.0 * math.pi * scales**2) ** (-n / 2.0)
-    return (radial * gauss).sum(axis=1) * (amap.abs_det * jac)
+    # |det A| (2 pi sigma^2)^(-n/2) as the n-th power of a ratio of lengths,
+    # which stays finite on a cell as small as its steps, where |det A| alone
+    # underflows and the Gaussian's factor overflows
+    gauss = weights * (amap.abs_det ** (1.0 / n) / (math.sqrt(2.0 * math.pi) * scales)) ** n
+    return (radial * gauss).sum(axis=1) * jac
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:

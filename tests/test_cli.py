@@ -286,7 +286,8 @@ def _non_finite(monkeypatch):
 
 ESCAPE = ["escape", "--geometry", "segment", "--distribution", "wiener"]
 
-# (argv with file keys, patch, exit code, field named on stderr or report status)
+# (argv with file keys, patch, exit code, field named on stderr as ``field '...'``
+# or report status)
 EXIT_CODE_TABLE = {
     "escape-degenerate-triangle": (
         ["escape", "--geometry", "degenerate", "--distribution", "wiener"], None, 2, "vertices"),
@@ -318,9 +319,9 @@ EXIT_CODE_TABLE = {
         ["escape", "--geometry", "segment", "--distribution", "law_list"], None, 2, "law"),
     "particles-0": (ESCAPE + ["--particles", "0"], None, 2, "particles"),
     "runs-0": (ESCAPE + ["--runs", "0"], None, 2, "runs"),
-    "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "tol"),
-    "tol-nan": (ESCAPE + ["--tol", "nan"], None, 2, "tol"),
-    "tol-inf": (ESCAPE + ["--tol", "inf"], None, 2, "tol"),
+    "tol-0": (ESCAPE + ["--tol", "0"], None, 2, "abs_tol"),
+    "tol-nan": (ESCAPE + ["--tol", "nan"], None, 2, "abs_tol"),
+    "tol-inf": (ESCAPE + ["--tol", "inf"], None, 2, "abs_tol"),
     "seed-negative": (ESCAPE + ["--seed", "-1"], None, 2, "seed"),
     "bench-particles-0": (["bench", "--particles", "0"], None, 2, "particles"),
     "workers-0": (ESCAPE + ["--workers", "0"], None, 2, "workers"),
@@ -329,7 +330,7 @@ EXIT_CODE_TABLE = {
          "--method", "mc", "--workers", "-2"], None, 2, "workers"),
     "bench-workers-0": (["bench", "--workers", "0"], None, 2, "workers"),
     "output-unwritable": (
-        ESCAPE + ["--method", "det", "--output", "unwritable"], _non_finite, 2, "--output"),
+        ESCAPE + ["--method", "det", "--output", "unwritable"], _non_finite, 2, "output"),
     "tolerance-not-met-both": (
         ["escape", "--geometry", "tetrahedron", "--distribution", "wiener",
          "--method", "both", "--particles", "20000"],
@@ -353,7 +354,7 @@ def test_exit_code_table(capsys, files, monkeypatch, case):
             assert set(report["results"]) == {"deterministic", "monte_carlo"}
     else:
         assert out == ""
-        assert err.startswith("error: ") and named in err
+        assert err.startswith(f"error: field '{named}': ")
 
 
 def test_entry_point_reports_missing_file(files):

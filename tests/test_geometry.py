@@ -88,22 +88,25 @@ class TestConstruction:
         assert {a: 1}[a] == 1
         assert hash(a) == hash(a)
 
-    @pytest.mark.parametrize("kind, vertices", [
-        ("segment", [["0"], ["2"]]),
-        ("segment", ["0", "2"]),
-        ("segment", [[False], [True]]),
-        ("segment", [[0.5], [True]]),
-        ("triangle", [[0, 0], [2, 0], [3, np.True_]]),
-        ("triangle", [[0, 0], [2, "0"], [3, 2]]),
-        ("triangle", np.array([[0, 0], [1, 0], [0, 1]], dtype=bool)),
-        ("triangle", np.array([["0", "0"], ["1", "0"], ["0", "1"]])),
+    @pytest.mark.parametrize("kind, vertices, message", [
+        ("segment", [["0"], ["2"]], "not strings or bools"),
+        ("segment", ["0", "2"], "not strings or bools"),
+        ("segment", [[False], [True]], "not strings or bools"),
+        ("segment", [[0.5], [True]], "not strings or bools"),
+        ("triangle", [[0, 0], [2, 0], [3, np.True_]], "not strings or bools"),
+        ("triangle", [[0, 0], [2, "0"], [3, 2]], "not strings or bools"),
+        ("triangle", np.array([[0, 0], [1, 0], [0, 1]], dtype=bool), "not strings or bools"),
+        ("triangle", np.array([["0", "0"], ["1", "0"], ["0", "1"]]), "not strings or bools"),
+        ("triangle", [[0, 0], [1]], "rectangular array of numbers"),
+        ("triangle", None, "rectangular array of numbers"),
+        ("triangle", {}, "rectangular array of numbers"),
     ], ids=["strings", "flat-strings", "bools", "bool-among-floats", "numpy-bool-among-ints",
-            "string-among-ints", "bool-array", "string-array"])
-    def test_coordinates_must_be_numbers(self, kind, vertices):
-        with pytest.raises(InputError) as info:
+            "string-among-ints", "bool-array", "string-array", "ragged", "none", "dict"])
+    def test_coordinates_must_be_numbers(self, kind, vertices, message):
+        with pytest.raises(InputError, match=message) as info:
             MeshElement(kind, vertices)
         assert info.value.field == "vertices"
-        with pytest.raises(InputError) as info:
+        with pytest.raises(InputError, match=message) as info:
             element_from_dict({"kind": kind, "vertices": vertices})
         assert info.value.field == "vertices"
 
@@ -163,11 +166,11 @@ class TestAffineMap:
             mesh_element("triangle", [[0, 0], [1, 1], [2, 2]])
 
     @pytest.mark.parametrize("kind, vertices, error, field", [
-        ("segment", [[1.0], [1.0]], DegenerateElement, None),
-        ("triangle", [[0, 0], [1, 1], [2, 2]], DegenerateElement, None),
-        ("parallelogram", [[0, 0], [1, 2], [2, 4]], DegenerateElement, None),
-        ("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, None),
-        ("parallelepiped", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, None),
+        ("segment", [[1.0], [1.0]], DegenerateElement, "vertices"),
+        ("triangle", [[0, 0], [1, 1], [2, 2]], DegenerateElement, "vertices"),
+        ("parallelogram", [[0, 0], [1, 2], [2, 4]], DegenerateElement, "vertices"),
+        ("tetrahedron", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, "vertices"),
+        ("parallelepiped", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateElement, "vertices"),
         ("triangle", [[0, 0], [1, 0]], InputError, "vertices"),
         ("triangle", [[0, 0, 0], [1, 0, 0], [0, 1, 0]], InputError, "vertices"),
         ("triangle", [[0, 0], [1, 0], [0, math.nan]], InputError, "vertices"),

@@ -563,8 +563,9 @@ class TestErrorFormulas:
     @pytest.mark.parametrize("n", [2.5, True, np.bool_(True), 10.0, "10"],
                              ids=["float", "bool", "numpy-bool", "whole-float", "str"])
     def test_count_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match="n must be an integer"):
+        with pytest.raises(InputError) as info:
             theoretical_stat_error(0.5, n)
+        assert info.value.field == "n"
 
     def test_empirical_identical_values(self):
         assert empirical_stat_error([0.3, 0.3, 0.3]) == 0.0
