@@ -27,11 +27,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .bench import render_benchmark, run_benchmark
+from .bench import MC_SIGMA_FACTOR, render_benchmark, run_benchmark
 from .distributions import distribution_from_dict, distribution_to_dict
 from .errors import CellEscapeError, InputError, ToleranceNotMet, _integer
 from .geometry import _read_json, element_from_dict, element_to_dict
@@ -52,20 +51,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_UNSUPPORTED = 4
-
-
-@dataclass
-class RunReport:
-    """Echo of the request plus results and provenance; JSON round-trippable."""
-
-    command: str
-    request: dict
-    results: dict
-    provenance: dict
-    status: str = "ok"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _provenance(seed: int | None) -> dict:
@@ -176,21 +161,20 @@ def _solve_and_report(args, options: tuple[str, ...], solve_det, solve_mc) -> in
     if code == EXIT_OK and args.method == "both":
         det_v = results["deterministic"]["value"]
         mc_v = results["monte_carlo"]["value"]
-        four_sigma = 4.0 * theoretical_stat_error(det_v, args.particles)
+        four_sigma = MC_SIGMA_FACTOR * theoretical_stat_error(det_v, args.particles)
         results["comparison"] = {
             "difference": mc_v - det_v,
             "four_sigma": four_sigma,
             "within_four_sigma": abs(mc_v - det_v) <= four_sigma,
         }
 
-    report = RunReport(
-        command=args.command,
-        request=request,
-        results=results,
-        provenance=_provenance(args.seed),
-        status=status,
-    )
-    _emit(report.to_dict(), args)
+    _emit({
+        "command": args.command,
+        "request": request,
+        "results": results,
+        "provenance": _provenance(args.seed),
+        "status": status,
+    }, args)
     return code
 
 

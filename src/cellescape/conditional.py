@@ -93,18 +93,18 @@ def conditional_escape(element: MeshElement, global_step) -> float | np.ndarray:
         Naming ``step``: a step without the element's ``n`` components, or
         one whose local coordinates are not finite.
     InputError
-        An ``element`` that is not a ``MeshElement``.
+        An ``element`` that is not a ``MeshElement``, or a ``step`` that is
+        not a rectangular array of numbers.
     """
     _check_element("element", element)
     amap = element.affine_map
-    step = np.asarray(global_step, dtype=float)
-    if step.ndim == 0 or step.shape[-1] != amap.dim:
-        raise DimensionMismatch("step", f"shape {step.shape} does not have the element's {amap.dim} component(s)")
+    step, one = _as_batch(global_step, amap.dim, "step")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         local = amap.local_step(step)
     if not np.isfinite(local).all():
         raise DimensionMismatch("step", "produced non-finite local coordinates")
-    return 1.0 - stay_fraction(element.kind, local)
+    out = 1.0 - stay_fraction(element.kind, local)
+    return float(out[0]) if one else out
 
 
 def conditional_transition_1d(source, target, step) -> float | np.ndarray:
@@ -117,11 +117,15 @@ def conditional_transition_1d(source, target, step) -> float | np.ndarray:
     never produce a spurious positive value.
 
     ``step`` may be a scalar or an array.  An interval that is not two
-    finite numbers raises ``InputError`` naming ``source`` or ``target``.
+    finite numbers raises ``InputError`` naming ``source`` or ``target``,
+    and a ``step`` that is not numbers one naming ``step``.
     """
     a, b = _interval("source", source)
     c, d = _interval("target", target)
-    dx = np.asarray(step, dtype=float)
+    try:
+        dx = np.asarray(step, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("step", "expected a number or a rectangular array of numbers") from None
     overlap = np.minimum(b, d - dx) - np.maximum(a, c - dx)
     inside = (dx >= c - b) & (dx <= d - a)
     out = np.where(inside, np.maximum(0.0, overlap) / (b - a), 0.0)

@@ -13,6 +13,7 @@ of points.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -103,12 +104,15 @@ class MeshElement:
         Naming ``kind`` for an unknown kind, and ``vertices`` for vertices
         that are not a rectangular array of numbers, coordinates that are
         strings or bools, a wrong vertex count, a wrong coordinate
-        dimension, non-finite coordinates, or redundant vertices that
-        contradict the implied ones.
+        dimension, non-finite coordinates, redundant vertices that
+        contradict the implied ones, or spanning edges or a ``|det A|``
+        that float64 cannot hold (an overflow, or a ``|det A|`` that
+        underflows to 0).
     DegenerateElement
         An ``InputError`` naming ``vertices``, if ``|det A| <= 1e-14 *
-        scale**n``, with ``scale`` the longest spanning edge: linearly
-        dependent edges, in any unit.
+        scale**n``, with ``scale`` the longest spanning edge, both taken of
+        the edges divided by a power of two near the largest coordinate:
+        linearly dependent edges, in any unit.
     """
 
     kind: ElementKind
@@ -153,25 +157,40 @@ class MeshElement:
                 f"{kind.value} expects {expected} vertices, got {verts.shape[0]}",
             )
 
-        full = _implied_vertices(kind, verts[:n_span])
-        if verts.shape[0] == n_full and n_full > n_span:
-            scale = max(np.max(np.abs(full)), 1.0)
-            if not np.allclose(verts[n_span:], full[n_span:], rtol=0.0, atol=IMPLIED_VERTEX_RTOL * scale):
-                raise InputError(
-                    "vertices",
-                    f"supplied {kind.value} vertices are inconsistent with the "
-                    f"vertices implied by the spanning ones",
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+            full = _implied_vertices(kind, verts[:n_span])
+            edges = full[1:n_span] - full[0]
+            consistent = verts.shape[0] == n_span or np.allclose(
+                verts[n_span:], full[n_span:], rtol=0.0, atol=IMPLIED_VERTEX_RTOL * max(np.max(np.abs(full)), 1.0))
+        if not (np.isfinite(full).all() and np.isfinite(edges).all()):
+            raise InputError("vertices", f"{kind.value} vertices span edges beyond the float64 range")
+        if not consistent:
+            raise InputError(
+                "vertices",
+                f"supplied {kind.value} vertices are inconsistent with the "
+                f"vertices implied by the spanning ones",
+            )
         full.flags.writeable = False
-        edges = full[1:n_span] - full[0]
-        scale = float(np.max(np.linalg.norm(edges, axis=1)))
-        det = float(np.linalg.det(edges.T))
+        # the degeneracy test runs on the edges over a power of two, exactly,
+        # so that it gives one answer in every unit
+        exponent = math.frexp(float(np.max(np.abs(edges))))[1]
+        unit = np.ldexp(edges, -exponent)
+        scale = float(np.max(np.linalg.norm(unit, axis=1)))
+        unit_det = abs(float(np.linalg.det(unit.T)))
         eps = 1e-14 * scale**dim
-        if not np.isfinite(det) or abs(det) <= eps:
+        if unit_det <= eps:
             raise DegenerateElement(
                 "vertices",
                 f"{kind.value} vertices are degenerate: spanning edges are linearly dependent "
-                f"(|det| = {abs(det):.3e} <= {eps:.3e})"
+                f"(|det| = {unit_det:.3e} <= {eps:.3e}, edges in units of 2^{exponent})"
+            )
+        with np.errstate(over="ignore", under="ignore"):
+            det = float(np.linalg.det(edges.T))
+        if not 0.0 < abs(det) < math.inf:
+            raise InputError(
+                "vertices",
+                f"{kind.value} vertices span |det A| = 10^{math.log10(unit_det) + dim * exponent * math.log10(2.0):.1f}, "
+                f"beyond the float64 range",
             )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vertices", full)
@@ -201,9 +220,13 @@ def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:
 def _as_batch(points, dim: int, what: str) -> tuple[np.ndarray, bool]:
     """``points`` as an ``(m, dim)`` array, and whether one ``(dim,)`` point was given.
 
-    Any other shape raises ``DimensionMismatch`` naming ``what``.
+    Anything but a rectangular array of numbers raises ``InputError``, and
+    any other shape ``DimensionMismatch``, each naming ``what``.
     """
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # a ragged batch, or an entry that is not a number
+        raise InputError(what, "expected a rectangular array of numbers") from None
     one = arr.ndim == 1
     if one:
         arr = arr[None, :]

@@ -25,7 +25,9 @@ and its radial integral against each Gaussian is a sum of the moments
 series below ``alpha = 2`` and Cody's rational approximations of
 ``exp(y^2) erfc(y)`` above, each one product of a coefficient table and a
 power table over all nodes of an integrand call, whose size ``_MAX_POINTS``
-bounds on both paths.  The cubature runs over the facet coordinates ``w``
+bounds on both paths; a node more than ``_FAR`` steps out takes the
+moments' limit, written in ``|A b| / sigma`` so that nothing overflows
+(``_far_terms``).  The cubature runs over the facet coordinates ``w``
 alone, and a segment's two cones need none.  Every such solve starts on
 the same facet boxes of its reference cell, so the rays, facet Jacobians
 and stay polynomials at their nodes are built once per cell; a solve
@@ -42,7 +44,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,16 +151,8 @@ class ProbabilityEstimate:
     error_bound_95: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "method": self.method,
-            "cost": self.cost,
-            "wall_time": self.wall_time,
-        }
-        if self.error_bound_95 is not None:
-            out["error_bound_95"] = self.error_bound_95
-        return out
+        """The fields in order, without those that are None."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def _rule(n: int):
@@ -684,11 +678,12 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     mixture = _mixture_hook(dist)
     if mixture is not None:
         (lo, hi, k), nodes = cones.first_pass
+        frame = _unit_frame(amap)
 
         def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return _facet_values(cones.radial_nodes(w, k), amap, mixture)
+            return _facet_values(cones.radial_nodes(w, k), frame, mixture)
 
-        first = _facet_values(nodes, amap, mixture)
+        first = _facet_values(nodes, frame, mixture)
         return _solve(f, lo, hi, k, config, start, complement=True, values=first)
     lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
@@ -703,7 +698,36 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     return _solve(f, lo, hi, k, config, start, complement=True)
 
 
-def _facet_values(nodes, amap, mixture) -> np.ndarray:
+def _unit_frame(amap) -> tuple[np.ndarray, float, float]:
+    """``A`` as ``unit * scale``, with ``scale`` a power of two, and ``|det A|^(1/n)``.
+
+    Taken once per solve.  On a cell between ``2^-256`` and ``2^256``
+    across, whose ``|A b|^2`` are normal floats, ``unit`` is ``A`` and the
+    root is taken of ``|det A|``.  Any other cell is scaled exactly to
+    ``|det unit|`` in ``[1, 2^n)``, so ``|unit b|`` times ``scale`` keeps
+    the digits of ``|A b|`` where its square would leave the normal range,
+    and the root is taken of ``|det unit|``: ``|det A|`` has lost digits
+    there, by underflow or to the logarithms of ``np.linalg.det``.
+    """
+    n = amap.dim
+    exponent = (math.frexp(amap.abs_det)[1] - 1) // n
+    if -256 < exponent < 256:
+        return amap.matrix, 1.0, amap.abs_det ** (1.0 / n)
+    unit = np.ldexp(amap.matrix, -exponent)
+    scale = math.ldexp(1.0, exponent)
+    return unit, scale, abs(float(np.linalg.det(unit))) ** (1.0 / n) * scale
+
+
+# From this many step widths out, |A b| / sigma >= _FAR, so alpha >= 2^63 and
+# each M_k(alpha) equals its limit Gamma((k + 1)/2) / (2 alpha^((k + 1)/2)) to
+# the last bit, while the moments and the Gaussian's factor may each leave the
+# float range: such nodes take the limit, written in |A b| / sigma.
+_FAR = 2.0**32
+# rho^(k + 1) M_k(rho^2 / 2) -> integral_0^inf s^k exp(-s^2 / 2) ds = 2^((k - 1)/2) Gamma((k + 1)/2)
+_MOMENT_LIMITS = [2.0 ** ((k - 1) / 2) * math.gamma((k + 1) / 2) for k in range(6)]
+
+
+def _facet_values(nodes, frame, mixture) -> np.ndarray:
     """The stay integrand at facet nodes, from their ``_Cones.radial_nodes`` data.
 
     On cone ``k`` the stay fraction at ``d = t b(w)`` is
@@ -711,28 +735,65 @@ def _facet_values(nodes, amap, mixture) -> np.ndarray:
     on a simplex, so under a Gaussian of scale ``sigma`` the radial integral
     ``integral_0^1 t^(n-1) prod_i (1 - t a_i) exp(-alpha t^2) dt`` is
     ``sum_j c_j M_(n-1+j)(alpha)`` with ``alpha = |A b(w)|^2 / (2 sigma^2)``.
-    ``mixture`` is the law's ``_scale_mixture`` hook.
+    ``frame`` is the element's ``_unit_frame`` and ``mixture`` the law's
+    ``_scale_mixture`` hook.
     """
     rays, jac, stay = nodes
+    unit, scale, root_det = frame
     n = rays.shape[1]
     # |A b|^2 summed a coordinate column at a time, left to right as numpy
     # sums a row: a reduce along rows of two or three runs one short loop
     # per node, 5x slower on the 5,400 first-pass nodes of a parallelepiped
-    g = amap.global_step(rays)
+    g = rays @ unit.T
     squares = g * g
     radii = squares[:, 0]
     for j in range(1, n):
         radii = radii + squares[:, j]
     radii = np.sqrt(radii)
+    if scale != 1.0:
+        radii *= scale
     scales, weights = mixture(radii)
-    moments = _radial_moments(0.5 * (radii[:, None] / scales) ** 2, n - 1, 2 * n - 1)
+    # a compare and a count, as the moment kernel makes: a max would be the
+    # first reduction of its kind in a solve, slower on cold caches
+    near = radii[:, None] < _FAR * scales
+    if np.count_nonzero(near) == near.size:
+        terms = _near_terms(radii[:, None] / scales, stay, scales, weights, root_det)
+    else:
+        # each side's terms may overflow where the other side's are taken
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = radii[:, None] / scales
+            terms = np.where(near, _near_terms(ratio, stay, scales, weights, root_det),
+                             _far_terms(ratio, radii, stay, weights, root_det))
+    return terms.sum(axis=1) * jac
+
+
+def _near_terms(ratio, stay, scales, weights, root_det) -> np.ndarray:
+    """Each scale's term of the stay integrand, at ``ratio = |A b| / sigma``, from the moments."""
+    n = len(stay) - 1
+    moments = _radial_moments(0.5 * ratio ** 2, n - 1, 2 * n - 1)
     # sum_j c_j M_(n-1+j); einsum's set-up costs more than this on few nodes
     radial = np.add.reduce(stay[:, :, None] * moments, axis=0)
     # |det A| (2 pi sigma^2)^(-n/2) as the n-th power of a ratio of lengths,
     # which stays finite on a cell as small as its steps, where |det A| alone
     # underflows and the Gaussian's factor overflows
-    gauss = weights * (amap.abs_det ** (1.0 / n) / (math.sqrt(2.0 * math.pi) * scales)) ** n
-    return (radial * gauss).sum(axis=1) * jac
+    gauss = weights * (root_det / (math.sqrt(2.0 * math.pi) * scales)) ** n
+    return radial * gauss
+
+
+def _far_terms(ratio, radii, stay, weights, root_det) -> np.ndarray:
+    """The limit of ``_near_terms`` as ``ratio = |A b| / sigma`` grows, each factor finite.
+
+    ``M_(n-1+j)`` times the Gaussian's factor tends to
+    ``(|det A|^(1/n) / (sqrt(2 pi) |A b|))^n ratio^(-j) _MOMENT_LIMITS[n-1+j]``,
+    summed over ``j`` against the stay polynomial by Horner's rule in
+    ``1 / ratio``.
+    """
+    n = len(stay) - 1
+    inverse = 1.0 / ratio
+    poly = stay[n][:, None] * _MOMENT_LIMITS[2 * n - 1]
+    for j in range(n - 1, -1, -1):
+        poly = poly * inverse + stay[j][:, None] * _MOMENT_LIMITS[n - 1 + j]
+    return weights * (root_det / (math.sqrt(2.0 * math.pi) * radii[:, None])) ** n * poly
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:

@@ -1,4 +1,3 @@
-import copy
 import json
 import os
 import subprocess
@@ -9,7 +8,8 @@ import jsonschema
 import pytest
 
 import cellescape
-from cellescape.cli import RunReport, main
+from cellescape import bench, theoretical_stat_error
+from cellescape.cli import main
 
 from oracles import segment_escape_wiener, transition_1d_trapezoid
 
@@ -45,6 +45,9 @@ def files(tmp_path):
         "bool_vertices": write("bool_vertices.json", {"kind": "segment", "vertices": [[False], [True]]}),
         "mixed_bool_vertices": write("mixed_bool_vertices.json", {"kind": "segment", "vertices": [[0.5], [True]]}),
         "huge_int_vertices": write("huge_int_vertices.json", {"kind": "segment", "vertices": [[0], [10**400]]}),
+        "overflowing_segment": write("overflowing_segment.json", {"kind": "segment", "vertices": [[1e308], [-1e308]]}),
+        "wide_segment": write("wide_segment.json", {"kind": "segment", "vertices": [[0], [1e10]]}),
+        "wiener_tiny": write("wiener_tiny.json", {"law": "wiener", "dt": 1e-290}),
         "latin1": str(tmp_path / "latin1.json"),
         "missing": str(tmp_path / "missing.json"),
         "unwritable": str(tmp_path / "no-such-directory" / "report.json"),
@@ -72,7 +75,9 @@ class TestEscapeCommand:
         assert code == 0
         report = json.loads(out)
         jsonschema.validate(report, load_schema(schema_dir, "report.json"))
+        assert list(report) == ["command", "request", "results", "provenance", "status"]
         det = report["results"]["deterministic"]
+        assert list(det) == ["value", "error_estimate", "method", "cost", "wall_time"]
         assert det["value"] == pytest.approx(segment_escape_wiener(2.0, 1.0), abs=1e-6)
         assert det["value"] == pytest.approx(0.3905, abs=5e-5)
         assert det["error_estimate"] <= 1e-6
@@ -88,8 +93,20 @@ class TestEscapeCommand:
         jsonschema.validate(report, load_schema(schema_dir, "report.json"))
         comparison = report["results"]["comparison"]
         assert comparison["within_four_sigma"]
-        diff = report["results"]["monte_carlo"]["value"] - report["results"]["deterministic"]["value"]
+        det = report["results"]["deterministic"]["value"]
+        diff = report["results"]["monte_carlo"]["value"] - det
         assert comparison["difference"] == pytest.approx(diff)
+        assert comparison["four_sigma"] == bench.MC_SIGMA_FACTOR * theoretical_stat_error(det, 100000)
+
+    def test_cell_far_wider_than_a_step_does_not_escape(self, capsys, files):
+        # |A b| / sigma = 1e155 once overflowed into escape 1.0 with an error of 0
+        code, out, _ = run_cli(capsys, [
+            "escape", "--geometry", files["wide_segment"], "--distribution", files["wiener_tiny"],
+            "--method", "det",
+        ])
+        assert code == 0
+        det = json.loads(out)["results"]["deterministic"]
+        assert det["value"] <= det["error_estimate"] + 4 * 2.0**-52
 
     def test_runs_add_empirical_error(self, capsys, files):
         code, out, _ = run_cli(capsys, [
@@ -191,14 +208,6 @@ class TestEscapeCommand:
         partial = report["results"]["deterministic"]
         assert 0.0 <= partial["value"] <= 1.0
         assert partial["value"] == pytest.approx(0.9701, abs=0.05)
-
-    def test_run_report_round_trip(self, capsys, files):
-        _, out, _ = run_cli(capsys, [
-            "escape", "--geometry", files["segment"], "--distribution", files["wiener"],
-            "--method", "det",
-        ])
-        report = RunReport(**json.loads(out))
-        assert RunReport(**copy.deepcopy(report.to_dict())) == report
 
 
 class TestTransitionCommand:
@@ -306,6 +315,8 @@ EXIT_CODE_TABLE = {
         None, 2, "vertices"),
     "int-beyond-float": (
         ["escape", "--geometry", "huge_int_vertices", "--distribution", "wiener"], None, 2, "vertices"),
+    "edges-beyond-float": (
+        ["escape", "--geometry", "overflowing_segment", "--distribution", "wiener"], None, 2, "vertices"),
     "missing-geometry": (
         ["escape", "--geometry", "missing", "--distribution", "wiener"], None, 2, "geometry"),
     "missing-source": (

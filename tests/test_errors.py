@@ -87,6 +87,14 @@ CASES = {
     "non-finite-step": (lambda: stay_fraction("segment", [math.inf]), DimensionMismatch, "step"),
     "step-of-conditional-escape": (lambda: conditional_escape(_triangle(), 0.5), DimensionMismatch, "step"),
     "steps-of-density": (lambda: WienerStep(0.1, 2).density([0.5]), DimensionMismatch, "steps"),
+    "non-numeric-step-of-stay-fraction": (lambda: stay_fraction("triangle", ["a", "b"]), InputError, "step"),
+    "non-numeric-point-of-contains": (lambda: contains(_triangle(), ["a", "b"]), InputError, "point"),
+    "non-numeric-step-of-conditional-escape": (lambda: conditional_escape(_triangle(), ["a", "b"]), InputError, "step"),
+    "non-numeric-steps-of-density": (lambda: WienerStep(0.1, 2).density(["a", "b"]), InputError, "steps"),
+    "ragged-steps-of-stay-fraction": (lambda: stay_fraction("triangle", [[0.1, 0.2], [0.3]]), InputError, "step"),
+    "ragged-steps-of-conditional-escape": (lambda: conditional_escape(_triangle(), [[0.1, 0.2], [0.3]]),
+                                           InputError, "step"),
+    "non-numeric-step-of-transition": (lambda: conditional_transition_1d((0, 1), (1, 2), "x"), InputError, "step"),
     "points-of-affine-map": (lambda: _triangle().affine_map.to_global(np.zeros((4, 3))), DimensionMismatch, "points"),
     "law-dimension": (lambda: escape_probability_det(_triangle(), WienerStep(0.1, 1)), DimensionMismatch, "dim"),
     "target-dimension": (lambda: transition_probability_mc(_segment(), _triangle(), WienerStep(0.1, 1)),

@@ -229,11 +229,51 @@ class TestAffineMap:
                 element.affine_map = amap
 
     def test_degeneracy_threshold_is_scale_free(self):
-        # same shape, vastly different units: both must be rejected
-        for scale in (1e-6, 1e6):
+        # same shape, vastly different units: both must be rejected, and a
+        # well-shaped cell accepted
+        for scale in (1e-6, 1e6, 2.0**-500, 2.0**500):
             verts = np.array([[0, 0], [1, 1], [2, 2 + 1e-16]]) * scale
             with pytest.raises(DegenerateElement):
                 mesh_element("triangle", verts)
+            mesh_element("triangle", np.array([[0, 0], [1, 0], [0.25, 1]]) * scale)
+
+    @pytest.mark.parametrize("kind, vertices", [
+        # the spanning edges overflow
+        ("segment", [1e308, -1e308]),
+        ("triangle", [[1e308, 0], [-1e308, 0], [0, 1]]),
+        # the implied fourth vertex overflows
+        ("parallelogram", [[0, 0], [1e308, 0], [1e308, 1]]),
+        # well-shaped cells whose |det A| overflows or underflows to 0
+        ("triangle", [[0, 0], [1e200, 0], [0, 1e200]]),
+        ("triangle", [[0, 0], [1e-200, 0], [0, 1e-200]]),
+        ("tetrahedron", [[0, 0, 0], [1e-110, 0, 0], [0, 1e-110, 0], [0, 0, 1e-110]]),
+    ])
+    def test_cells_beyond_the_float_range_are_refused_naming_vertices(self, kind, vertices):
+        # not as linearly dependent, and with no RuntimeWarning
+        with pytest.raises(InputError) as info:
+            mesh_element(kind, vertices)
+        assert type(info.value) is InputError
+        assert info.value.field == "vertices"
+        assert "beyond the float64 range" in str(info.value)
+
+    @pytest.mark.parametrize("kind, vertices", [
+        ("segment", [0.0, 2.0]),
+        ("segment", [0.0, 5e-324]),
+        ("segment", [0.0, 1e300]),
+        ("triangle", [[0, 0], [2, 0], [3, 2]]),
+        ("triangle", [[0, 0], [1e-160, 0], [0, 1e-160]]),
+        ("parallelepiped", [[0, 0, 0], [2, 0, 0], [1, 2, 1], [0, 0, 2]]),
+        ("tetrahedron", [[0, 0, 0], [1e-103, 0, 0], [0, 1e-103, 0], [0, 0, 1e-103]]),
+    ])
+    def test_map_is_built_from_the_edges_as_given(self, kind, vertices):
+        # the range checks scale a copy of the edges: the map keeps numpy's
+        # inverse and determinant of the edges themselves, bit for bit
+        element = mesh_element(kind, vertices)
+        edges = (element.vertices[1:element.dim + 1] - element.vertices[0]).T
+        amap = element.affine_map
+        assert np.array_equal(amap.matrix, edges)
+        assert np.array_equal(amap.inverse, np.linalg.inv(edges))
+        assert amap.abs_det == abs(float(np.linalg.det(edges)))
 
     def test_segment_map_is_edge_length(self):
         amap = mesh_element("segment", [[0.5], [2.5]]).affine_map

@@ -9,6 +9,7 @@ from cellescape import (
     ElementKind,
     InputError,
     NonFiniteIntegrand,
+    ProbabilityEstimate,
     QuadratureConfig,
     StepDistribution,
     ToleranceNotMet,
@@ -263,6 +264,118 @@ class TestRadialPath:
         assert abs(small.value - reference.value) <= small.error_estimate + reference.error_estimate
 
 
+class TwoScaleWiener(StepDistribution):
+    """An even mixture of two centred Gaussians, with the scale-mixture hook."""
+
+    def __init__(self, scales, dim):
+        self.dim = dim
+        self.scales = np.array([scales])
+
+    def density(self, steps):
+        squares = np.sum(np.square(steps), axis=-1)[..., None]
+        gauss = np.exp(-0.5 * squares / self.scales**2) / (math.sqrt(2.0 * math.pi) * self.scales) ** self.dim
+        return 0.5 * gauss.sum(axis=-1)
+
+    def _scale_mixture(self, radii):
+        return self.scales, np.full((1, 2), 0.5)
+
+
+def _legs(kind, length):
+    """The reference cell of ``kind`` with its edges scaled to ``length``."""
+    n = ElementKind(kind).dim
+    return mesh_element(kind, np.vstack([np.zeros(n), length * np.eye(n)]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRangeEnds:
+    """The Wiener radial path on cells far larger or smaller than float64 squares can hold."""
+
+    @pytest.mark.parametrize("kind, length, dt", [
+        # |A b| / sigma beyond 1.3e154: alpha overflowed, every moment read 0
+        # and the solve reported escape 1.0 with an estimate of 0
+        ("segment", 1e10, 1e-290),
+        ("triangle", 2e9, 1e-290),
+        ("parallelogram", 2e9, 1e-290),
+        # the Gaussian's factor overflowed first: NonFiniteIntegrand
+        ("tetrahedron", 1e10, 1e-190),
+        ("parallelepiped", 1e10, 1e-190),
+        # cells beyond 2^256 across, scaled before their rays are squared
+        ("segment", 1e300, 1e-200),
+        ("triangle", 1e150, 1e-300),
+    ])
+    def test_cells_far_wider_than_a_step_keep_their_particles(self, kind, length, dt):
+        # the escape probability is about sqrt(dt) / length, below 1e-100
+        est = escape_probability_det(_legs(kind, length), WienerStep(dt=dt, dim=ElementKind(kind).dim))
+        assert est.value <= est.error_estimate + 4 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("kind, length, dt", [
+        # |A b|^2 subnormal: the radii lost digits, and the triangle took
+        # 306,750 evals to a value 2.4e-6 off, 4x its estimate
+        ("triangle", 1e-160, 1e-321),
+        ("segment", 1e-160, 1e-321),
+        # |det A| = 1e-320 is subnormal too: its root comes from the scaled edges
+        ("parallelogram", 1e-160, 1e-321),
+    ])
+    def test_tiny_cells_are_the_unit_cell_rescaled(self, kind, length, dt):
+        n = ElementKind(kind).dim
+        tiny = escape_probability_det(_legs(kind, length), WienerStep(dt=dt, dim=n))
+        unit = escape_probability_det(_legs(kind, 1.0), WienerStep(dt=dt / length / length, dim=n))
+        assert tiny.cost == unit.cost
+        assert abs(tiny.value - unit.value) <= tiny.error_estimate + unit.error_estimate + 4 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    def test_far_terms_are_the_limit_of_the_near_terms(self, kind):
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        _, (rays, _, stay) = _CONE_CACHE[element.kind].first_pass
+        unit, scale, root_det = quadrature._unit_frame(element.affine_map)
+        radii = np.linalg.norm(rays @ unit.T, axis=1) * scale
+        weights = np.ones((1, 1))
+        for sigma in (1e-3, 1e-6, 1e-9, 1e-12):
+            scales = np.array([[sigma]])
+            ratio = radii[:, None] / scales
+            near = quadrature._near_terms(ratio, stay, scales, weights, root_det)
+            far = quadrature._far_terms(ratio, radii, stay, weights, root_det)
+            assert np.allclose(far, near, rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["segment", "triangle", "tetrahedron", "parallelepiped"])
+    def test_near_and_far_scales_in_one_mixture(self, kind):
+        # one scale far below the cell, whose Gaussian factor overflows in
+        # 3D: that half of the mixture stays, the other half is the Wiener law's
+        element = bench.BENCHMARK_ELEMENTS[kind]
+        n = element.dim
+        mixed = escape_probability_det(element, TwoScaleWiener((0.5, 1e-200), n))
+        wiener = escape_probability_det(element, WienerStep(dt=0.25, dim=n))
+        tolerance = mixed.error_estimate + 0.5 * wiener.error_estimate + 4 * np.spacing(1.0)
+        assert abs(mixed.value - 0.5 * wiener.value) <= tolerance
+
+    @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
+    def test_cells_in_range_keep_their_matrix(self, kind):
+        amap = bench.BENCHMARK_ELEMENTS[kind].affine_map
+        unit, scale, root_det = quadrature._unit_frame(amap)
+        assert unit is amap.matrix and scale == 1.0 and root_det == amap.abs_det ** (1.0 / amap.dim)
+
+    @pytest.mark.parametrize("kind, length", [
+        ("triangle", 1e-160), ("tetrahedron", 1e-103), ("tetrahedron", 1e100), ("segment", 1e300),
+    ])
+    def test_scaling_is_exact(self, kind, length):
+        amap = _legs(kind, length).affine_map
+        unit, scale, root_det = quadrature._unit_frame(amap)
+        assert scale != 1.0
+        assert np.array_equal(unit * scale, amap.matrix)
+        assert root_det == pytest.approx(length, rel=1e-15)
+
+
+class TestProbabilityEstimate:
+    def test_to_dict_lists_the_set_fields_in_order(self):
+        estimate = ProbabilityEstimate(0.25, 1e-3, "monte_carlo", 100, 0.5)
+        assert list(estimate.to_dict().items()) == [
+            ("value", 0.25), ("error_estimate", 1e-3), ("method", "monte_carlo"), ("cost", 100), ("wall_time", 0.5),
+        ]
+        bounded = ProbabilityEstimate(0.0, 0.0, "monte_carlo", 100, 0.5, error_bound_95=0.03)
+        assert list(bounded.to_dict())[-2:] == ["wall_time", "error_bound_95"]
+        assert bounded.to_dict()["error_bound_95"] == 0.03
+
+
 class TestCones:
     @pytest.mark.parametrize("cell", list(ElementKind))
     def test_stay_integrates_to_cell_measure(self, cell):
@@ -313,14 +426,14 @@ class TestFirstPass:
         element = bench.BENCHMARK_ELEMENTS[kind]
         cones = _CONE_CACHE[element.kind]
         (lo, hi, k), nodes = cones.first_pass
-        amap = element.affine_map
+        frame = quadrature._unit_frame(element.affine_map)
         mixture = quadrature._mixture_hook(WienerStep(dt=0.1, dim=element.dim))
 
         def f(w, tags):
-            return quadrature._facet_values(cones.radial_nodes(w, tags), amap, mixture)
+            return quadrature._facet_values(cones.radial_nodes(w, tags), frame, mixture)
 
         config = QuadratureConfig()
-        cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, amap, mixture))
+        cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, frame, mixture))
         assert cached == _integrate_boxes(f, lo, hi, k, config)
 
     @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
@@ -338,7 +451,7 @@ class TestFirstPass:
         radial = np.einsum("jm,jmq->mq", np.broadcast_to(stay, (n + 1, len(rays))), moments)
         gauss = (amap.abs_det ** (1.0 / n) / (math.sqrt(2.0 * math.pi) * law.typical_scale)) ** n
         expected = (radial * gauss).sum(axis=1) * jac
-        got = quadrature._facet_values((rays, jac, stay), amap, quadrature._mixture_hook(law))
+        got = quadrature._facet_values((rays, jac, stay), quadrature._unit_frame(amap), quadrature._mixture_hook(law))
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
@@ -405,7 +518,8 @@ class TestErrorEstimateHonesty:
         assert abs(est.value - oracle) <= est.error_estimate
         assert est.error_estimate <= max(config.abs_tol, config.rel_tol * est.value)
 
-    @pytest.mark.parametrize("group", ["grid", "segment-closed-form", "transitions"])
+    @pytest.mark.parametrize("group", ["grid", "segment-closed-form", "transitions", "cone-path",
+                                       "velocity-jump-2d-3d"])
     def test_estimate_covers_the_distance_to_a_tighter_truth(self, group):
         # error_estimate >= |value - truth| less the truth's own estimate and
         # 4 ulps of 1.0 for the rounding of the value
@@ -418,6 +532,22 @@ class TestErrorEstimateHonesty:
                     truth = escape_probability_det(element, law, tight)
                     cases.append((f"{name} dt={dt}", escape_probability_det(element, law),
                                   truth.value, truth.error_estimate))
+        elif group == "cone-path":
+            # the whole-cone cubature of the Wiener density, against tight radial solves
+            for name, element in bench.BENCHMARK_ELEMENTS.items():
+                for dt in bench.DT_GRID:
+                    truth = escape_probability_det(element, WienerStep(dt=dt, dim=element.dim), tight)
+                    cases.append((f"cone {name} dt={dt}", escape_probability_det(element, ConeWiener(dt, element.dim)),
+                                  truth.value, truth.error_estimate))
+        elif group == "velocity-jump-2d-3d":
+            # not the parallelepiped: both tolerances accept its first pass
+            for name, loose, tighter in [("triangle", 1e-4, 1e-7), ("tetrahedron", 1e-2, 1e-4)]:
+                element = bench.BENCHMARK_ELEMENTS[name]
+                law = VelocityJumpStep(rate=1.0, dim=element.dim)
+                truth = escape_probability_det(element, law, QuadratureConfig(abs_tol=tighter, rel_tol=0.0))
+                cases.append((f"velocity-jump {name}",
+                              escape_probability_det(element, law, QuadratureConfig(abs_tol=loose, rel_tol=0.0)),
+                              truth.value, truth.error_estimate))
         elif group == "segment-closed-form":
             # The radial path solves a segment in two exact terms and reports an
             # estimate of 0, yet sits up to 2.2e-16 from the closed form: only
