@@ -132,7 +132,14 @@ def _sample_takes_out(dist) -> bool:
 
 
 class WienerStep(StepDistribution):
-    """Gaussian increments ``N(0, dt * I_n)`` of a Wiener process."""
+    """Gaussian increments ``N(0, dt * I_n)`` of a Wiener process.
+
+    At a ``dt`` so small that the density's factor ``(2 pi dt)^(-n/2)``
+    leaves the float range (below about 8.9e-310 in 2D and 5e-207 in 3D),
+    ``density`` folds that factor into the exponent: it returns the density
+    where that is a float, and ``inf`` where the density itself leaves the
+    float range.
+    """
 
     def __init__(self, dt: float, dim: int):
         self.dt = _real("dt", dt)
@@ -142,7 +149,15 @@ class WienerStep(StepDistribution):
     def density(self, steps) -> float | np.ndarray:
         arr, scalar = _as_batch(steps, self.dim, "steps")
         norm2 = np.einsum("ij,ij->i", arr, arr)
-        out = (2.0 * math.pi * self.dt) ** (-self.dim / 2.0) * np.exp(-norm2 / (2.0 * self.dt))
+        with np.errstate(over="ignore"):
+            exponent = -norm2 / (2.0 * self.dt)
+            # np.float64's power calls the same pow as a float's, but gives
+            # inf where a float's raises OverflowError
+            prefactor = np.float64(2.0 * math.pi * self.dt) ** (-self.dim / 2.0)
+            if np.isfinite(prefactor):
+                out = prefactor * np.exp(exponent)
+            else:
+                out = np.exp(exponent - 0.5 * self.dim * math.log(2.0 * math.pi * self.dt))
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -178,12 +193,15 @@ class VelocityJumpStep(StepDistribution):
     standard deviation ``T`` per coordinate.  It diverges at the origin for
     every dimension (logarithmically in 1D, like ``|dx|^(1-n)`` above), so
     evaluation at ``|dx| < 1e-300`` raises :class:`OriginSingularity`
-    instead of returning an overflowing number.  A batch of steps is
-    evaluated in blocks of 256, by a trapezoid rule in ``log u`` with 256
-    nodes per step; a block whose smallest ``rate * |dx|`` is below about
-    7.5e-13 gives more nodes to every step in it.  So a step with
-    ``rate * |dx| >= 1e-12`` gets the same value, bit for bit, alone and in
-    any batch of such steps, but not beside a much shorter step.
+    instead of returning an overflowing number.  So does every evaluation
+    at a rate whose ``rate**n`` leaves the float range (above about 1.3e154
+    in 2D and 5.6e102 in 3D), where the law is that concentrated at the
+    origin.  A batch of steps is evaluated in blocks of 256, by a
+    trapezoid rule in ``log u`` with 256 nodes per step; a block whose
+    smallest ``rate * |dx|`` is below about 7.5e-13 gives more nodes to
+    every step in it.  So a step with ``rate * |dx| >= 1e-12`` gets the
+    same value, bit for bit, alone and in any batch of such steps, but not
+    beside a much shorter step.
     """
 
     # Substituting u = rate * T turns the mixture integral into
@@ -217,7 +235,12 @@ class VelocityJumpStep(StepDistribution):
                 "velocity-jump density is non-finite at a zero step"
             )
         n = self.dim
-        prefactor = self.rate**n * (2.0 * math.pi) ** (-n / 2.0)
+        with np.errstate(over="ignore"):  # the same pow as a float's, but inf where that raises
+            prefactor = float(np.float64(self.rate) ** n) * (2.0 * math.pi) ** (-n / 2.0)
+        if math.isinf(prefactor):
+            raise OriginSingularity(
+                f"velocity-jump density overflows: rate**{n} leaves the float range at rate {self.rate!r}"
+            )
         out = np.empty(len(arr))
         for start in range(0, len(arr), _BLOCK):
             s = self.rate * radii[start:start + _BLOCK]

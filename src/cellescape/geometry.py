@@ -127,6 +127,8 @@ class MeshElement:
         # each coordinate as given: numpy would turn a string into a number,
         # and a bool among numbers into one
         coords = np.array(self.vertices, dtype=object)
+        if coords.ndim > 2:  # numpy walks no more than 32 dimensions
+            raise InputError("vertices", "expected a 2D array of vertex coordinates")
         odd = [x for x in coords.flat if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real)]
         if odd:
             if all(isinstance(x, (str, bool, np.bool_)) for x in odd):
@@ -265,6 +267,8 @@ def _read_json(path, field: str):
         raise InputError(field, f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # malformed JSON or text encoding
         raise InputError(field, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(field, "invalid JSON: nested too deeply to read") from None
 
 
 def load_element(path) -> MeshElement:

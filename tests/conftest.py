@@ -41,29 +41,12 @@ def schema_dir():
     return REPO_ROOT / "schemas"
 
 
-_SPANNING = {
-    ElementKind.SEGMENT: 2,
-    ElementKind.TRIANGLE: 3,
-    ElementKind.PARALLELOGRAM: 3,
-    ElementKind.TETRAHEDRON: 4,
-    ElementKind.PARALLELEPIPED: 4,
-}
-
-_DIM = {
-    ElementKind.SEGMENT: 1,
-    ElementKind.TRIANGLE: 2,
-    ElementKind.PARALLELOGRAM: 2,
-    ElementKind.TETRAHEDRON: 3,
-    ElementKind.PARALLELEPIPED: 3,
-}
-
-
 def random_element(kind, rng, scale=1.0, max_cond=20.0):
     """A well-conditioned random element of the given kind."""
-    kind = ElementKind(kind)
-    n = _DIM[kind]
+    n = ElementKind(kind).dim
     while True:
-        vertices = rng.normal(size=(_SPANNING[kind], n)) * scale
+        # the first vertex and one per edge: the spanning ones
+        vertices = rng.normal(size=(n + 1, n)) * scale
         try:
             element = mesh_element(kind, vertices)
             amap = element.affine_map

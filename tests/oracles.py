@@ -7,14 +7,17 @@ probability from a hand-derived closed form, simplex escape
 probabilities from iterated Gauss-Legendre sums in Cartesian coordinates
 whose panels end at every kink of the stay fraction, and the velocity-jump
 mixture integrals from adaptive QUADPACK runs on short panels in ``log u``.
+
+Only those QUADPACK runs and their root finder take scipy.  It is imported
+where they run, so a test that calls one is skipped where scipy is missing
+and every other oracle works with numpy alone.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy import integrate, optimize, special
-from scipy.stats import norm
+import pytest
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +111,11 @@ def segment_escape_wiener(length, dt):
 
     Derived by integrating min(|dx| / l, 1) against the N(0, dt) density:
     the |dx| <= l part gives (sqrt(2 dt / pi) / l)(1 - exp(-l^2 / (2 dt)))
-    and the two tails give 2 Phi(-l / sqrt(dt)).
+    and the two tails give 2 Phi(-l / sqrt(dt)) = erfc(l / sqrt(2 dt)).
     """
-    sigma = math.sqrt(dt)
     return (math.sqrt(2.0 * dt / math.pi) / length) * (
         1.0 - math.exp(-(length**2) / (2.0 * dt))
-    ) + 2.0 * norm.cdf(-length / sigma)
+    ) + math.erfc(length / math.sqrt(2.0 * dt))
 
 
 def transition_1d_trapezoid(source, target, dt, panels=10**6):
@@ -123,7 +125,9 @@ def transition_1d_trapezoid(source, target, dt, panels=10**6):
     x = np.linspace(c - b, d - a, panels + 1)
     overlap = np.minimum(b, d - x) - np.maximum(a, c - x)
     cond = np.maximum(0.0, overlap) / (b - a)
-    return np.trapezoid(cond * norm.pdf(x, scale=math.sqrt(dt)), x)
+    sigma = math.sqrt(dt)
+    pdf = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    return np.trapezoid(cond * pdf, x)
 
 
 def vjump_density_trapezoid(x, rate=1.0, dim=1, panels=10**6, t_max=60.0):
@@ -147,6 +151,7 @@ def _log_u_panels(lo, hi, peak):
 
 
 def _quad_panels(f, edges):
+    integrate = pytest.importorskip("scipy.integrate")
     total = 0.0
     with warnings.catch_warnings():
         # panels far below the peak cannot reach epsrel against their own tiny values
@@ -172,7 +177,7 @@ def vjump_radial_integral(s, dim):
         return math.exp(2.0 * (log_s - v)) - math.exp(v) - (dim - 1)
 
     bracket = (min(log_s, 2.0 * log_s / 3.0) - 5.0, max(log_s, 2.0 * log_s / 3.0) + 5.0)
-    log_u_peak = optimize.brentq(slope, *bracket, xtol=1e-15, rtol=1e-15)
+    log_u_peak = pytest.importorskip("scipy.optimize").brentq(slope, *bracket, xtol=1e-15, rtol=1e-15)
     peak = math.exp(log_u_peak)
     log_peak = -peak - 0.5 * (s / peak) ** 2 - (dim - 1) * log_u_peak
 
@@ -198,6 +203,7 @@ def vjump_segment_escape(length, rate):
     the escape is at most ``sqrt(2/pi) T / l`` and above it ``exp(-u)`` is
     below ``exp(-80)``, so the window leaves out less than 1e-17.
     """
+    erfc = pytest.importorskip("scipy.special").erfc
     scale = rate * length
     lo = min(math.log(scale), 0.0) - 20.0
 
@@ -205,7 +211,7 @@ def vjump_segment_escape(length, rate):
         u = math.exp(v)
         ratio = scale / u  # l / T
         escape = math.sqrt(2.0 / math.pi) / ratio * -math.expm1(-0.5 * ratio * ratio)
-        return u * math.exp(-u) * (escape + special.erfc(ratio / math.sqrt(2.0)))
+        return u * math.exp(-u) * (escape + erfc(ratio / math.sqrt(2.0)))
 
     return _quad_panels(f, _log_u_panels(lo, math.log(80.0), math.log(scale)))
 

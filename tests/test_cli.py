@@ -23,6 +23,11 @@ def files(tmp_path):
 
     # a segment whose kind is spelled with a Latin-1 byte, so not UTF-8
     (tmp_path / "latin1.json").write_bytes(b'{"kind": "s\xe9gment", "vertices": [[0], [1]]}')
+    # nested deeper than the JSON decoder recurses
+    (tmp_path / "deep.json").write_text("[" * 3000)
+    nested = [[0.0], [1.0]]
+    for _ in range(70):
+        nested = [nested]
     return {
         "segment": write("segment.json", {"kind": "segment", "vertices": [[0.0], [2.0]]}),
         "unit": write("unit.json", {"kind": "segment", "vertices": [[0.0], [1.0]]}),
@@ -32,6 +37,12 @@ def files(tmp_path):
             {"kind": "tetrahedron", "vertices": [[0, 0, 0], [2, 0, 0], [3, 2, 0], [1, 1, 1]]},
         ),
         "triangle": write("triangle.json", {"kind": "triangle", "vertices": [[0, 0], [2, 0], [3, 2]]}),
+        "parallelepiped": write(
+            "parallelepiped.json",
+            {"kind": "parallelepiped", "vertices": [
+                [0, 0, 0], [2, 0, 0], [1, 2, 1], [0, 0, 2], [3, 2, 1], [2, 0, 2], [3, 2, 3], [1, 2, 3],
+            ]},
+        ),
         "wiener": write("wiener.json", {"law": "wiener", "dt": 1.0}),
         "wiener_01": write("wiener_01.json", {"law": "wiener", "dt": 0.1}),
         "vjump": write("vjump.json", {"law": "velocity_jump", "lambda": 1.0}),
@@ -48,7 +59,10 @@ def files(tmp_path):
         "overflowing_segment": write("overflowing_segment.json", {"kind": "segment", "vertices": [[1e308], [-1e308]]}),
         "wide_segment": write("wide_segment.json", {"kind": "segment", "vertices": [[0], [1e10]]}),
         "wiener_tiny": write("wiener_tiny.json", {"law": "wiener", "dt": 1e-290}),
+        "deep_vertices": write("deep_vertices.json", {"kind": "segment", "vertices": nested}),
+        "vjump_huge": write("vjump_huge.json", {"law": "velocity_jump", "lambda": 1e110}),
         "latin1": str(tmp_path / "latin1.json"),
+        "deep": str(tmp_path / "deep.json"),
         "missing": str(tmp_path / "missing.json"),
         "unwritable": str(tmp_path / "no-such-directory" / "report.json"),
         "tmp_path": tmp_path,
@@ -210,6 +224,37 @@ class TestEscapeCommand:
         assert partial["value"] == pytest.approx(0.9701, abs=0.05)
 
 
+# one clean solve for each command, method and law, across the cell kinds
+SOLVES = {
+    "triangle-wiener-both": ["escape", "--geometry", "triangle", "--distribution", "wiener_01",
+                             "--method", "both", "--particles", "10000"],
+    "tetrahedron-wiener-det": ["escape", "--geometry", "tetrahedron", "--distribution", "wiener_01",
+                               "--method", "det"],
+    "parallelepiped-wiener-det": ["escape", "--geometry", "parallelepiped", "--distribution", "wiener_01",
+                                  "--method", "det"],
+    "tetrahedron-wiener-mc-2-workers": ["escape", "--geometry", "tetrahedron", "--distribution", "wiener_01",
+                                        "--method", "mc", "--workers", "2", "--particles", "200000"],
+    "triangle-velocity-jump-det": ["escape", "--geometry", "triangle", "--distribution", "vjump",
+                                   "--method", "det"],
+    "tetrahedron-velocity-jump-det": ["escape", "--geometry", "tetrahedron", "--distribution", "vjump",
+                                      "--method", "det", "--tol", "1e-2"],
+    "transition-velocity-jump-det": ["transition", "--source", "unit", "--target", "next",
+                                     "--distribution", "vjump", "--method", "det"],
+}
+
+
+@pytest.mark.parametrize("case", SOLVES)
+def test_solves(capsys, files, schema_dir, case):
+    code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in SOLVES[case]])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    jsonschema.validate(report, load_schema(schema_dir, "report.json"))
+    assert report["status"] == "ok"
+    for method in ("deterministic", "monte_carlo"):
+        if method in report["results"]:
+            assert 0.0 <= report["results"][method]["value"] <= 1.0
+
+
 class TestTransitionCommand:
     def test_det_matches_trapezoid_oracle(self, capsys, files, schema_dir):
         code, out, _ = run_cli(capsys, [
@@ -326,6 +371,12 @@ EXIT_CODE_TABLE = {
         ["escape", "--geometry", "segment", "--distribution", "missing"], None, 2, "distribution"),
     "geometry-not-utf8": (
         ["escape", "--geometry", "latin1", "--distribution", "wiener"], None, 2, "geometry"),
+    "geometry-nested-too-deeply": (
+        ["escape", "--geometry", "deep", "--distribution", "wiener"], None, 2, "geometry"),
+    "distribution-nested-too-deeply": (
+        ["escape", "--geometry", "segment", "--distribution", "deep"], None, 2, "distribution"),
+    "vertices-beyond-32-dimensions": (
+        ["escape", "--geometry", "deep_vertices", "--distribution", "wiener"], None, 2, "vertices"),
     "law-not-a-name": (
         ["escape", "--geometry", "segment", "--distribution", "law_list"], None, 2, "law"),
     "particles-0": (ESCAPE + ["--particles", "0"], None, 2, "particles"),
@@ -347,6 +398,10 @@ EXIT_CODE_TABLE = {
          "--method", "both", "--particles", "20000"],
         _tolerance_not_met, 3, "tolerance_not_met"),
     "other-library-error": (ESCAPE + ["--method", "det"], _non_finite, 3, "solver_failure"),
+    # rate**3 beyond the float range
+    "velocity-jump-rate-beyond-float": (
+        ["escape", "--geometry", "tetrahedron", "--distribution", "vjump_huge", "--method", "det"],
+        None, 3, "solver_failure"),
 }
 
 

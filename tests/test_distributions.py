@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
-from scipy.stats import kstest, norm
 
 import cellescape
 from cellescape import (
@@ -73,6 +71,26 @@ class TestWienerDensity:
         with pytest.raises(DimensionMismatch):
             WienerStep(dt=1.0, dim=2).density([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dt, dim", [(1e-310, 2), (1e-250, 3)])
+    def test_factor_beyond_the_float_range(self, dt, dim):
+        # (2 pi dt)^(-n/2) overflows a double, where a float's power raised
+        # OverflowError: the density is inf only where it is itself that large
+        log_factor = -0.5 * dim * math.log(2.0 * math.pi * dt)
+        steps = np.zeros((3, dim))
+        steps[1, 0] = math.sqrt(2.0 * dt * (log_factor - math.log(0.01)))
+        steps[2, 0] = 1.0
+        values = WienerStep(dt=dt, dim=dim).density(steps)
+        assert values[0] == math.inf
+        assert values[1] == pytest.approx(0.01, rel=1e-9)
+        assert values[2] == 0.0
+
+    @pytest.mark.parametrize("dt, dim", [(0.1, 3), (1e-300, 2), (1e-200, 3), (5e-324, 1)])
+    def test_finite_factor_keeps_its_product(self, dt, dim):
+        steps = np.random.default_rng(7).normal(size=(5, dim)) * math.sqrt(dt)
+        norm2 = np.einsum("ij,ij->i", steps, steps)
+        want = (2.0 * math.pi * dt) ** (-dim / 2.0) * np.exp(-norm2 / (2.0 * dt))
+        assert np.array_equal(WienerStep(dt=dt, dim=dim).density(steps), want)
+
 
 class TestWienerSampling:
     def test_mean_and_variance(self):
@@ -89,8 +107,9 @@ class TestWienerSampling:
 
     def test_sampler_density_ks(self):
         w = WienerStep(dt=2.5, dim=1)
+        stats = pytest.importorskip("scipy.stats")
         samples = w.sample(np.random.default_rng(3), 10**5)[:, 0]
-        result = kstest(samples, lambda x: norm.cdf(x, scale=math.sqrt(2.5)))
+        result = stats.kstest(samples, lambda x: stats.norm.cdf(x, scale=math.sqrt(2.5)))
         assert result.pvalue > 0.001
 
 
@@ -146,6 +165,7 @@ class TestVelocityJumpDensity:
         # integrable log singularity at the origin
         vj = VelocityJumpStep(rate=1.0, dim=1)
         x = np.geomspace(1e-8, 50.0, 4001)
+        simpson = pytest.importorskip("scipy.integrate").simpson
         half = simpson(vj.density(x[:, None]), x=x)
         assert 2.0 * half == pytest.approx(1.0, abs=1e-6)
 
@@ -193,6 +213,12 @@ class TestVelocityJumpDensity:
         with pytest.raises(OriginSingularity):
             VelocityJumpStep(rate=1.0, dim=3).density([1e-200, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rate, dim", [(2e154, 2), (1e110, 3)])
+    def test_rate_beyond_the_float_range(self, rate, dim):
+        # rate**dim overflows a double: the library's error, not Python's OverflowError
+        with pytest.raises(OriginSingularity, match="rate"):
+            VelocityJumpStep(rate=rate, dim=dim).density(np.ones(dim))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_step_density_does_not_depend_on_its_batch(self, dim):
         # 700 steps span three blocks; with every rate * |dx| >= 1e-12 each
@@ -215,6 +241,7 @@ class TestVelocityJumpDensity:
 
     def test_sampler_density_ks(self):
         vj = VelocityJumpStep(rate=1.0, dim=1)
+        kstest = pytest.importorskip("scipy.stats").kstest
         samples = vj.sample(np.random.default_rng(29), 10**5)[:, 0]
         result = kstest(samples, vjump_cdf_from_density(vj.density))
         assert result.pvalue > 0.001

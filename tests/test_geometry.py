@@ -4,7 +4,6 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from cellescape import (
     AffineMap,
@@ -453,6 +452,7 @@ class TestSampleUniform:
     def test_uniformity_chi_square(self, benchmark_elements, name):
         # partition the reference cell into 4 bins per axis and compare the
         # local-coordinate histogram with exact bin probabilities
+        chi2 = pytest.importorskip("scipy.stats").chi2
         element = benchmark_elements[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         n = element.dim

@@ -174,8 +174,7 @@ class TestIntegrateAdaptive:
 
 def kummer_moments(alpha, first, last):
     """``M_first .. M_last`` from ``M_k(alpha) = 1F1((k + 1)/2; (k + 3)/2; -alpha) / (k + 1)`` (DLMF 8.5.1)."""
-    from scipy.special import hyp1f1
-
+    hyp1f1 = pytest.importorskip("scipy.special").hyp1f1
     a = 0.5 * np.arange(first + 1, last + 2).reshape((-1,) + (1,) * np.ndim(alpha))
     return hyp1f1(a, a + 1.0, -alpha) / (2.0 * a)
 
