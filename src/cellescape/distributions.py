@@ -184,6 +184,10 @@ _LOG_U_SPACING = 0.14
 # 512 kB, small enough to stay in cache (about 1.7x faster than 1024 points
 # on a 2-vCPU Xeon).
 _BLOCK = 256
+# A step with s = rate * |dx| at least this has density 0, to the last bit:
+# exp(-u) underflows at every node of its window, where u >= s e^-3.7.
+# (Every node underflows from about s = 1.1e4 on.)
+_FAR_S = 1e300
 
 
 class VelocityJumpStep(StepDistribution):
@@ -201,7 +205,8 @@ class VelocityJumpStep(StepDistribution):
     smallest ``rate * |dx|`` is below about 7.5e-13 gives more nodes to
     every step in it.  So a step with ``rate * |dx| >= 1e-12`` gets the
     same value, bit for bit, alone and in any batch of such steps, but not
-    beside a much shorter step.
+    beside a much shorter step.  A step whose ``2 * rate * |dx|`` leaves the
+    float range has density 0, as its true density rounds to.
     """
 
     # Substituting u = rate * T turns the mixture integral into
@@ -242,15 +247,24 @@ class VelocityJumpStep(StepDistribution):
                 f"velocity-jump density overflows: rate**{n} leaves the float range at rate {self.rate!r}"
             )
         out = np.empty(len(arr))
-        for start in range(0, len(arr), _BLOCK):
-            s = self.rate * radii[start:start + _BLOCK]
-            lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
-            nodes = max(_LOG_U_NODES, math.ceil(float(np.max(hi - lo)) / _LOG_U_SPACING) + 1)
-            h = (hi - lo) / (nodes - 1)
-            v = lo[:, None] + h[:, None] * np.arange(nodes)
-            u = np.exp(v)
-            exponent = -u - 0.5 * (s[:, None] / u) ** 2 - (n - 1) * v
-            with np.errstate(over="ignore"):
+        # an overflow of s or of the window's end is mended in its block;
+        # one of the sum, near the origin, is refused after the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(arr), _BLOCK):
+                s = self.rate * radii[start:start + _BLOCK]
+                lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
+                width = float(np.max(hi - lo))
+                if not width < math.inf:
+                    # 2 s overflowed, where the density is 0, as it is
+                    # at s = _FAR_S: such a step takes that s
+                    s = np.where(hi == math.inf, _FAR_S, s)
+                    lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
+                    width = float(np.max(hi - lo))
+                nodes = max(_LOG_U_NODES, math.ceil(width / _LOG_U_SPACING) + 1)
+                h = (hi - lo) / (nodes - 1)
+                v = lo[:, None] + h[:, None] * np.arange(nodes)
+                u = np.exp(v)
+                exponent = -u - 0.5 * (s[:, None] / u) ** 2 - (n - 1) * v
                 out[start:start + _BLOCK] = prefactor * h * np.exp(exponent).sum(axis=1)
         if not np.all(np.isfinite(out)):
             raise OriginSingularity(

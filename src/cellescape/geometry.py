@@ -173,12 +173,13 @@ class MeshElement:
                 f"vertices implied by the spanning ones",
             )
         full.flags.writeable = False
-        # the degeneracy test runs on the edges over a power of two, exactly,
-        # so that it gives one answer in every unit
+        # |det A| and the degeneracy test are taken of the edges over a power
+        # of two, exactly, so that the test gives one answer in every unit
+        # and |det A| keeps its digits far from 1
         exponent = math.frexp(float(np.max(np.abs(edges))))[1]
         unit = np.ldexp(edges, -exponent)
         scale = float(np.max(np.linalg.norm(unit, axis=1)))
-        unit_det = abs(float(np.linalg.det(unit.T)))
+        unit_det = abs(_cofactor_det(unit.tolist()))
         eps = 1e-14 * scale**dim
         if unit_det <= eps:
             raise DegenerateElement(
@@ -186,9 +187,11 @@ class MeshElement:
                 f"{kind.value} vertices are degenerate: spanning edges are linearly dependent "
                 f"(|det| = {unit_det:.3e} <= {eps:.3e}, edges in units of 2^{exponent})"
             )
-        with np.errstate(over="ignore", under="ignore"):
-            det = float(np.linalg.det(edges.T))
-        if not 0.0 < abs(det) < math.inf:
+        try:
+            det = math.ldexp(unit_det, dim * exponent)
+        except OverflowError:
+            det = math.inf
+        if not 0.0 < det < math.inf:
             raise InputError(
                 "vertices",
                 f"{kind.value} vertices span |det A| = 10^{math.log10(unit_det) + dim * exponent * math.log10(2.0):.1f}, "
@@ -196,7 +199,7 @@ class MeshElement:
             )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vertices", full)
-        affine_map = AffineMap(edges.T, full[0].copy(), np.linalg.inv(edges.T), abs(det))
+        affine_map = AffineMap(edges.T, full[0].copy(), np.linalg.inv(edges.T), det)
         object.__setattr__(self, "affine_map", affine_map)
 
     @property
@@ -205,6 +208,14 @@ class MeshElement:
 
 
 mesh_element = MeshElement
+
+
+def _cofactor_det(rows: list[list[float]]) -> float:
+    """The determinant of a square matrix given as rows, by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * x * _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]))
 
 
 def _implied_vertices(kind: ElementKind, spanning: np.ndarray) -> np.ndarray:

@@ -28,14 +28,18 @@ power table over all nodes of an integrand call, whose size ``_MAX_POINTS``
 bounds on both paths; a node more than ``_FAR`` steps out takes the
 moments' limit, written in ``|A b| / sigma`` so that nothing overflows
 (``_far_terms``).  The cubature runs over the facet coordinates ``w``
-alone, and a segment's two cones need none.  Every such solve starts on
+alone.  Such a density is even in the step, as the stay fraction is, and
+the support is centrally symmetric, so every facet piece comes with its
+negation: the radial path integrates one cone of each such pair, for both,
+and a segment's one cone needs no cubature.  Every such solve starts on
 the same facet boxes of its reference cell, so the rays, facet Jacobians
 and stay polynomials at their nodes are built once per cell; a solve
 applies its affine map and its law to them, and computes node data afresh
 only for the boxes it splits.  Every other law -- ``VelocityJumpStep``,
 user laws, and subclasses that override ``density`` -- keeps the cubature
-over whole cones, whose radial axis is split geometrically toward the zero
-step and integrated down to it.
+over every whole cone, since such a law need not be even; each cone's
+radial axis is split geometrically toward the zero step and integrated
+down to it.
 """
 
 from __future__ import annotations
@@ -527,25 +531,38 @@ class _Cones:
             np.matmul(coef[lo:hi], self.frames[k[lo]], out=rays[lo:hi])
         return rays, jac
 
-    def radial_nodes(self, w: np.ndarray, k: np.ndarray):
-        """``facet_nodes`` and the stay fraction along each ray, which only the radial path reads.
+    @functools.cached_property
+    def halves(self) -> np.ndarray:
+        """The first cone of each pair whose facet pieces are each other's negation, ascending.
 
-        The stay fraction comes as the ``(n + 1, points)`` coefficients of a
+        A piece's centroid lies inside it, so no two pieces share one.
+        Found on first use, once per cell.
+        """
+        centers = [tuple(vertices.mean(axis=0)) for vertices in _support_facets(self.kind)]
+        return np.array([k for k, c in enumerate(centers) if tuple(-x for x in c) in centers[k + 1:]])
+
+    def radial_nodes(self, w: np.ndarray, k: np.ndarray):
+        """``facet_nodes`` on the cones ``halves``, and the stay fraction along each ray, for the radial path.
+
+        The radial path integrates a cone of ``halves`` for itself and for
+        its negation, so the Jacobian is twice the facet's.  The stay
+        fraction comes as the ``(n + 1, points)`` coefficients of a
         polynomial in ``t`` (see ``_facet_values``), or on a simplex as the
         one column ``simplex_stay``, the same on every ray.
         """
         rays, jac = self.facet_nodes(w, k)
-        return rays, jac, self.simplex_stay if self.kind.is_simplex else _stay_polynomial(np.abs(rays))
+        return rays, 2.0 * jac, self.simplex_stay if self.kind.is_simplex else _stay_polynomial(np.abs(rays))
 
     @functools.cached_property
     def first_pass(self):
         """The facet boxes that start every radial solve, and their node data.
 
-        They are ``boxes([0, 1])`` without the radial axis: the corners
-        ``lo, hi``, the cone of each box, and ``radial_nodes`` at the boxes'
-        nodes, all read-only.  Built on first use, once per cell.
+        They are the boxes of ``boxes([0, 1])`` on the cones ``halves``,
+        without the radial axis: the corners ``lo, hi``, the cone of each
+        box, and ``radial_nodes`` at the boxes' nodes, all read-only.  Built
+        on first use, once per cell.
         """
-        lo, hi, k = self.boxes([0.0, 1.0])
+        lo, hi, k = (array[self.halves] for array in self.boxes([0.0, 1.0]))
         lo, hi = lo[:, 1:], hi[:, 1:]
         data = (lo, hi, k, *self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
         for array in data:
@@ -653,8 +670,10 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     For ``WienerStep`` (a law with the ``_scale_mixture`` hook whose class
     also defines its ``density``) each cone's radial coordinate is
     integrated in closed form, so the cubature runs over the cones' facets
-    only; on a segment that leaves two exact terms, whose error estimate is
-    0.  Every other law takes the cubature over whole cones.
+    only, and over one cone of each pair of mirrored facet pieces, since
+    such a law is even; on a segment that leaves one exact term, whose
+    error estimate is 0.  Every other law takes the cubature over every
+    whole cone.
 
     Every cone is integrated down to the zero step, also for a density
     that diverges there: the cone's Jacobian ``t^(n-1)`` cancels a

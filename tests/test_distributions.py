@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,27 @@ class TestVelocityJumpDensity:
         # rate**dim overflows a double: the library's error, not Python's OverflowError
         with pytest.raises(OriginSingularity, match="rate"):
             VelocityJumpStep(rate=rate, dim=dim).density(np.ones(dim))
+
+    @pytest.mark.parametrize("rate, step", [
+        (1e100, [1e210, 0.0]),  # rate * |dx| overflows
+        (1e100, [1e210]),
+        (1.0, [1e308]),  # the window's end 60 + 2 rate |dx| overflows
+        (1.0, [0.0, 0.0, -1.7e308]),
+    ])
+    def test_step_beyond_the_float_range_has_density_zero(self, rate, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert VelocityJumpStep(rate=rate, dim=len(step)).density(step) == 0.0
+
+    def test_step_beyond_the_float_range_leaves_its_batch_alone(self):
+        # the short step sets the block's node count, which the far one must not move
+        vj = VelocityJumpStep(rate=2.0, dim=2)
+        steps = np.array([[1e-200, 0.0], [0.3, -0.4], [1e308, 1e308], [5.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = vj.density(steps)
+        assert batch[2] == 0.0
+        assert np.array_equal(batch[[0, 1, 3]], vj.density(steps[[0, 1, 3]]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_step_density_does_not_depend_on_its_batch(self, dim):

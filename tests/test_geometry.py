@@ -1,6 +1,7 @@
 import json
 import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ from cellescape import (
 from cellescape.geometry import CONTAINMENT_TOL, _reference_contains, _sample_reference
 
 from oracles import bounding_box, simplex_box_volume
+
+
+def exact_det(rows) -> Fraction:
+    """The determinant of the float matrix ``rows`` in rational arithmetic."""
+    if len(rows) == 1:
+        return Fraction(rows[0][0])
+    return sum((-1) ** j * Fraction(x) * exact_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]))
 
 
 class TestConstruction:
@@ -266,13 +275,26 @@ class TestAffineMap:
     ])
     def test_map_is_built_from_the_edges_as_given(self, kind, vertices):
         # the range checks scale a copy of the edges: the map keeps numpy's
-        # inverse and determinant of the edges themselves, bit for bit
+        # inverse of the edges themselves, bit for bit, and on these cells
+        # |det A| is the exact determinant of the edges, rounded once
         element = mesh_element(kind, vertices)
         edges = (element.vertices[1:element.dim + 1] - element.vertices[0]).T
         amap = element.affine_map
         assert np.array_equal(amap.matrix, edges)
         assert np.array_equal(amap.inverse, np.linalg.inv(edges))
-        assert amap.abs_det == abs(float(np.linalg.det(edges)))
+        assert amap.abs_det == float(abs(exact_det(edges.tolist())))
+
+    @pytest.mark.parametrize("kind, vertices, abs_det", [
+        ("parallelepiped", [[0, 0, 0], [2, 0, 0], [1, 2, 1], [0, 0, 2]], 8.0),
+        ("segment", [0.0, 2e76], 2e76),
+        ("triangle", [[0, 0], [2.0**500, 0], [2.0**498, 2.0**500]], 2.0**1000),
+    ])
+    def test_abs_det_keeps_its_digits_far_from_one(self, kind, vertices, abs_det):
+        # numpy's det, through logarithms, gave 7.999999999999998,
+        # 1.9999999999999728e76 and 1.0715086071863159e301
+        element = mesh_element(kind, vertices)
+        assert element.affine_map.abs_det == abs_det
+        assert measure(element) == abs_det * element.kind.measure
 
     def test_segment_map_is_edge_length(self):
         amap = mesh_element("segment", [[0.5], [2.5]]).affine_map

@@ -59,6 +59,13 @@ class ConeWiener(StepDistribution):
         return self.wiener.density(steps)
 
 
+class DensityWiener(WienerStep):
+    """A Wiener law whose class overrides ``density``, so it takes the cone cubature over every cone."""
+
+    def density(self, steps):
+        return super().density(steps)
+
+
 class TestRuleConstants:
     def test_weights_sum_to_interval_length(self):
         assert _WGK.sum() == pytest.approx(2.0, abs=1e-15)
@@ -301,6 +308,9 @@ class TestFloatRangeEnds:
         # cells beyond 2^256 across, scaled before their rays are squared
         ("segment", 1e300, 1e-200),
         ("triangle", 1e150, 1e-300),
+        # |det A| from numpy's det, through logarithms, was 1.4e-14 off: the
+        # escape read 1.3e-14 with an estimate of 0
+        ("segment", 2e76, 1e-100),
     ])
     def test_cells_far_wider_than_a_step_keep_their_particles(self, kind, length, dt):
         # the escape probability is about sqrt(dt) / length, below 1e-100
@@ -403,7 +413,7 @@ class TestFirstPass:
     def test_cached_node_data_is_that_of_the_first_boxes(self, cell):
         cones = _CONE_CACHE[cell]
         (lo, hi, k), cached = cones.first_pass
-        cone_lo, cone_hi, cone_k = cones.boxes([0.0, 1.0])
+        cone_lo, cone_hi, cone_k = (array[cones.halves] for array in cones.boxes([0.0, 1.0]))
         assert np.array_equal(lo, cone_lo[:, 1:]) and np.array_equal(hi, cone_hi[:, 1:])
         assert np.array_equal(k, cone_k)
         computed = []
@@ -471,9 +481,59 @@ class TestFirstPass:
             for kind, element in bench.BENCHMARK_ELEMENTS.items()
         }
         assert counts == {
-            "segment": 12, "triangle": 660, "parallelogram": 720, "tetrahedron": 30_150, "parallelepiped": 32_400,
+            "segment": 6, "triangle": 330, "parallelogram": 360, "tetrahedron": 13_950, "parallelepiped": 16_200,
         }
-        assert sum(counts.values()) == 63_942
+        assert sum(counts.values()) == 30_846
+
+
+def full_radial_escape(element, law, config) -> float:
+    """The radial path's escape over every cone, each cone counted once."""
+    cones = _CONE_CACHE[element.kind]
+    frame = quadrature._unit_frame(element.affine_map)
+    mixture = quadrature._mixture_hook(law)
+
+    def f(w, k):
+        rays, jac, stay = cones.radial_nodes(w, k)
+        return quadrature._facet_values((rays, 0.5 * jac, stay), frame, mixture)
+
+    lo, hi, k = cones.boxes([0.0, 1.0])
+    value, _, _ = _integrate_boxes(f, lo[:, 1:], hi[:, 1:], k, config, lambda v: 1.0 - v)
+    return 1.0 - value
+
+
+class TestCentralSymmetry:
+    """The radial path integrates one cone of each pair of mirrored facet pieces, for both."""
+
+    @pytest.mark.parametrize("cell", list(ElementKind))
+    def test_radial_path_keeps_one_cone_of_each_pair(self, cell):
+        pieces = [sorted(map(tuple, vertices)) for vertices in quadrature._support_facets(cell)]
+        mirrors = [pieces.index(sorted(map(tuple, -np.array(piece)))) for piece in pieces]
+        assert sorted(mirrors) == list(range(len(pieces)))
+        assert all(mirror != k and mirrors[mirror] == k for k, mirror in enumerate(mirrors))
+        cones = _CONE_CACHE[cell]
+        (lo, hi, k), (rays, jac, _) = cones.first_pass
+        assert len(k) == len(pieces) // 2
+        assert sorted({min(cone, mirrors[cone]) for cone in k}) == sorted(k.tolist())
+        # the Jacobian counts both cones of the pair, which are congruent: twice the facet's
+        assert np.allclose(cones.abs_det[[mirrors[cone] for cone in k]], cones.abs_det[k], rtol=1e-15, atol=0.0)
+        w = quadrature._nodes(lo, hi)
+        facet_rays, facet_jac = cones.facet_nodes(w, np.repeat(k, len(w) // len(k)))
+        assert np.array_equal(rays, facet_rays) and np.array_equal(jac, 2.0 * facet_jac)
+
+    @pytest.mark.parametrize("kind", list(ElementKind))
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+    def test_halved_radial_path_agrees_with_every_cone(self, kind, dt):
+        rng = np.random.default_rng(2700 + 10 * list(ElementKind).index(kind) + int(math.log10(dt)))
+        element = random_element(kind, rng)
+        law = WienerStep(dt=dt, dim=element.dim)
+        halved = escape_probability_det(element, law)
+        every_cone = DensityWiener(dt=dt, dim=element.dim)
+        assert quadrature._mixture_hook(every_cone) is None
+        cone = escape_probability_det(element, every_cone)
+        assert abs(halved.value - cone.value) <= halved.error_estimate + cone.error_estimate
+        tight = QuadratureConfig(abs_tol=1e-13, rel_tol=0.0)
+        halved_tight = escape_probability_det(element, law, tight)
+        assert abs(halved_tight.value - full_radial_escape(element, law, tight)) <= 1e-15
 
 
 class TestErrorEstimateHonesty:
@@ -712,7 +772,9 @@ class TestEscapeDeterministic:
         # the radial-moment path integrates over the facets, one dimension less
         radial = quadrature._mixture_hook(law) is not None
         box_dim = element.dim - radial
-        limit = 3 * 15**box_dim  # three boxes per call
+        # one box per call: the benchmark tetrahedron's one refinement pass
+        # evaluates two boxes, which fit in one call of three
+        limit = 15**box_dim
         monkeypatch.setattr(quadrature, "_MAX_POINTS", limit)
         monkeypatch.setattr(quadrature, "_integrate_boxes", recording_integrate_boxes)
         split = escape_probability_det(element, law, config)
