@@ -10,7 +10,7 @@ estimator -- plus 1D cell-to-cell transition probabilities.
 The public names are those of the modules' own ``__all__`` lists.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from . import conditional, distributions, errors, geometry, montecarlo, quadrature
 from .conditional import *  # noqa: F401,F403

@@ -52,7 +52,8 @@ class StepDistribution(ABC):
     density may diverge at ``dx = 0`` (like ``|dx|^(1-n)`` above 1D, or
     logarithmically in 1D): the deterministic solver integrates over cones
     from the zero step, whose Jacobian ``t^(n-1)`` cancels such a
-    divergence, and never evaluates the density at ``dx = 0``.
+    divergence, and never evaluates the density at ``dx = 0``.  It calls
+    ``density`` at each step and its negation, so a density need not be even.
 
     ``sample(rng, size)`` returns ``size`` steps as a ``(size, dim)`` array.
     It may also take an optional ``out``, a C-contiguous ``(size, dim)``
@@ -206,7 +207,8 @@ class VelocityJumpStep(StepDistribution):
     every step in it.  So a step with ``rate * |dx| >= 1e-12`` gets the
     same value, bit for bit, alone and in any batch of such steps, but not
     beside a much shorter step.  A step whose ``2 * rate * |dx|`` leaves the
-    float range has density 0, as its true density rounds to.
+    float range has density 0, as its true density rounds to, and a step
+    with a NaN component has density NaN.
     """
 
     # Substituting u = rate * T turns the mixture integral into
@@ -247,26 +249,26 @@ class VelocityJumpStep(StepDistribution):
                 f"velocity-jump density overflows: rate**{n} leaves the float range at rate {self.rate!r}"
             )
         out = np.empty(len(arr))
-        # an overflow of s or of the window's end is mended in its block;
-        # one of the sum, near the origin, is refused after the loop
+        # an overflow of s or of the window's end, or a NaN, is mended in its
+        # block; one of the sum, near the origin, is refused after the loop
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(arr), _BLOCK):
                 s = self.rate * radii[start:start + _BLOCK]
                 lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
                 width = float(np.max(hi - lo))
                 if not width < math.inf:
-                    # 2 s overflowed, where the density is 0, as it is
-                    # at s = _FAR_S: such a step takes that s
+                    # 2 s overflowed, where the density is 0, as it is at
+                    # s = _FAR_S: such a step takes that s; a NaN sets no width
                     s = np.where(hi == math.inf, _FAR_S, s)
                     lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
-                    width = float(np.max(hi - lo))
+                    width = float(np.fmax.reduce(hi - lo, initial=0.0))
                 nodes = max(_LOG_U_NODES, math.ceil(width / _LOG_U_SPACING) + 1)
                 h = (hi - lo) / (nodes - 1)
                 v = lo[:, None] + h[:, None] * np.arange(nodes)
                 u = np.exp(v)
                 exponent = -u - 0.5 * (s[:, None] / u) ** 2 - (n - 1) * v
                 out[start:start + _BLOCK] = prefactor * h * np.exp(exponent).sum(axis=1)
-        if not np.all(np.isfinite(out)):
+        if np.any(np.isinf(out)):
             raise OriginSingularity(
                 "velocity-jump density overflows at a step this close to the origin"
             )

@@ -10,12 +10,13 @@ support (the hexagon or cuboctahedron ``U - U`` for a simplex, ``[-1, 1]^n``
 for a box), so no infinite-domain truncation is ever needed.  The support
 is a union of cones from the zero step, one over each facet piece, and the
 stay fraction is smooth on each cone: on a simplex it is ``(1 - t)^n`` in
-the radial coordinate ``t``.  Each cone is mapped onto the unit box
-``(t, w)`` by ``d = t b(w)``, with Duffy's collapse on triangular facets,
-so no kink of the integrand crosses a box.  Each box is handled by an
-embedded 7/15 Gauss-Kronrod pair (tensorized in 2D/3D); a box whose rule
-disagreement exceeds its share of the remaining error budget is split
-along its longest axis.
+the radial coordinate ``t``.  The support is centrally symmetric and
+``s(d) = s(-d)``, so one cone of each mirrored pair stands for both.  Each
+cone is mapped onto the unit box ``(t, w)`` by ``d = t b(w)``, with Duffy's
+collapse on triangular facets, so no kink of the integrand crosses a box.
+Each box is handled by an embedded 7/15 Gauss-Kronrod pair (tensorized in
+2D/3D); a box whose rule disagreement exceeds its share of the remaining
+error budget is split along its longest axis.
 
 A law whose density is a Gaussian scale mixture says so through a private
 ``_scale_mixture`` hook; of the shipped laws, ``WienerStep`` does, with its
@@ -28,18 +29,16 @@ power table over all nodes of an integrand call, whose size ``_MAX_POINTS``
 bounds on both paths; a node more than ``_FAR`` steps out takes the
 moments' limit, written in ``|A b| / sigma`` so that nothing overflows
 (``_far_terms``).  The cubature runs over the facet coordinates ``w``
-alone.  Such a density is even in the step, as the stay fraction is, and
-the support is centrally symmetric, so every facet piece comes with its
-negation: the radial path integrates one cone of each such pair, for both,
-and a segment's one cone needs no cubature.  Every such solve starts on
-the same facet boxes of its reference cell, so the rays, facet Jacobians
-and stay polynomials at their nodes are built once per cell; a solve
-applies its affine map and its law to them, and computes node data afresh
-only for the boxes it splits.  Every other law -- ``VelocityJumpStep``,
-user laws, and subclasses that override ``density`` -- keeps the cubature
-over every whole cone, since such a law need not be even; each cone's
-radial axis is split geometrically toward the zero step and integrated
-down to it.
+alone.  Such a density is even, so a cone counts twice, and a segment's
+one cone needs no cubature.  Every such solve starts on the same facet
+boxes of its reference cell, so the rays, facet Jacobians and stay
+polynomials at their nodes are built once per cell; a solve applies its
+affine map and its law to them, and computes node data afresh only for
+the boxes it splits.  Every other law -- ``VelocityJumpStep``, user laws,
+and subclasses that override ``density`` -- takes the cubature over whole
+cones, with the density at ``A d`` and at the mirror's ``-A d``, exact for
+any law; each cone's radial axis is split geometrically toward the zero
+step and integrated down to it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law
 from .errors import NonFiniteIntegrand, ToleranceNotMet, _integer, _real
-from .geometry import ElementKind, MeshElement, _check_element
+from .geometry import ElementKind, MeshElement, _check_element, _cofactor_det
 
 __all__ = [
     "QuadratureConfig",
@@ -140,11 +139,12 @@ _DEFAULT_CONFIG = QuadratureConfig()
 class ProbabilityEstimate:
     """A probability with its error estimate and cost metadata.
 
-    ``cost`` counts integrand evaluations for the deterministic method and
-    particles for Monte Carlo.  ``error_bound_95`` is only set by the Monte
-    Carlo estimator when the estimate is exactly 0 or 1, where the binomial
-    standard deviation degenerates; it is the one-sided 95% Clopper-Pearson
-    distance to the estimate.
+    ``cost`` counts integrand evaluations for the deterministic method,
+    each at a node of one cone and its mirror, and particles for Monte
+    Carlo.  ``error_bound_95`` is only set by the Monte Carlo estimator when
+    the estimate is exactly 0 or 1, where the binomial standard deviation
+    degenerates; it is the one-sided 95% Clopper-Pearson distance to the
+    estimate.
     """
 
     value: float
@@ -178,7 +178,8 @@ _RULE_CACHE = {n: _rule(n) for n in (0, 1, 2, 3)}
 
 # Most integrand nodes per call of ``f``: the one bound on the temporaries of
 # both paths, however many boxes a pass holds.  A full call peaks at 74-93 MB
-# on parallelepiped facets and 29 MB on tetrahedron cones (tracemalloc).
+# on parallelepiped facets and 20 MB on tetrahedron cones, whose density
+# takes each node's step and its mirror's (tracemalloc).
 _MAX_POINTS = 2**18
 
 
@@ -441,7 +442,7 @@ def _bit_vectors(n: int) -> list[list[int]]:
 
 
 def _support_facets(kind: ElementKind) -> list[np.ndarray]:
-    """Vertex lists of the facet pieces of the stay support of the reference cell of ``kind``.
+    """Vertex lists of one facet piece of each mirrored pair of the stay support of ``kind``'s reference cell.
 
     On a simplex the support is the difference body ``U - U``: its vertices
     are the differences of the cell's vertices, and its facets lie on the
@@ -450,18 +451,18 @@ def _support_facets(kind: ElementKind) -> list[np.ndarray]:
     ``(1 - g(d))^n`` has the gauge ``g(d) = max_c c . d`` of that body, which
     is linear on the cone over each facet.  On a box the support is
     ``[-1, 1]^n`` and ``prod(1 - |d_i|)`` is smooth on the cone over each
-    facet piece cut off by the coordinate planes.
+    facet piece cut off by the coordinate planes.  Of each piece and its
+    negation, the one listed has ``c`` in ``{0, 1}^n``, or on a box ``d_n >= 0``.
     """
     n = kind.dim
     eye = np.eye(n)
     if kind.is_simplex:
         corners = np.vstack([np.zeros(n), eye])
         vertices = np.array([p - q for i, p in enumerate(corners) for j, q in enumerate(corners) if i != j])
-        normals = [sign * np.array(bits) for sign in (1, -1) for bits in _bit_vectors(n) if any(bits)]
-        return [vertices[vertices @ c == 1.0] for c in normals]
+        return [vertices[vertices @ np.array(c) == 1.0] for c in _bit_vectors(n) if any(c)]
     facets = []
     for k in range(n):
-        for bits in _bit_vectors(n):
+        for bits in _bit_vectors(n)[:2 ** (n - 1)]:
             signs = 1.0 - 2.0 * np.array(bits)
             others = [signs[j] * eye[j] for j in range(n) if j != k]
             facets.append(np.array([
@@ -473,15 +474,16 @@ def _support_facets(kind: ElementKind) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class _Cones:
-    """The stay support of one reference cell as cones from the zero step.
+    """The stay support of one reference cell as cones from the zero step, one of each mirrored pair.
 
     Cone ``k`` is ``d = t b(w)`` for ``(t, w)`` in ``[0, 1]^n``, where
     ``b(w) = (1, w_1, s w_2) @ frames[k]`` (in 3D; ``(1, w_1)`` in 2D,
-    ``(1,)`` in 1D) runs over one facet piece.  The frame's rows are a
-    vertex of the piece and its ``n - 1`` edges; on a triangular facet the
-    second edge starts at the end of the first and ``s = w_1`` (Duffy's
-    collapse onto the vertex), on a parallelogram both start at the vertex
-    and ``s = 1``.  The Jacobian of the map is ``t^(n-1) s abs_det[k]``.
+    ``(1,)`` in 1D) runs over one facet piece of ``_support_facets``.  The
+    frame's rows are a vertex of the piece and its ``n - 1`` edges; on a
+    triangular facet the second edge starts at the end of the first and
+    ``s = w_1`` (Duffy's collapse onto the vertex), on a parallelogram both
+    start at the vertex and ``s = 1``.  Every frame has determinant ``+-1``,
+    so the Jacobian of the map is ``t^(n-1) s``.
 
     A box of the cubature holds the coordinates ``(t, w)`` of one cone and
     carries the cone's index ``k`` as its tag, so ``t`` keeps full
@@ -491,7 +493,6 @@ class _Cones:
     kind: ElementKind
     frames: np.ndarray  # (cones, n, n)
     collapse: np.ndarray  # (cones,) bool
-    abs_det: np.ndarray  # (cones,)
     # (n + 1, 1): the stay polynomial of a simplex, the same on every ray; None on a box
     simplex_stay: np.ndarray | None
 
@@ -513,42 +514,32 @@ class _Cones:
         """The rays ``b(w)`` at the facet coordinates ``w`` of cones ``k``, and the facet's Jacobian there.
 
         A ray is the step at ``t = 1``: the step at ``(t, w)`` is ``t b(w)``,
-        and the map's Jacobian there is ``t^(n-1)`` times the facet's,
-        ``s abs_det[k]``.  The points of one box share a cone and arrive in
-        one run, so each run is mapped by a single matrix product.
+        and the map's Jacobian there is ``t^(n-1)`` times the facet's, ``s``.
+        The points of one box share a cone and arrive in one run, so each
+        run is mapped by a single matrix product.
         """
         m, n = len(w), w.shape[1] + 1
         coef = np.ones((m, n))
         coef[:, 1:] = w
-        jac = self.abs_det[k]
         if self.collapse.any():
-            squeeze = np.where(self.collapse[k], w[:, 0], 1.0)
-            coef[:, 2] *= squeeze
-            jac *= squeeze
+            jac = np.where(self.collapse[k], w[:, 0], 1.0)
+            coef[:, 2] *= jac
+        else:
+            jac = np.ones(m)
         rays = np.empty((m, n))
         cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, m]):
             np.matmul(coef[lo:hi], self.frames[k[lo]], out=rays[lo:hi])
         return rays, jac
 
-    @functools.cached_property
-    def halves(self) -> np.ndarray:
-        """The first cone of each pair whose facet pieces are each other's negation, ascending.
-
-        A piece's centroid lies inside it, so no two pieces share one.
-        Found on first use, once per cell.
-        """
-        centers = [tuple(vertices.mean(axis=0)) for vertices in _support_facets(self.kind)]
-        return np.array([k for k, c in enumerate(centers) if tuple(-x for x in c) in centers[k + 1:]])
-
     def radial_nodes(self, w: np.ndarray, k: np.ndarray):
-        """``facet_nodes`` on the cones ``halves``, and the stay fraction along each ray, for the radial path.
+        """``facet_nodes``, and the stay fraction along each ray, for the radial path.
 
-        The radial path integrates a cone of ``halves`` for itself and for
-        its negation, so the Jacobian is twice the facet's.  The stay
-        fraction comes as the ``(n + 1, points)`` coefficients of a
-        polynomial in ``t`` (see ``_facet_values``), or on a simplex as the
-        one column ``simplex_stay``, the same on every ray.
+        A law on the radial path is even, so a cone's integral is also its
+        mirror's, and the Jacobian is twice the facet's.  The stay fraction
+        comes as the ``(n + 1, points)`` coefficients of a polynomial in
+        ``t`` (see ``_facet_values``), or on a simplex as the one column
+        ``simplex_stay``, the same on every ray.
         """
         rays, jac = self.facet_nodes(w, k)
         return rays, 2.0 * jac, self.simplex_stay if self.kind.is_simplex else _stay_polynomial(np.abs(rays))
@@ -557,12 +548,11 @@ class _Cones:
     def first_pass(self):
         """The facet boxes that start every radial solve, and their node data.
 
-        They are the boxes of ``boxes([0, 1])`` on the cones ``halves``,
-        without the radial axis: the corners ``lo, hi``, the cone of each
-        box, and ``radial_nodes`` at the boxes' nodes, all read-only.  Built
-        on first use, once per cell.
+        They are the boxes of ``boxes([0, 1])`` without the radial axis: the
+        corners ``lo, hi``, the cone of each box, and ``radial_nodes`` at the
+        boxes' nodes, all read-only.  Built on first use, once per cell.
         """
-        lo, hi, k = (array[self.halves] for array in self.boxes([0.0, 1.0]))
+        lo, hi, k = self.boxes([0.0, 1.0])
         lo, hi = lo[:, 1:], hi[:, 1:]
         data = (lo, hi, k, *self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
         for array in data:
@@ -580,12 +570,10 @@ def _cones(kind: ElementKind) -> _Cones:
         elif len(rel) == 2:  # a triangle: the second edge runs from the end of the first
             rel = np.array([rel[0], rel[1] - rel[0]])
         frames.append(np.vstack([vertices[0], rel]))
-    frames = np.array(frames)
     return _Cones(
         kind=kind,
-        frames=frames,
+        frames=np.array(frames),
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
-        abs_det=np.abs(np.linalg.det(frames)),
         simplex_stay=_stay_polynomial(np.ones((1, kind.dim))) if kind.is_simplex else None,
     )
 
@@ -667,13 +655,14 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     the stay fraction is smooth, and returns its complement, clamped into
     ``[0, 1]``.
 
-    For ``WienerStep`` (a law with the ``_scale_mixture`` hook whose class
-    also defines its ``density``) each cone's radial coordinate is
-    integrated in closed form, so the cubature runs over the cones' facets
-    only, and over one cone of each pair of mirrored facet pieces, since
-    such a law is even; on a segment that leaves one exact term, whose
-    error estimate is 0.  Every other law takes the cubature over every
-    whole cone.
+    One cone of each mirrored pair stands for both.  For ``WienerStep`` (a
+    law with the ``_scale_mixture`` hook whose class also defines its
+    ``density``) each cone's radial coordinate is integrated in closed form,
+    so the cubature runs over the cones' facets only, and a cone counts
+    twice, since such a law is even; on a segment that leaves one exact
+    term, whose error estimate is 0.  Every other law takes the cubature
+    over whole cones, with the density at ``A d`` and at ``-A d``, exact for
+    any law.
 
     Every cone is integrated down to the zero step, also for a density
     that diverges there: the cone's Jacobian ``t^(n-1)`` cancels a
@@ -712,7 +701,9 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
         local_steps = t[:, None] * rays
         global_steps = amap.global_step(local_steps)
         jac *= t ** (kind.dim - 1)
-        return stay_fraction(kind, local_steps) * dist.density(global_steps) * (amap.abs_det * jac)
+        # the mirror cone's node is the step's negation, whose stay fraction is the same
+        density = np.asarray(dist.density(np.concatenate([global_steps, -global_steps])))
+        return stay_fraction(kind, local_steps) * (density[:len(t)] + density[len(t):]) * (amap.abs_det * jac)
 
     return _solve(f, lo, hi, k, config, start, complement=True)
 
@@ -725,8 +716,9 @@ def _unit_frame(amap) -> tuple[np.ndarray, float, float]:
     root is taken of ``|det A|``.  Any other cell is scaled exactly to
     ``|det unit|`` in ``[1, 2^n)``, so ``|unit b|`` times ``scale`` keeps
     the digits of ``|A b|`` where its square would leave the normal range,
-    and the root is taken of ``|det unit|``: ``|det A|`` has lost digits
-    there, by underflow or to the logarithms of ``np.linalg.det``.
+    and the root is taken of ``|det unit|``, by cofactor expansion as
+    ``MeshElement`` takes ``|det A|``, which may have lost digits there to
+    underflow.
     """
     n = amap.dim
     exponent = (math.frexp(amap.abs_det)[1] - 1) // n
@@ -734,7 +726,7 @@ def _unit_frame(amap) -> tuple[np.ndarray, float, float]:
         return amap.matrix, 1.0, amap.abs_det ** (1.0 / n)
     unit = np.ldexp(amap.matrix, -exponent)
     scale = math.ldexp(1.0, exponent)
-    return unit, scale, abs(float(np.linalg.det(unit))) ** (1.0 / n) * scale
+    return unit, scale, abs(_cofactor_det(unit.tolist())) ** (1.0 / n) * scale
 
 
 # From this many step widths out, |A b| / sigma >= _FAR, so alpha >= 2^63 and

@@ -118,6 +118,25 @@ def segment_escape_wiener(length, dt):
     ) + math.erfc(length / math.sqrt(2.0 * dt))
 
 
+def segment_escape_shifted_gaussian(length, mean, sigma):
+    """Closed-form escape probability for a segment under steps ``N(mean, sigma^2)``.
+
+    The stay probability integrates ``1 - |dx| / l`` against the density
+    over ``[-l, l]``.  Over ``[a, b]`` the density's mass is
+    ``Phi(zb) - Phi(za)`` and its first moment ``mean (Phi(zb) - Phi(za))
+    + sigma (phi(za) - phi(zb))``, with ``z = (x - mean) / sigma``.
+    """
+    def masses(a, b):
+        za, zb = (a - mean) / sigma, (b - mean) / sigma
+        mass = 0.5 * (math.erf(zb / math.sqrt(2.0)) - math.erf(za / math.sqrt(2.0)))
+        phi_a, phi_b = (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (za, zb))
+        return mass, mean * mass + sigma * (phi_a - phi_b)
+
+    right, right_moment = masses(0.0, length)
+    left, left_moment = masses(-length, 0.0)
+    return 1.0 - (right - right_moment / length) - (left + left_moment / length)
+
+
 def transition_1d_trapezoid(source, target, dt, panels=10**6):
     """Dense trapezoid evaluation of the 1D transition integral."""
     a, b = source

@@ -242,6 +242,23 @@ class TestVelocityJumpDensity:
         assert np.array_equal(batch[[0, 1, 3]], vj.density(steps[[0, 1, 3]]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nan_step_has_density_nan(self, dim):
+        # it once raised a bare ValueError from the node count of its block
+        vj = VelocityJumpStep(rate=2.0, dim=dim)
+        nan_step = np.zeros(dim)
+        nan_step[-1] = math.nan
+        steps = np.vstack([np.full(dim, 0.3), nan_step, np.full(dim, 1e-100), np.full(dim, 1e308), np.full(dim, 5.0)])
+        finite = [0, 2, 3, 4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = vj.density(nan_step)
+            batch = vj.density(steps)
+            rest = vj.density(steps[finite])
+        assert math.isnan(alone) and math.isnan(WienerStep(dt=1.0, dim=dim).density(nan_step))
+        assert math.isnan(batch[1]) and batch[3] == 0.0
+        assert np.array_equal(batch[finite], rest)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_step_density_does_not_depend_on_its_batch(self, dim):
         # 700 steps span three blocks; with every rate * |dx| >= 1e-12 each
         # block takes the same rule, so a step's value is its own

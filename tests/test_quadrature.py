@@ -21,8 +21,10 @@ from cellescape import (
     transition_probability_det_1d,
 )
 from cellescape import bench, quadrature
+from cellescape.geometry import _cofactor_det
 from cellescape.quadrature import (
     _CONE_CACHE,
+    _Cones,
     _UPWARD_FROM,
     _WG7,
     _WGK,
@@ -33,6 +35,7 @@ from cellescape.quadrature import (
 
 from conftest import random_element
 from oracles import (
+    segment_escape_shifted_gaussian,
     segment_escape_wiener,
     simplex_escape_wiener,
     transition_1d_trapezoid,
@@ -60,7 +63,7 @@ class ConeWiener(StepDistribution):
 
 
 class DensityWiener(WienerStep):
-    """A Wiener law whose class overrides ``density``, so it takes the cone cubature over every cone."""
+    """A Wiener law whose class overrides ``density``, so it takes the cone cubature."""
 
     def density(self, steps):
         return super().density(steps)
@@ -388,13 +391,15 @@ class TestProbabilityEstimate:
 class TestCones:
     @pytest.mark.parametrize("cell", list(ElementKind))
     def test_stay_integrates_to_cell_measure(self, cell):
-        # the integral of V(U ∩ (U - d)) / V(U) over all steps d is V(U)
+        # the integral of V(U ∩ (U - d)) / V(U) over all steps d is V(U); the
+        # cones hold one of each mirrored pair, the other's steps are -d
         cones = _CONE_CACHE[cell]
 
         def f(x, k):
             t = x[:, 0]
             rays, jac = cones.facet_nodes(x[:, 1:], k)
-            return stay_fraction(cell, t[:, None] * rays) * jac * t ** (cell.dim - 1)
+            steps = t[:, None] * rays
+            return (stay_fraction(cell, steps) + stay_fraction(cell, -steps)) * jac * t ** (cell.dim - 1)
 
         lo, hi, k = cones.boxes([0.0, 1.0])
         value, _, _ = _integrate_boxes(f, lo, hi, k, QuadratureConfig(abs_tol=1e-12))
@@ -413,7 +418,7 @@ class TestFirstPass:
     def test_cached_node_data_is_that_of_the_first_boxes(self, cell):
         cones = _CONE_CACHE[cell]
         (lo, hi, k), cached = cones.first_pass
-        cone_lo, cone_hi, cone_k = (array[cones.halves] for array in cones.boxes([0.0, 1.0]))
+        cone_lo, cone_hi, cone_k = cones.boxes([0.0, 1.0])
         assert np.array_equal(lo, cone_lo[:, 1:]) and np.array_equal(hi, cone_hi[:, 1:])
         assert np.array_equal(k, cone_k)
         computed = []
@@ -486,9 +491,19 @@ class TestFirstPass:
         assert sum(counts.values()) == 30_846
 
 
-def full_radial_escape(element, law, config) -> float:
-    """The radial path's escape over every cone, each cone counted once."""
-    cones = _CONE_CACHE[element.kind]
+def mirrored(cones: _Cones) -> _Cones:
+    """The cones and their mirrors, each a cone of its own: every cone of the stay support."""
+    return _Cones(
+        kind=cones.kind,
+        frames=np.concatenate([cones.frames, -cones.frames]),
+        collapse=np.concatenate([cones.collapse, cones.collapse]),
+        simplex_stay=cones.simplex_stay,
+    )
+
+
+def every_cone_radial_escape(element, law, config) -> float:
+    """The radial path's escape over every cone of the support, each cone counted once."""
+    cones = mirrored(_CONE_CACHE[element.kind])
     frame = quadrature._unit_frame(element.affine_map)
     mixture = quadrature._mixture_hook(law)
 
@@ -501,39 +516,102 @@ def full_radial_escape(element, law, config) -> float:
     return 1.0 - value
 
 
+def every_cone_escape(element, law, config):
+    """The cone cubature's escape over every cone of the support, each with the density at its own steps.
+
+    Returns the escape and its error estimate.
+    """
+    cones = mirrored(_CONE_CACHE[element.kind])
+    amap = element.affine_map
+    n = element.dim
+
+    def f(x, k):
+        t = x[:, 0]
+        rays, jac = cones.facet_nodes(x[:, 1:], k)
+        steps = t[:, None] * rays
+        jac *= amap.abs_det * t ** (n - 1)
+        return stay_fraction(element.kind, steps) * law.density(amap.global_step(steps)) * jac
+
+    breaks = quadrature._radial_breaks(1.0, law, float(np.linalg.norm(amap.matrix, 2)))
+    value, error, _ = _integrate_boxes(f, *cones.boxes(breaks), config, lambda v: 1.0 - v)
+    return 1.0 - value, error
+
+
 class TestCentralSymmetry:
-    """The radial path integrates one cone of each pair of mirrored facet pieces, for both."""
+    """Every path integrates one cone of each pair of mirrored facet pieces, for both."""
 
     @pytest.mark.parametrize("cell", list(ElementKind))
-    def test_radial_path_keeps_one_cone_of_each_pair(self, cell):
-        pieces = [sorted(map(tuple, vertices)) for vertices in quadrature._support_facets(cell)]
-        mirrors = [pieces.index(sorted(map(tuple, -np.array(piece)))) for piece in pieces]
-        assert sorted(mirrors) == list(range(len(pieces)))
-        assert all(mirror != k and mirrors[mirror] == k for k, mirror in enumerate(mirrors))
+    def test_cones_keep_one_piece_of_each_pair(self, cell):
+        facets = quadrature._support_facets(cell)
+        pieces = {frozenset(map(tuple, vertices)) for vertices in facets}
+        mirrors = {frozenset(map(tuple, -vertices)) for vertices in facets}
+        # the hexagon, the square's 8 half-edges, the cuboctahedron's 14
+        # faces and the cube's 24 quarter-faces
+        assert len(pieces | mirrors) == 2 * len(facets) == {1: 2, 2: 6 if cell.is_simplex else 8,
+                                                            3: 14 if cell.is_simplex else 24}[cell.dim]
         cones = _CONE_CACHE[cell]
         (lo, hi, k), (rays, jac, _) = cones.first_pass
-        assert len(k) == len(pieces) // 2
-        assert sorted({min(cone, mirrors[cone]) for cone in k}) == sorted(k.tolist())
+        assert k.tolist() == list(range(len(facets)))
         # the Jacobian counts both cones of the pair, which are congruent: twice the facet's
-        assert np.allclose(cones.abs_det[[mirrors[cone] for cone in k]], cones.abs_det[k], rtol=1e-15, atol=0.0)
         w = quadrature._nodes(lo, hi)
         facet_rays, facet_jac = cones.facet_nodes(w, np.repeat(k, len(w) // len(k)))
         assert np.array_equal(rays, facet_rays) and np.array_equal(jac, 2.0 * facet_jac)
 
+    @pytest.mark.parametrize("cell", list(ElementKind))
+    def test_every_frame_is_unimodular(self, cell):
+        frames = _CONE_CACHE[cell].frames
+        assert [abs(_cofactor_det(frame.tolist())) for frame in frames] == [1.0] * len(frames)
+
     @pytest.mark.parametrize("kind", list(ElementKind))
     @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
-    def test_halved_radial_path_agrees_with_every_cone(self, kind, dt):
+    def test_one_cone_of_each_pair_agrees_with_every_cone(self, kind, dt):
         rng = np.random.default_rng(2700 + 10 * list(ElementKind).index(kind) + int(math.log10(dt)))
         element = random_element(kind, rng)
         law = WienerStep(dt=dt, dim=element.dim)
         halved = escape_probability_det(element, law)
-        every_cone = DensityWiener(dt=dt, dim=element.dim)
-        assert quadrature._mixture_hook(every_cone) is None
-        cone = escape_probability_det(element, every_cone)
+        cone_law = DensityWiener(dt=dt, dim=element.dim)
+        assert quadrature._mixture_hook(cone_law) is None
+        cone = escape_probability_det(element, cone_law)
         assert abs(halved.value - cone.value) <= halved.error_estimate + cone.error_estimate
         tight = QuadratureConfig(abs_tol=1e-13, rel_tol=0.0)
         halved_tight = escape_probability_det(element, law, tight)
-        assert abs(halved_tight.value - full_radial_escape(element, law, tight)) <= 1e-15
+        assert abs(halved_tight.value - every_cone_radial_escape(element, law, tight)) <= 1e-15
+
+
+class ShiftedGaussian(StepDistribution):
+    """Steps ``N(mean, sigma^2 I)`` with a nonzero mean, a law that is not even; density only."""
+
+    def __init__(self, mean, sigma):
+        self.mean = np.asarray(mean, dtype=float)
+        self.sigma = sigma
+        self.dim = len(self.mean)
+        self.typical_scale = sigma
+
+    def density(self, steps):
+        squares = np.sum(np.square(np.asarray(steps) - self.mean), axis=-1)
+        return np.exp(-0.5 * squares / self.sigma**2) / (math.sqrt(2.0 * math.pi) * self.sigma) ** self.dim
+
+
+class TestLawThatIsNotEven:
+    """The cone cubature takes a cone's mirror with the density at the negated steps: exact for any law."""
+
+    @pytest.mark.parametrize("mean", [0.4, -0.7, 1.6])
+    def test_segment_matches_closed_form(self, mean):
+        law = ShiftedGaussian([mean], 0.3)
+        est = escape_probability_det(mesh_element("segment", [[0.5], [2.0]]), law,
+                                     QuadratureConfig(abs_tol=1e-10, rel_tol=0.0))
+        expected = segment_escape_shifted_gaussian(1.5, mean, 0.3)
+        assert abs(est.value - expected) <= est.error_estimate + 4 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("kind", ["triangle", "parallelogram"])
+    @pytest.mark.parametrize("mean", [(0.3, -0.2), (-0.5, 0.8)])
+    def test_2d_matches_both_cones_of_each_pair(self, benchmark_elements, kind, mean):
+        element = benchmark_elements[kind]
+        law = ShiftedGaussian(mean, 0.4)
+        config = QuadratureConfig(abs_tol=1e-8, rel_tol=0.0)
+        est = escape_probability_det(element, law, config)
+        expected, error = every_cone_escape(element, law, config)
+        assert abs(est.value - expected) <= est.error_estimate + error
 
 
 class TestErrorEstimateHonesty:
