@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from abc import ABC
 
 import numpy as np
@@ -73,11 +74,9 @@ class StepDistribution(ABC):
     unnoticed.
 
     A density that is a mixture of centred isotropic Gaussians may also be
-    described by the private hook ``_scale_mixture(radii)``, which returns
-    ``(scales, weights)`` of shape ``(len(radii), q)``, or ``(1, q)`` when
-    they do not depend on the radius: the density is
-    ``sum_j weights[:, j] N(0, scales[:, j]^2 I)`` along the rays whose
-    longest steps have the given ``radii``.  The deterministic solver then
+    described by the private hook ``_scale_mixture()``, which returns the
+    pairs ``(scale_j, weight_j)`` of floats: the density is
+    ``sum_j weight_j N(0, scale_j^2 I)``.  The deterministic solver then
     integrates the radial coordinate of each cone in closed form.
     ``WienerStep`` has the hook, with its one scale ``sqrt(dt)`` of weight
     1; ``VelocityJumpStep`` and user laws do not, and the hook is ignored
@@ -165,8 +164,8 @@ class WienerStep(StepDistribution):
         steps = rng.standard_normal((_integer("size", size, 0), self.dim), out=out)
         return np.multiply(math.sqrt(self.dt), steps, out=steps)
 
-    def _scale_mixture(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([[self.typical_scale]]), np.array([[1.0]])
+    def _scale_mixture(self) -> tuple[tuple[float, float], ...]:
+        return ((self.typical_scale, 1.0),)
 
 
 # The velocity-jump density is an integral taken in v = log u by the
@@ -189,6 +188,10 @@ _BLOCK = 256
 # exp(-u) underflows at every node of its window, where u >= s e^-3.7.
 # (Every node underflows from about s = 1.1e4 on.)
 _FAR_S = 1e300
+# The widest window of a step whose s is a normal float (with 0.1 to
+# spare): a wider one holds a step whose s lost digits below the normal
+# range, or underflowed to 0, or one whose 2 s overflowed.
+_NORMAL_WIDTH = math.log(60.0) - math.log(sys.float_info.min) + 3.7 + 0.1
 
 
 class VelocityJumpStep(StepDistribution):
@@ -249,24 +252,33 @@ class VelocityJumpStep(StepDistribution):
                 f"velocity-jump density overflows: rate**{n} leaves the float range at rate {self.rate!r}"
             )
         out = np.empty(len(arr))
-        # an overflow of s or of the window's end, or a NaN, is mended in its
-        # block; one of the sum, near the origin, is refused after the loop
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow or underflow of s or of the window's end, or a NaN, is
+        # mended in its block; one of the sum, near the origin, is refused
+        # after the loop
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for start in range(0, len(arr), _BLOCK):
                 s = self.rate * radii[start:start + _BLOCK]
                 lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
                 width = float(np.max(hi - lo))
-                if not width < math.inf:
+                small = None
+                if not width < _NORMAL_WIDTH:
                     # 2 s overflowed, where the density is 0, as it is at
-                    # s = _FAR_S: such a step takes that s; a NaN sets no width
+                    # s = _FAR_S: such a step takes that s.  An s below the
+                    # normal range takes its log as log(rate) + log|dx|, and
+                    # s / u as exp(log s - log u).  A NaN sets no width.
                     s = np.where(hi == math.inf, _FAR_S, s)
-                    lo, hi = np.log(s) - 3.7, np.log(60.0 + 2.0 * s)
+                    small = s < sys.float_info.min
+                    log_s = np.where(small, math.log(self.rate) + np.log(radii[start:start + _BLOCK]), np.log(s))
+                    lo, hi = log_s - 3.7, np.log(60.0 + 2.0 * s)
                     width = float(np.fmax.reduce(hi - lo, initial=0.0))
                 nodes = max(_LOG_U_NODES, math.ceil(width / _LOG_U_SPACING) + 1)
                 h = (hi - lo) / (nodes - 1)
                 v = lo[:, None] + h[:, None] * np.arange(nodes)
                 u = np.exp(v)
-                exponent = -u - 0.5 * (s[:, None] / u) ** 2 - (n - 1) * v
+                shrink = s[:, None] / u
+                if small is not None and small.any():
+                    shrink[small] = np.exp(log_s[small, None] - v[small])
+                exponent = -u - 0.5 * shrink ** 2 - (n - 1) * v
                 out[start:start + _BLOCK] = prefactor * h * np.exp(exponent).sum(axis=1)
         if np.any(np.isinf(out)):
             raise OriginSingularity(

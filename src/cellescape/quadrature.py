@@ -22,19 +22,24 @@ A law whose density is a Gaussian scale mixture says so through a private
 ``_scale_mixture`` hook; of the shipped laws, ``WienerStep`` does, with its
 one scale.  On each cone the stay fraction is then a polynomial in ``t``,
 and its radial integral against each Gaussian is a sum of the moments
-``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, in closed form: a
-series below ``alpha = 2`` and Cody's rational approximations of
-``exp(y^2) erfc(y)`` above, each one product of a coefficient table and a
-power table over all nodes of an integrand call, whose size ``_MAX_POINTS``
-bounds on both paths; a node more than ``_FAR`` steps out takes the
-moments' limit, written in ``|A b| / sigma`` so that nothing overflows
-(``_far_terms``).  The cubature runs over the facet coordinates ``w``
-alone.  Such a density is even, so a cone counts twice, and a segment's
-one cone needs no cubature.  Every such solve starts on the same facet
-boxes of its reference cell, so the rays, facet Jacobians and stay
-polynomials at their nodes are built once per cell; a solve applies its
-affine map and its law to them, and computes node data afresh only for
-the boxes it splits.  Every other law -- ``VelocityJumpStep``, user laws,
+``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``, in closed form at
+``2 alpha = (|A b| / sigma)^2``: a series below ``alpha = 2`` and above it
+an upward recurrence, two orders at a time, from Cody's rational
+approximations of ``exp(y^2) erfc(y)``, each one product of a coefficient
+table and a power table over all nodes of an integrand call, whose size
+``_MAX_POINTS`` bounds on both paths.  The largest and smallest ``alpha``
+of a call tell which of these kernels and of Cody's two fits any node
+takes, and the others are not computed.  A node more than ``_FAR`` steps
+out takes the moments' limit, written in ``|A b| / sigma`` so that
+nothing overflows (``_far_terms``).  The cubature runs over the facet
+coordinates ``w`` alone.  Such a density is even, so a cone counts twice,
+and a segment's one cone needs no cubature.  Every such solve starts on
+the same facet boxes of its reference cell, so the boxes' volumes and the
+rays, facet Jacobians and stay polynomials at their nodes are built once
+per cell; a solve applies its affine map and its law to them, and
+computes node data afresh only for the boxes it splits.  The rule's
+weights are kept per unit volume, so a box's estimate is its volume times
+a weighted sum of its values.  Every other law -- ``VelocityJumpStep``, user laws,
 and subclasses that override ``density`` -- takes the cubature over whole
 cones, with the density at ``A d`` and at the mirror's ``-A d``, exact for
 any law; each cone's radial axis is split geometrically toward the zero
@@ -160,18 +165,21 @@ class ProbabilityEstimate:
 
 
 def _rule(n: int):
-    """Nodes and the Kronrod and Gauss weights of the tensor rule on ``[-1, 1]^n``.
+    """Nodes of the tensor rule on ``[-1, 1]^n``, one array per coordinate, and its weights per unit volume.
 
-    For ``n = 0`` the rule is one node of weight 1, on which both agree.
+    The Kronrod and Gauss weights are the tensor rule's divided by ``2^n``,
+    the volume of ``[-1, 1]^n``, which is exact, so a box's estimate is its
+    volume times the weighted sum of its values.  For ``n = 0`` the rule is
+    one node of weight 1, on which both agree.
     """
     wl_1d = np.zeros(15)
     wl_1d[1::2] = _WG7
-    pts = np.array(list(itertools.product(_XGK, repeat=n)))
+    columns = tuple(np.array(column) for column in zip(*itertools.product(_XGK, repeat=n)))
     wh = wl = np.ones(1)
     for _ in range(n):
-        wh = np.multiply.outer(wh, _WGK).ravel()
-        wl = np.multiply.outer(wl, wl_1d).ravel()
-    return pts, wh, wl
+        wh = np.multiply.outer(wh, 0.5 * _WGK).ravel()
+        wl = np.multiply.outer(wl, 0.5 * wl_1d).ravel()
+    return columns, wh, wl
 
 
 _RULE_CACHE = {n: _rule(n) for n in (0, 1, 2, 3)}
@@ -186,52 +194,74 @@ _MAX_POINTS = 2**18
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The rule's nodes in the boxes ``lo, hi`` of shape ``(m, n)``, box by box: ``(m * 15^n, n)``."""
     m, n = lo.shape
-    pts = _RULE_CACHE[n][0]
+    columns, wh, _ = _RULE_CACHE[n]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     # one coordinate at a time: a broadcast over the length-n axis runs as
     # numpy inner loops of length n <= 3
-    x = np.empty((m, len(pts), n))
-    for j in range(n):
-        x[:, :, j] = mid[:, j, None] + half[:, j, None] * pts[:, j]
-    return x.reshape(m * len(pts), n)
+    x = np.empty((m, len(wh), n))
+    for j, column in enumerate(columns):
+        x[:, :, j] = mid[:, j, None] + half[:, j, None] * column
+    return x.reshape(m * len(wh), n)
 
 
-def _evaluate(f, lo, hi, tag):
-    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag: (m,).
+def _volumes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The volume of each of the boxes ``lo, hi`` of shape ``(m, n)``."""
+    return (hi - lo).prod(axis=1)
+
+
+def _evaluate(f, lo, hi, tag, volumes):
+    """Apply the embedded pair to a batch of boxes.  lo, hi: (m, n); tag, volumes: (m,).
 
     ``f`` is called on whole boxes, at most ``_MAX_POINTS`` nodes (and at
     least one box) at a time.
     """
-    per_box = 15 ** lo.shape[1]
+    n = lo.shape[1]
+    per_box = 15**n
     per_call = max(1, _MAX_POINTS // per_box)
-    values = np.concatenate([
-        np.asarray(f(_nodes(lo[s:s + per_call], hi[s:s + per_call]), np.repeat(tag[s:s + per_call], per_box)),
-                   dtype=float)
-        for s in range(0, lo.shape[0], per_call)
-    ])
-    return _apply_rule(values.reshape(-1, per_box), lo, hi)
+    if lo.shape[0] <= per_call:
+        values = f(_nodes(lo, hi), np.repeat(tag, per_box))
+    else:
+        values = np.concatenate([
+            f(_nodes(lo[s:s + per_call], hi[s:s + per_call]), np.repeat(tag[s:s + per_call], per_box))
+            for s in range(0, lo.shape[0], per_call)
+        ])
+    values = np.asarray(values, dtype=float)
+    return _apply_rule(values, volumes, n)
 
 
-def _apply_rule(values, lo, hi):
-    """The Kronrod estimate and the rule disagreement of each box, from its row of ``values`` at its nodes."""
-    if not np.isfinite(values).all():
+def _apply_rule(values, volumes, n):
+    """The Kronrod estimate and the rule disagreement of each box of dimension ``n``.
+
+    ``values`` holds the integrand at the nodes of the boxes, box by box,
+    and ``volumes`` their volumes.
+    """
+    _, wh, wl = _RULE_CACHE[n]
+    values = values.reshape(len(volumes), len(wh))
+    high = volumes * (values @ wh)
+    return high, np.abs(high - volumes * (values @ wl))
+
+
+def _checked_sum(high) -> float:
+    """The sum of the boxes' estimates; a NaN or infinite value of the integrand makes it non-finite.
+
+    Every Kronrod weight is positive, so such a value reaches its box's estimate.
+    """
+    total = float(high.sum())
+    if not math.isfinite(total):
         raise NonFiniteIntegrand("integrand returned NaN or infinity")
-    _, wh, wl = _RULE_CACHE[lo.shape[1]]
-    jac = (0.5 * (hi - lo)).prod(axis=1)
-    high = jac * (values @ wh)
-    low = jac * (values @ wl)
-    return high, np.abs(high - low)
+    return total
 
 
-def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, values=None):
+def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, first=None):
     """Adaptive integration over a union of disjoint boxes.
 
     ``lo`` and ``hi`` are the ``(m, n)`` corners of the boxes and ``tag``
     holds one integer per box that both halves of a split inherit; ``f``
     receives the ``(points, n)`` nodes and the tag of each node's box.
-    ``values``, when given, are the integrand at the nodes of the given
-    boxes, as ``_nodes`` orders them, and ``f`` is called on split boxes
+    ``first``, when given, is what a cache holds of the given boxes: the
+    integrand's values at their nodes, as ``_nodes`` orders them, their
+    ``_volumes`` and the sum of those; ``f`` is then called on split boxes
     only.  A refinement pass accepts each pending box once its rule
     disagreement is at most its volume share of the error budget not yet
     spent, and splits the others along their longest axis; the share rate
@@ -244,16 +274,19 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
     Returns ``(value, error_estimate, n_evals)`` with
     ``error_estimate <= max(abs_tol, rel_tol * reported(value))``.
     """
-    nodes_per_box = 15 ** lo.shape[1]
-    volumes = (hi - lo).prod(axis=1)
-    total_volume = float(volumes.sum())
-    if values is None:
-        high, err = _evaluate(f, lo, hi, tag)
+    n = lo.shape[1]
+    nodes_per_box = 15**n
+    if first is None:
+        volumes = _volumes(lo, hi)
+        total_volume = float(volumes.sum())
+        high, err = _evaluate(f, lo, hi, tag, volumes)
     else:
-        high, err = _apply_rule(values.reshape(-1, nodes_per_box), lo, hi)
+        values, volumes, total_volume = first
+        high, err = _apply_rule(values, volumes, n)
     n_evals = high.size * nodes_per_box
     n_splits = 0
-    budget = max(config.abs_tol, config.rel_tol * reported(float(high.sum())))
+    high_sum = _checked_sum(high)
+    budget = max(config.abs_tol, config.rel_tol * reported(high_sum))
     while True:
         value = error = 0.0
         remaining_volume = total_volume
@@ -265,7 +298,7 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
             ok = err <= rate * volumes
             accepted.append((ok, lo, hi, tag, high, err))
             if ok.all():  # the last generation of a pass: no box to split
-                value += float(high.sum())
+                value += high_sum
                 error += float(err.sum())
                 break
             value += float(high[ok].sum())
@@ -280,15 +313,15 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
             axis = np.argmax(widths, axis=1)
             rows = np.arange(lo.shape[0])
             mid = lo[rows, axis] + 0.5 * widths[rows, axis]
-            hi_left = hi.copy()
-            hi_left[rows, axis] = mid
-            lo_right = lo.copy()
-            lo_right[rows, axis] = mid
-            lo = np.concatenate([lo, lo_right])
-            hi = np.concatenate([hi_left, hi])
+            # the left halves, then the right halves
+            lo = np.concatenate([lo, lo])
+            hi = np.concatenate([hi, hi])
+            hi[rows, axis] = mid
+            lo[rows + len(rows), axis] = mid
             tag = np.concatenate([tag, tag])
-            volumes = (hi - lo).prod(axis=1)
-            high, err = _evaluate(f, lo, hi, tag)
+            volumes = _volumes(lo, hi)
+            high, err = _evaluate(f, lo, hi, tag, volumes)
+            high_sum = _checked_sum(high)
             n_evals += high.size * nodes_per_box
         goal = max(config.abs_tol, config.rel_tol * reported(value))
         if error <= goal:
@@ -297,7 +330,8 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, val
         # re-process the accepted leaves against the smaller budget.
         leaves = [[array[ok] for array in arrays] for ok, *arrays in accepted]
         lo, hi, tag, high, err = (np.concatenate(parts) for parts in zip(*leaves))
-        volumes = (hi - lo).prod(axis=1)
+        volumes = _volumes(lo, hi)
+        high_sum = float(high.sum())
         budget = goal
 
 
@@ -331,10 +365,13 @@ _UPWARD_FROM = 2.0
 # 4^j / (3 * 5 ... (2j + 1)) of the first, so the 23 terms kept leave at most
 # 6.5e-17 relative for every order.
 _SERIES = np.array([[1 / math.prod(range(k + 1, k + 2 * j + 2, 2)) for j in range(23)] for k in range(6)])
+# The factors (k - 1, k) of M_(k-2), M_(k-1) in the upward recurrence of
+# M_k, M_(k+1), as a column
+_PAIR_FACTORS = {k: np.array([[k - 1.0], [k]]) for k in range(2, 6, 2)}
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """The row-major ``(count, len(x))`` table of ``x^0 .. x^(count - 1)``, ``count >= 2``.
+    """The row-major ``(count, len(x))`` table of ``x^0 .. x^(count - 1)``, ``count >= 3``.
 
     Rows ``m + 1 .. 2m`` are rows ``1 .. m`` times row ``m``, one multiply of
     contiguous rows, so the table takes about ``log2(count)`` calls.
@@ -342,36 +379,66 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
     table = np.empty((count, len(x)))
     table[0] = 1.0
     table[1] = x
-    m = 1
+    row = np.multiply(x, x, out=table[2])
+    m = 2
     while m + 1 < count:
         k = min(m, count - 1 - m)
-        np.multiply(table[1:k + 1], table[m], out=table[m + 1:m + k + 1])
+        block = np.multiply(table[1:k + 1], row, out=table[m + 1:m + k + 1])
         m += k
+        if m + 1 < count:
+            row = block[-1]
     return table
 
 
-def _upward_moments(a: np.ndarray, first: int, last: int) -> np.ndarray:
-    """``M_first .. M_last`` at ``a >= _UPWARD_FROM``, recurring upward from ``M_0`` and ``M_1``."""
+def _upward_moments(u: np.ndarray, first: int, last: int, bottom: float, top: float) -> np.ndarray:
+    """``M_first .. M_last`` at ``u = 2 alpha``, ``alpha >= _UPWARD_FROM``, recurring upward from ``M_0`` and ``M_1``.
+
+    ``bottom`` and ``top`` bound ``u``, for ``_erfcx``.
+    """
+    a = 0.5 * u
     tail = np.exp(-a)
     y = np.sqrt(a)
-    low = y <= 4.0
-    v = np.where(low, y, 1.0 / a)
-    c, d, p, q = _ERF_TABLE @ _powers(v, _ERF_TABLE.shape[1])
-    erfcx = np.where(low, c / d, (1.0 / math.sqrt(math.pi) - v * p / q) / y)
-    two_a = 2.0 * a
-    up = [0.5 * math.sqrt(math.pi) / y * (1.0 - tail * erfcx), (1.0 - tail) / two_a]
-    for k in range(2, last + 1):
-        up.append(((k - 1) * up[k - 2] - tail) / two_a)
-    return np.array(up[first:])
+    erfcx = _erfcx(y, a, bottom, top)
+    # M_k and M_(k+1) at once, from M_(k-2) and M_(k-1)
+    pairs = [np.array([0.5 * math.sqrt(math.pi) / y * (1.0 - tail * erfcx), (1.0 - tail) / u])]
+    for k in range(2, last + 1, 2):
+        pairs.append((_PAIR_FACTORS[k] * pairs[-1] - tail) / u)
+    # the pairs from the one holding M_first on
+    pairs = pairs[first // 2:]
+    rows = np.concatenate(pairs) if len(pairs) > 1 else pairs[0]
+    skip = first % 2
+    return rows if skip == 0 and len(rows) == last - first + 1 else rows[skip:skip + last - first + 1]
 
 
-def _series_moments(x: np.ndarray, first: int, last: int) -> np.ndarray:
-    """``M_first .. M_last`` at ``x < _UPWARD_FROM``, from the series of ``_SERIES``."""
-    return np.exp(-x) * (_SERIES[first:last + 1] @ _powers(2.0 * x, _SERIES.shape[1]))
+def _erfcx(y: np.ndarray, a: np.ndarray, bottom: float, top: float) -> np.ndarray:
+    """Cody's ``erfcx(y)`` at ``y = sqrt(a)``, where ``2a`` lies in ``[bottom, top]``.
+
+    His two fits meet at ``y = 4``: every ``y <= 4`` when ``top <= 32``, and
+    every ``y > 4`` when ``bottom > 33`` (``sqrt(16.5) > 4`` after
+    rounding); a fit that no node takes is not computed.
+    """
+    below, above = top <= 32.0, bottom > 33.0
+    if below:
+        v = y
+    elif above:
+        v = 1.0 / a
+    else:
+        low = y <= 4.0
+        v = np.where(low, y, 1.0 / a)
+    table = _ERF_TABLE @ _powers(v, _ERF_TABLE.shape[1])
+    if below:
+        return table[0] / table[1]
+    far = (1.0 / math.sqrt(math.pi) - v * table[2] / table[3]) / y
+    return far if above else np.where(low, table[0] / table[1], far)
 
 
-def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Gaussian radial moments ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt``.
+def _series_moments(u: np.ndarray, first: int, last: int) -> np.ndarray:
+    """``M_first .. M_last`` at ``u = 2 alpha``, ``alpha < _UPWARD_FROM``, from the series of ``_SERIES``."""
+    return np.exp(-0.5 * u) * (_SERIES[first:last + 1] @ _powers(u, _SERIES.shape[1]))
+
+
+def _radial_moments(u: np.ndarray, first: int, last: int, top: float | None = None) -> np.ndarray:
+    """Gaussian radial moments ``M_k(alpha) = integral_0^1 t^k exp(-alpha t^2) dt`` at ``u = 2 alpha``.
 
     ``M_k = gamma((k + 1)/2, alpha) / (2 alpha^((k + 1)/2))`` (DLMF 8.2.1);
     returns ``M_first .. M_last`` (``last <= 5``) stacked along a new first
@@ -383,34 +450,40 @@ def _radial_moments(alpha: np.ndarray, first: int, last: int) -> np.ndarray:
     power table.  Below, the recurrence run downward is the series of
     ``_SERIES``, which is one product of its rows and the powers of
     ``2 alpha``.  Both keep about 1e-15 relative.  All nodes go at once, as
-    many as ``_MAX_POINTS`` allows, and a side of ``alpha = 2`` with none is
-    skipped; the series' 23-row power table is most of the temporaries.
+    many as ``_MAX_POINTS`` allows.  The largest ``u`` (``top``, when the
+    caller knows it) and the smallest tell which sides of ``alpha = 2`` and
+    of Cody's ``alpha = 16`` hold nodes, and a side with none is skipped.
+    The series' 23-row power table is most of the temporaries.
     """
-    flat = alpha.reshape(-1)
-    series = flat < _UPWARD_FROM
-    count = np.count_nonzero(series)
-    if count == flat.size:  # no mask to apply
-        out = _series_moments(flat, first, last)
-    elif count == 0:
-        out = _upward_moments(flat, first, last)
-    else:  # index arrays scatter faster than masks
-        out = np.empty((last - first + 1, flat.size))
-        below, above = np.flatnonzero(series), np.flatnonzero(~series)
-        out[:, below] = _series_moments(flat[below], first, last)
-        out[:, above] = _upward_moments(flat[above], first, last)
-    return out.reshape(out.shape[:1] + alpha.shape)
+    if u.ndim != 1:  # the kernels' matrix products take one axis of nodes
+        return _radial_moments(u.reshape(-1), first, last, top).reshape((last - first + 1,) + u.shape)
+    split = 2.0 * _UPWARD_FROM
+    if top is None:
+        top = float(u.max(initial=-math.inf))
+    if top < split:  # also a NaN-free set of nodes all below: no mask to apply
+        return _series_moments(u, first, last)
+    bottom = float(u.min())
+    if bottom >= split:
+        return _upward_moments(u, first, last, bottom, top)
+    # index arrays scatter faster than masks; a NaN goes upward
+    series = u < split
+    out = np.empty((last - first + 1, u.size))
+    below, above = np.flatnonzero(series), np.flatnonzero(~series)
+    out[:, below] = _series_moments(u[below], first, last)
+    out[:, above] = _upward_moments(u[above], first, last, split, top)
+    return out
 
 
 def _stay_polynomial(a: np.ndarray) -> np.ndarray:
     """Coefficients ``c_j`` of ``prod_i (1 - t a_i) = sum_j c_j t^j``.
 
-    ``a`` is ``(m, n)``; the result is ``(n + 1, m)``.
+    ``a`` is ``(n, m)``; the result is ``(n + 1, m)``.
     """
-    m, n = a.shape
+    n, m = a.shape
     c = np.zeros((n + 1, m))
     c[0] = 1.0
     for i in range(n):
-        c[1:i + 2] -= a[:, i] * c[:i + 1]
+        c[1:i + 2] -= a[i] * c[:i + 1]
     return c
 
 
@@ -519,29 +592,44 @@ class _Cones:
         run is mapped by a single matrix product.
         """
         m, n = len(w), w.shape[1] + 1
+        frames = self.frame_list
         coef = np.ones((m, n))
         coef[:, 1:] = w
-        if self.collapse.any():
+        if self.any_collapse:
             jac = np.where(self.collapse[k], w[:, 0], 1.0)
-            coef[:, 2] *= jac
+            collapsed = coef[:, 2]
+            collapsed *= jac
         else:
             jac = np.ones(m)
         rays = np.empty((m, n))
-        cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, m]):
-            np.matmul(coef[lo:hi], self.frames[k[lo]], out=rays[lo:hi])
+        starts = [0, *(i + 1 for i in np.flatnonzero(k[1:] != k[:-1]).tolist())]
+        for lo, hi, cone in zip(starts, [*starts[1:], m], k[starts].tolist()):
+            np.matmul(coef[lo:hi], frames[cone], out=rays[lo:hi])
         return rays, jac
+
+    @functools.cached_property
+    def frame_list(self) -> tuple[np.ndarray, ...]:
+        """``frames`` as a tuple, one frame per cone."""
+        return tuple(self.frames)
+
+    @functools.cached_property
+    def any_collapse(self) -> bool:
+        """Whether any cone's facet is a triangle, collapsed onto its vertex."""
+        return bool(self.collapse.any())
 
     def radial_nodes(self, w: np.ndarray, k: np.ndarray):
         """``facet_nodes``, and the stay fraction along each ray, for the radial path.
 
-        A law on the radial path is even, so a cone's integral is also its
-        mirror's, and the Jacobian is twice the facet's.  The stay fraction
-        comes as the ``(n + 1, points)`` coefficients of a polynomial in
-        ``t`` (see ``_facet_values``), or on a simplex as the one column
+        The rays come as the ``(n, points)`` transpose of ``facet_nodes``',
+        so a node's coordinates lie along the first axis.  A law on the
+        radial path is even, so a cone's integral is also its mirror's, and
+        the Jacobian is twice the facet's.  The stay fraction comes as the
+        ``(n + 1, points)`` coefficients of a polynomial in ``t`` (see
+        ``_facet_values``), or on a simplex as the one column
         ``simplex_stay``, the same on every ray.
         """
         rays, jac = self.facet_nodes(w, k)
+        rays = rays.T
         return rays, 2.0 * jac, self.simplex_stay if self.kind.is_simplex else _stay_polynomial(np.abs(rays))
 
     @functools.cached_property
@@ -549,15 +637,19 @@ class _Cones:
         """The facet boxes that start every radial solve, and their node data.
 
         They are the boxes of ``boxes([0, 1])`` without the radial axis: the
-        corners ``lo, hi``, the cone of each box, and ``radial_nodes`` at the
-        boxes' nodes, all read-only.  Built on first use, once per cell.
+        corners ``lo, hi``, the cone of each box, the boxes' ``_volumes`` and
+        their sum, and ``radial_nodes`` at the boxes' nodes, with the rays
+        C-contiguous; the arrays are read-only.  Built on first use, once
+        per cell.
         """
         lo, hi, k = self.boxes([0.0, 1.0])
         lo, hi = lo[:, 1:], hi[:, 1:]
-        data = (lo, hi, k, *self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1])))
-        for array in data:
+        volumes = _volumes(lo, hi)
+        rays, jac, stay = self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1]))
+        boxes, nodes = (lo, hi, k, volumes), (np.ascontiguousarray(rays), jac, stay)
+        for array in (*boxes, *nodes):
             array.flags.writeable = False
-        return data[:3], data[3:]
+        return (*boxes, float(volumes.sum())), nodes
 
 
 def _cones(kind: ElementKind) -> _Cones:
@@ -574,7 +666,7 @@ def _cones(kind: ElementKind) -> _Cones:
         kind=kind,
         frames=np.array(frames),
         collapse=np.array([len(vertices) == 3 for vertices in facets]),
-        simplex_stay=_stay_polynomial(np.ones((1, kind.dim))) if kind.is_simplex else None,
+        simplex_stay=_stay_polynomial(np.ones((kind.dim, 1))) if kind.is_simplex else None,
     )
 
 
@@ -619,12 +711,12 @@ def _transition_boxes(a, b, c, d, dist):
 
 
 def _solve(f, lo, hi, tag, config: QuadratureConfig | None, start: float, complement: bool,
-           values=None) -> ProbabilityEstimate:
+           first=None) -> ProbabilityEstimate:
     """The deterministic solve shared by the escape and transition solvers.
 
-    Integrates ``f`` over the boxes ``lo, hi, tag``, with the integrand's
-    ``values`` at their nodes when known, as ``_integrate_boxes`` takes
-    them; the wall time runs from ``start``.  The probability is the
+    Integrates ``f`` over the boxes ``lo, hi, tag``, with the cached
+    ``first`` pass over them when there is one, as ``_integrate_boxes``
+    takes it; the wall time runs from ``start``.  The probability is the
     integral, or its complement ``1 - integral`` when ``complement`` is set,
     clamped into ``[0, 1]``; the relative tolerance applies to it.  A
     ``ToleranceNotMet`` is re-raised with that probability of its best value.
@@ -635,7 +727,7 @@ def _solve(f, lo, hi, tag, config: QuadratureConfig | None, start: float, comple
         return min(1.0, max(0.0, 1.0 - integral if complement else integral))
 
     try:
-        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config, probability, values)
+        integral, quad_error, n_evals = _integrate_boxes(f, lo, hi, tag, config, probability, first)
     except ToleranceNotMet as exc:
         raise ToleranceNotMet(probability(exc.value), exc.error_estimate) from None
     return ProbabilityEstimate(
@@ -685,14 +777,14 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     amap = element.affine_map
     mixture = _mixture_hook(dist)
     if mixture is not None:
-        (lo, hi, k), nodes = cones.first_pass
+        (lo, hi, k, volumes, total_volume), nodes = cones.first_pass
         frame = _unit_frame(amap)
 
         def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
             return _facet_values(cones.radial_nodes(w, k), frame, mixture)
 
-        first = _facet_values(nodes, frame, mixture)
-        return _solve(f, lo, hi, k, config, start, complement=True, values=first)
+        first = (_facet_values(nodes, frame, mixture), volumes, total_volume)
+        return _solve(f, lo, hi, k, config, start, complement=True, first=first)
     lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -747,51 +839,51 @@ def _facet_values(nodes, frame, mixture) -> np.ndarray:
     ``integral_0^1 t^(n-1) prod_i (1 - t a_i) exp(-alpha t^2) dt`` is
     ``sum_j c_j M_(n-1+j)(alpha)`` with ``alpha = |A b(w)|^2 / (2 sigma^2)``.
     ``frame`` is the element's ``_unit_frame`` and ``mixture`` the law's
-    ``_scale_mixture`` hook.
+    ``_scale_mixture`` hook; its scales' terms are summed in order.
     """
     rays, jac, stay = nodes
     unit, scale, root_det = frame
-    n = rays.shape[1]
-    # |A b|^2 summed a coordinate column at a time, left to right as numpy
-    # sums a row: a reduce along rows of two or three runs one short loop
-    # per node, 5x slower on the 5,400 first-pass nodes of a parallelepiped
-    g = rays @ unit.T
-    squares = g * g
-    radii = squares[:, 0]
-    for j in range(1, n):
-        radii = radii + squares[:, j]
-    radii = np.sqrt(radii)
+    # |A b|^2 summed over the coordinate rows in order, as numpy reduces a
+    # leading axis: one running sum per node
+    g = unit @ rays
+    radii = np.sqrt(np.add.reduce(np.square(g, out=g), axis=0))
     if scale != 1.0:
         radii *= scale
-    scales, weights = mixture(radii)
-    # a compare and a count, as the moment kernel makes: a max would be the
-    # first reduction of its kind in a solve, slower on cold caches
-    near = radii[:, None] < _FAR * scales
-    if np.count_nonzero(near) == near.size:
-        terms = _near_terms(radii[:, None] / scales, stay, scales, weights, root_det)
-    else:
-        # each side's terms may overflow where the other side's are taken
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = radii[:, None] / scales
-            terms = np.where(near, _near_terms(ratio, stay, scales, weights, root_det),
-                             _far_terms(ratio, radii, stay, weights, root_det))
-    return terms.sum(axis=1) * jac
+    # the largest |A b| / sigma, as numpy would divide it: each node's is
+    # below _FAR unless some node is far (radii < _FAR * sigma makes
+    # ratio <= _FAR, and ratio = _FAR only within an ulp of it)
+    top = float(radii.max())
+    total = None
+    for sigma, weight in mixture():
+        highest = top / sigma
+        if highest < _FAR:
+            terms = _near_terms(radii / sigma, stay, sigma, weight, root_det, highest * highest)
+        else:
+            # each side's terms may overflow where the other side's are taken
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ratio = radii / sigma
+                terms = np.where(radii < _FAR * sigma, _near_terms(ratio, stay, sigma, weight, root_det),
+                                 _far_terms(ratio, radii, stay, weight, root_det))
+        total = terms if total is None else total + terms
+    return total * jac
 
 
-def _near_terms(ratio, stay, scales, weights, root_det) -> np.ndarray:
-    """Each scale's term of the stay integrand, at ``ratio = |A b| / sigma``, from the moments."""
+def _near_terms(ratio, stay, sigma, weight, root_det, top=None) -> np.ndarray:
+    """One scale's term of the stay integrand, at ``ratio = |A b| / sigma``, from the moments.
+
+    ``top``, when known, is the largest ``ratio^2``.
+    """
     n = len(stay) - 1
-    moments = _radial_moments(0.5 * ratio ** 2, n - 1, 2 * n - 1)
+    moments = _radial_moments(ratio * ratio, n - 1, 2 * n - 1, top)
     # sum_j c_j M_(n-1+j); einsum's set-up costs more than this on few nodes
-    radial = np.add.reduce(stay[:, :, None] * moments, axis=0)
+    radial = np.add.reduce(stay * moments, axis=0)
     # |det A| (2 pi sigma^2)^(-n/2) as the n-th power of a ratio of lengths,
     # which stays finite on a cell as small as its steps, where |det A| alone
     # underflows and the Gaussian's factor overflows
-    gauss = weights * (root_det / (math.sqrt(2.0 * math.pi) * scales)) ** n
-    return radial * gauss
+    return radial * (weight * np.power(root_det / (math.sqrt(2.0 * math.pi) * sigma), n))
 
 
-def _far_terms(ratio, radii, stay, weights, root_det) -> np.ndarray:
+def _far_terms(ratio, radii, stay, weight, root_det) -> np.ndarray:
     """The limit of ``_near_terms`` as ``ratio = |A b| / sigma`` grows, each factor finite.
 
     ``M_(n-1+j)`` times the Gaussian's factor tends to
@@ -801,10 +893,10 @@ def _far_terms(ratio, radii, stay, weights, root_det) -> np.ndarray:
     """
     n = len(stay) - 1
     inverse = 1.0 / ratio
-    poly = stay[n][:, None] * _MOMENT_LIMITS[2 * n - 1]
+    poly = stay[n] * _MOMENT_LIMITS[2 * n - 1]
     for j in range(n - 1, -1, -1):
-        poly = poly * inverse + stay[j][:, None] * _MOMENT_LIMITS[n - 1 + j]
-    return weights * (root_det / (math.sqrt(2.0 * math.pi) * radii[:, None])) ** n * poly
+        poly = poly * inverse + stay[j] * _MOMENT_LIMITS[n - 1 + j]
+    return weight * (root_det / (math.sqrt(2.0 * math.pi) * radii)) ** n * poly
 
 
 def transition_probability_det_1d(source, target, dist, config: QuadratureConfig | None = None) -> ProbabilityEstimate:

@@ -214,6 +214,17 @@ class TestVelocityJumpDensity:
         with pytest.raises(OriginSingularity):
             VelocityJumpStep(rate=1.0, dim=3).density([1e-200, 0.0, 0.0])
 
+    def test_step_whose_s_underflows(self):
+        # rate * |dx| underflows to 0 above the 1e-300 cut, which once ended
+        # in Python's OverflowError: log s is log(rate) + log|dx| (the
+        # reference value is mpmath's, to 30 digits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = VelocityJumpStep(rate=1e-30, dim=1).density([1e-299])
+            beside = VelocityJumpStep(rate=1e-30, dim=1).density(np.array([[1e-299], [1.0]]))
+        assert value == pytest.approx(3.0201177148989548e-28, rel=1e-14)
+        assert beside[0] == pytest.approx(value, rel=1e-14)
+
     @pytest.mark.parametrize("rate, dim", [(2e154, 2), (1e110, 3)])
     def test_rate_beyond_the_float_range(self, rate, dim):
         # rate**dim overflows a double: the library's error, not Python's OverflowError

@@ -215,16 +215,17 @@ class TestRadialMoments:
     def test_moments_match_kummer_function(self, alpha):
         for first, last in ORDER_SLICES:
             expected = kummer_moments(alpha, first, last)
-            got = _radial_moments(alpha, first, last)
+            # the kernel takes 2 alpha, the square of |A b| / sigma
+            got = _radial_moments(2.0 * alpha, first, last)
             assert got.shape == expected.shape
             assert np.all(np.abs(got - expected) <= 1e-14 * expected), (first, last)
 
     def test_keeps_the_shape_of_alpha(self):
-        # the facet integrand passes one column per mixture scale
+        # the moments of an array of any shape stack along a new first axis
         alpha = np.geomspace(1e-3, 1e3, 4099).reshape(-1, 1)
-        got = _radial_moments(alpha, 2, 5)
+        got = _radial_moments(2.0 * alpha, 2, 5)
         assert got.shape == (4,) + alpha.shape
-        assert np.array_equal(got[:, :, 0], _radial_moments(alpha[:, 0], 2, 5))
+        assert np.array_equal(got[:, :, 0], _radial_moments(2.0 * alpha[:, 0], 2, 5))
 
     @pytest.mark.parametrize("shape", [(0,), (0, 1)])
     def test_empty(self, shape):
@@ -278,6 +279,7 @@ class TwoScaleWiener(StepDistribution):
 
     def __init__(self, scales, dim):
         self.dim = dim
+        self.pairs = tuple((scale, 0.5) for scale in scales)
         self.scales = np.array([scales])
 
     def density(self, steps):
@@ -285,8 +287,8 @@ class TwoScaleWiener(StepDistribution):
         gauss = np.exp(-0.5 * squares / self.scales**2) / (math.sqrt(2.0 * math.pi) * self.scales) ** self.dim
         return 0.5 * gauss.sum(axis=-1)
 
-    def _scale_mixture(self, radii):
-        return self.scales, np.full((1, 2), 0.5)
+    def _scale_mixture(self):
+        return self.pairs
 
 
 def _legs(kind, length):
@@ -340,13 +342,11 @@ class TestFloatRangeEnds:
         element = bench.BENCHMARK_ELEMENTS[kind]
         _, (rays, _, stay) = _CONE_CACHE[element.kind].first_pass
         unit, scale, root_det = quadrature._unit_frame(element.affine_map)
-        radii = np.linalg.norm(rays @ unit.T, axis=1) * scale
-        weights = np.ones((1, 1))
+        radii = np.linalg.norm(unit @ rays, axis=0) * scale
         for sigma in (1e-3, 1e-6, 1e-9, 1e-12):
-            scales = np.array([[sigma]])
-            ratio = radii[:, None] / scales
-            near = quadrature._near_terms(ratio, stay, scales, weights, root_det)
-            far = quadrature._far_terms(ratio, radii, stay, weights, root_det)
+            ratio = radii / sigma
+            near = quadrature._near_terms(ratio, stay, sigma, 1.0, root_det)
+            far = quadrature._far_terms(ratio, radii, stay, 1.0, root_det)
             assert np.allclose(far, near, rtol=4e-15, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["segment", "triangle", "tetrahedron", "parallelepiped"])
@@ -417,10 +417,13 @@ class TestFirstPass:
     @pytest.mark.parametrize("cell", list(ElementKind))
     def test_cached_node_data_is_that_of_the_first_boxes(self, cell):
         cones = _CONE_CACHE[cell]
-        (lo, hi, k), cached = cones.first_pass
+        (lo, hi, k, volumes, total_volume), cached = cones.first_pass
         cone_lo, cone_hi, cone_k = cones.boxes([0.0, 1.0])
         assert np.array_equal(lo, cone_lo[:, 1:]) and np.array_equal(hi, cone_hi[:, 1:])
         assert np.array_equal(k, cone_k)
+        # the box measures are those _integrate_boxes takes of these boxes
+        assert np.array_equal(volumes, quadrature._volumes(lo, hi))
+        assert total_volume == float(quadrature._volumes(lo, hi).sum())
         computed = []
 
         def record(w, tags):
@@ -428,18 +431,19 @@ class TestFirstPass:
             computed.append(cones.radial_nodes(w, tags))
             return np.zeros(len(w))
 
-        quadrature._evaluate(record, lo, hi, k)
+        quadrature._evaluate(record, lo, hi, k, volumes)
         [data] = computed
         assert len(cached) == len(data) == 3
         for got, want in zip(cached, data):
             assert got.shape == want.shape and np.array_equal(got, want)
-        assert not any(array.flags.writeable for array in (lo, hi, k, *cached))
+        assert cached[0].flags.c_contiguous
+        assert not any(array.flags.writeable for array in (lo, hi, k, volumes, *cached))
 
     @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
     def test_cached_first_pass_changes_nothing(self, kind):
         element = bench.BENCHMARK_ELEMENTS[kind]
         cones = _CONE_CACHE[element.kind]
-        (lo, hi, k), nodes = cones.first_pass
+        (lo, hi, k, volumes, total_volume), nodes = cones.first_pass
         frame = quadrature._unit_frame(element.affine_map)
         mixture = quadrature._mixture_hook(WienerStep(dt=0.1, dim=element.dim))
 
@@ -447,7 +451,8 @@ class TestFirstPass:
             return quadrature._facet_values(cones.radial_nodes(w, tags), frame, mixture)
 
         config = QuadratureConfig()
-        cached = _integrate_boxes(f, lo, hi, k, config, values=quadrature._facet_values(nodes, frame, mixture))
+        first = (quadrature._facet_values(nodes, frame, mixture), volumes, total_volume)
+        cached = _integrate_boxes(f, lo, hi, k, config, first=first)
         assert cached == _integrate_boxes(f, lo, hi, k, config)
 
     @pytest.mark.parametrize("kind", list(bench.BENCHMARK_ELEMENTS))
@@ -460,9 +465,9 @@ class TestFirstPass:
         law = WienerStep(dt=dt, dim=element.dim)
         _, (rays, jac, stay) = _CONE_CACHE[element.kind].first_pass
         n = element.dim
-        radii = np.linalg.norm(rays @ amap.matrix.T, axis=1)
-        moments = _radial_moments(0.5 * (radii[:, None] / law.typical_scale) ** 2, n - 1, 2 * n - 1)
-        radial = np.einsum("jm,jmq->mq", np.broadcast_to(stay, (n + 1, len(rays))), moments)
+        radii = np.linalg.norm(rays.T @ amap.matrix.T, axis=1)
+        moments = _radial_moments((radii[:, None] / law.typical_scale) ** 2, n - 1, 2 * n - 1)
+        radial = np.einsum("jm,jmq->mq", np.broadcast_to(stay, (n + 1, len(radii))), moments)
         gauss = (amap.abs_det ** (1.0 / n) / (math.sqrt(2.0 * math.pi) * law.typical_scale)) ** n
         expected = (radial * gauss).sum(axis=1) * jac
         got = quadrature._facet_values((rays, jac, stay), quadrature._unit_frame(amap), quadrature._mixture_hook(law))
@@ -489,6 +494,49 @@ class TestFirstPass:
             "segment": 6, "triangle": 330, "parallelogram": 360, "tetrahedron": 13_950, "parallelepiped": 16_200,
         }
         assert sum(counts.values()) == 30_846
+
+    def test_grid_triples_are_pinned(self):
+        # (value, error_estimate, cost) of every grid cell at the default
+        # config, bit for bit: a change to the radial path that moves a bit
+        # re-pins this table and says so
+        got = {
+            kind: [(est.value.hex(), est.error_estimate.hex(), est.cost)
+                   for est in (escape_probability_det(element, WienerStep(dt=dt, dim=element.dim))
+                               for dt in bench.DT_GRID)]
+            for kind, element in bench.BENCHMARK_ELEMENTS.items()
+        }
+        assert got == PINNED_GRID
+
+
+# (value.hex(), error_estimate.hex(), cost) of each cell of the benchmark grid
+# under WienerStep at the default QuadratureConfig, one row per DT_GRID entry
+PINNED_GRID = {
+    "segment": [
+        ("0x1.46d04297691e0p-5", "0x0.0p+0", 1), ("0x1.025e67ba0306cp-3", "0x0.0p+0", 1),
+        ("0x1.8fd289d506a02p-2", "0x0.0p+0", 1), ("0x1.82f49a5f8046bp-1", "0x0.0p+0", 1),
+        ("0x1.d748b04b4de52p-1", "0x0.0p+0", 1), ("0x1.f315fb4ef2187p-1", "0x0.0p+0", 1),
+    ],
+    "triangle": [
+        ("0x1.2ea26938d9d58p-3", "0x1.5fd34e2800000p-26", 75), ("0x1.a1f78c91be9d4p-2", "0x1.4613ee2000000p-29", 75),
+        ("0x1.9765617778181p-1", "0x1.b7eb6a0000000p-34", 45), ("0x1.f0a1c902c58edp-1", "0x1.8000000000000p-56", 45),
+        ("0x1.fe6150fefd823p-1", "0x1.6000000000000p-59", 45), ("0x1.ffd64dd0a3c04p-1", "0x1.6000000000000p-63", 45),
+    ],
+    "parallelogram": [
+        ("0x1.5212219384250p-4", "0x1.3fab2dc000000p-29", 60), ("0x1.fb1526c68c1ecp-3", "0x1.48beb14000000p-29", 60),
+        ("0x1.4760c22fec296p-1", "0x1.b696000000000p-41", 60), ("0x1.e1afa62da7816p-1", "0x1.0000000000000p-56", 60),
+        ("0x1.fcc3c8953fa68p-1", "0x1.4000000000000p-60", 60), ("0x1.ffac9e9841debp-1", "0x1.4000000000000p-63", 60),
+    ],
+    "tetrahedron": [
+        ("0x1.69e3caf9e7fe8p-2", "0x1.b49fbb0840000p-25", 4725), ("0x1.7c8e6aa1182dep-1", "0x1.301cbd0000000p-28", 2925),
+        ("0x1.f0ac7331438fdp-1", "0x1.b2edea0000000p-38", 1575), ("0x1.ff57ae1257325p-1", "0x1.e800000000000p-60", 1575),
+        ("0x1.fffa79ae18305p-1", "0x1.2800000000000p-64", 1575), ("0x1.ffffd31ab66dfp-1", "0x1.d000000000000p-70", 1575),
+    ],
+    "parallelepiped": [
+        ("0x1.f8d455fa8f418p-4", "0x1.b5d8a97400000p-27", 2700), ("0x1.68556a51c22f0p-2", "0x1.9193cacc00000p-28", 2700),
+        ("0x1.929d0b61de50dp-1", "0x1.bbef300000000p-39", 2700), ("0x1.f8a68d0dfa8d3p-1", "0x1.f000000000000p-58", 2700),
+        ("0x1.ffbe3101c8501p-1", "0x1.8000000000000p-63", 2700), ("0x1.fffde5a6c1ea6p-1", "0x1.2800000000000p-67", 2700),
+    ],
+}
 
 
 def mirrored(cones: _Cones) -> _Cones:
@@ -550,12 +598,12 @@ class TestCentralSymmetry:
         assert len(pieces | mirrors) == 2 * len(facets) == {1: 2, 2: 6 if cell.is_simplex else 8,
                                                             3: 14 if cell.is_simplex else 24}[cell.dim]
         cones = _CONE_CACHE[cell]
-        (lo, hi, k), (rays, jac, _) = cones.first_pass
+        (lo, hi, k, _, _), (rays, jac, _) = cones.first_pass
         assert k.tolist() == list(range(len(facets)))
         # the Jacobian counts both cones of the pair, which are congruent: twice the facet's
         w = quadrature._nodes(lo, hi)
         facet_rays, facet_jac = cones.facet_nodes(w, np.repeat(k, len(w) // len(k)))
-        assert np.array_equal(rays, facet_rays) and np.array_equal(jac, 2.0 * facet_jac)
+        assert np.array_equal(rays, facet_rays.T) and np.array_equal(jac, 2.0 * facet_jac)
 
     @pytest.mark.parametrize("cell", list(ElementKind))
     def test_every_frame_is_unimodular(self, cell):
@@ -860,8 +908,8 @@ class TestEscapeDeterministic:
         assert max(sizes) == limit
         # the radial path reads its first pass from the cell's cache and
         # calls the integrand on split boxes only
-        rays = _CONE_CACHE[element.kind].first_pass[1][0]
-        assert sum(sizes) == whole.cost - (len(rays) if radial else 0)
+        jac = _CONE_CACHE[element.kind].first_pass[1][1]
+        assert sum(sizes) == whole.cost - (len(jac) if radial else 0)
 
 
 class TestTypicalScale:
