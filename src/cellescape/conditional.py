@@ -53,7 +53,10 @@ def _stay_box(d: np.ndarray) -> np.ndarray:
 
 
 def _stay_simplex(d: np.ndarray) -> np.ndarray:
-    side = 1.0 - np.maximum(0.0, d.sum(axis=1)) - np.maximum(0.0, -d).sum(axis=1)
+    # a sum of finite steps overflows only to an infinity that drives the
+    # side below 0, where the step leaves nothing of the cell
+    with np.errstate(over="ignore"):
+        side = 1.0 - np.maximum(0.0, d.sum(axis=1)) - np.maximum(0.0, -d).sum(axis=1)
     return np.maximum(0.0, side) ** d.shape[1]
 
 
@@ -126,7 +129,10 @@ def conditional_transition_1d(source, target, step) -> float | np.ndarray:
         dx = np.asarray(step, dtype=float)
     except (TypeError, ValueError):
         raise InputError("step", "expected a number or a rectangular array of numbers") from None
-    overlap = np.minimum(b, d - dx) - np.maximum(a, c - dx)
+    # d - dx overflows only to +inf, where the minimum takes b, and c - dx
+    # only to -inf, where the maximum takes a
+    with np.errstate(over="ignore"):
+        overlap = np.minimum(b, d - dx) - np.maximum(a, c - dx)
     inside = (dx >= c - b) & (dx <= d - a)
     out = np.where(inside, np.maximum(0.0, overlap) / (b - a), 0.0)
     if np.ndim(step) == 0:

@@ -204,12 +204,16 @@ class VelocityJumpStep(StepDistribution):
     instead of returning an overflowing number.  So does every evaluation
     at a rate whose ``rate**n`` leaves the float range (above about 1.3e154
     in 2D and 5.6e102 in 3D), where the law is that concentrated at the
-    origin.  A batch of steps is evaluated in blocks of 256, by a
-    trapezoid rule in ``log u`` with 256 nodes per step; a block whose
-    smallest ``rate * |dx|`` is below about 7.5e-13 gives more nodes to
-    every step in it.  So a step with ``rate * |dx| >= 1e-12`` gets the
-    same value, bit for bit, alone and in any batch of such steps, but not
-    beside a much shorter step.  A step whose ``2 * rate * |dx|`` leaves the
+    origin.  At a rate so small that the law's factor
+    ``rate^n (2 pi)^(-n/2)`` falls below the normal floats, and in a block
+    whose integrand overflows before that factor scales it back (a step
+    far inside ``1 / rate`` in 2D and 3D), the factor is folded into the
+    exponent, as ``WienerStep`` folds its own.  A batch of steps is
+    evaluated in blocks of 256, by a trapezoid rule in ``log u`` with 256
+    nodes per step; a block whose smallest ``rate * |dx|`` is below about
+    7.5e-13 gives more nodes to every step in it.  So a step with
+    ``rate * |dx| >= 1e-12`` gets the same value, bit for bit, alone and in
+    any batch of such steps, but not beside a much shorter step.  A step whose ``2 * rate * |dx|`` leaves the
     float range has density 0, as its true density rounds to, and a step
     with a NaN component has density NaN.
     """
@@ -251,6 +255,10 @@ class VelocityJumpStep(StepDistribution):
             raise OriginSingularity(
                 f"velocity-jump density overflows: rate**{n} leaves the float range at rate {self.rate!r}"
             )
+        # a factor below the normal floats is folded into the exponent in
+        # every block, as is one whose block's integrand overflows alone
+        log_prefactor = n * math.log(self.rate) - 0.5 * n * math.log(2.0 * math.pi)
+        fold = prefactor < sys.float_info.min
         out = np.empty(len(arr))
         # an overflow or underflow of s or of the window's end, or a NaN, is
         # mended in its block; one of the sum, near the origin, is refused
@@ -279,7 +287,11 @@ class VelocityJumpStep(StepDistribution):
                 if small is not None and small.any():
                     shrink[small] = np.exp(log_s[small, None] - v[small])
                 exponent = -u - 0.5 * shrink ** 2 - (n - 1) * v
-                out[start:start + _BLOCK] = prefactor * h * np.exp(exponent).sum(axis=1)
+                sums = None if fold else np.exp(exponent).sum(axis=1)
+                if fold or np.isinf(sums).any():
+                    out[start:start + _BLOCK] = h * np.exp(exponent + log_prefactor).sum(axis=1)
+                else:
+                    out[start:start + _BLOCK] = prefactor * h * sums
         if np.any(np.isinf(out)):
             raise OriginSingularity(
                 "velocity-jump density overflows at a step this close to the origin"

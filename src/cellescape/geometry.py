@@ -81,9 +81,13 @@ class MeshElement:
     The map ``g(xi) = A @ xi + b`` from the reference cell, with the edges
     from the first vertex to the other spanning ones as the columns of
     ``A`` and that vertex as ``b``, is built when the element is made and
-    kept on it read-only as ``affine_map``.  Nothing on an element changes
-    after that, so threads may share it.  Elements compare and hash by
-    identity.  ``mesh_element`` is another name for this class.
+    kept on it read-only as ``affine_map``.  The element also owns the
+    scaled frame that the deterministic solver works in: ``A / 2^e``, with
+    ``2^e`` the power of two its degeneracy test divides the edges by, so
+    that no square of a length in it leaves the normal floats, however wide
+    or narrow the cell.  Nothing on an element changes after that, so
+    threads may share it.  Elements compare and hash by identity.
+    ``mesh_element`` is another name for this class.
 
     Parameters
     ----------
@@ -118,6 +122,8 @@ class MeshElement:
     kind: ElementKind
     vertices: np.ndarray
     affine_map: "AffineMap" = field(init=False, repr=False)
+    # (A / 2^e, 2^-e, |det A|^(1/n) / 2^e): the scaled frame, read-only
+    _frame: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         kind = _kind("kind", self.kind)
@@ -175,8 +181,8 @@ class MeshElement:
         full.flags.writeable = False
         # |det A| and the degeneracy test are taken of the edges over a power
         # of two, exactly, so that the test gives one answer in every unit
-        # and |det A| keeps its digits far from 1
-        exponent = math.frexp(float(np.max(np.abs(edges))))[1]
+        # and |det A| keeps its digits far from 1; 2^-e stays a finite float
+        exponent = max(math.frexp(float(np.max(np.abs(edges))))[1], -1022)
         unit = np.ldexp(edges, -exponent)
         scale = float(np.max(np.linalg.norm(unit, axis=1)))
         unit_det = abs(_cofactor_det(unit.tolist()))
@@ -201,6 +207,13 @@ class MeshElement:
         object.__setattr__(self, "vertices", full)
         affine_map = AffineMap(edges.T, full[0].copy(), np.linalg.inv(edges.T), det)
         object.__setattr__(self, "affine_map", affine_map)
+        # the root of |det A| scaled exactly, on a cell between 2^-255 and
+        # 2^256 across; beyond, where that root loses digits to the power
+        # or |det A| to underflow, the root of the scaled edges' |det|
+        root = det ** (1.0 / dim)
+        root = math.ldexp(root, -exponent) if 2.0**-255 <= root < 2.0**256 else unit_det ** (1.0 / dim)
+        unit.flags.writeable = False
+        object.__setattr__(self, "_frame", (unit.T, math.ldexp(1.0, -exponent), root))
 
     @property
     def dim(self) -> int:
@@ -358,9 +371,12 @@ def _reference_contains(kind: ElementKind, local: np.ndarray, out: np.ndarray | 
     # a simplex bounds the sum of its coordinates from above, a box each one
     upper = cols
     if kind.is_simplex and kind.dim > 1:
-        total = cols[0] + cols[1]
-        for col in cols[2:]:
-            total += col
+        # a sum of finite coordinates overflows to the infinity on the side
+        # of the bound where its point lies, outside the cell
+        with np.errstate(over="ignore"):
+            total = cols[0] + cols[1]
+            for col in cols[2:]:
+                total += col
         upper = [total]
     inside = np.greater_equal(cols[0], -CONTAINMENT_TOL, out=out)
     for col in cols[1:]:
@@ -378,7 +394,10 @@ def contains(element: MeshElement, point) -> bool | np.ndarray:
     """
     _check_element("element", element)
     pts, one = _as_batch(point, element.dim, "point")
-    result = _reference_contains(element.kind, element.affine_map.to_local(pts))
+    # a point whose local coordinates overflow lies far outside, and every
+    # comparison of an infinite or NaN coordinate reads outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _reference_contains(element.kind, element.affine_map.to_local(pts))
     return bool(result[0]) if one else result
 
 

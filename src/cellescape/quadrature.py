@@ -31,19 +31,23 @@ table and a power table over all nodes of an integrand call, whose size
 of a call tell which of these kernels and of Cody's two fits any node
 takes, and the others are not computed.  A node more than ``_FAR`` steps
 out takes the moments' limit, written in ``|A b| / sigma`` so that
-nothing overflows (``_far_terms``).  The cubature runs over the facet
-coordinates ``w`` alone.  Such a density is even, so a cone counts twice,
-and a segment's one cone needs no cubature.  Every such solve starts on
-the same facet boxes of its reference cell, so the boxes' volumes and the
+nothing overflows (``_far_terms``).  These lengths are taken in the
+element's frame, which ``MeshElement`` owns: ``A``, ``|det A|^(1/n)`` and
+each scale over the power of two that brings ``A``'s entries into
+``(-1, 1)``, so that no square of a length leaves the normal floats on a
+cell of any size, and no quotient of two lengths changes.  The cubature
+runs over the facet coordinates ``w`` alone.  Such a density is even, so
+a cone counts twice, and a segment's one cone needs no cubature.  Every
+such solve starts on the same facet boxes of its reference cell, so the
 rays, facet Jacobians and stay polynomials at their nodes are built once
-per cell; a solve applies its affine map and its law to them, and
-computes node data afresh only for the boxes it splits.  The rule's
-weights are kept per unit volume, so a box's estimate is its volume times
-a weighted sum of its values.  Every other law -- ``VelocityJumpStep``, user laws,
+per cell; a solve applies its frame and its law to them, and computes
+node data afresh only for the boxes it splits.  The rule's weights are
+kept per unit volume, so a box's estimate is its volume times a weighted
+sum of its values.  Every other law -- ``VelocityJumpStep``, user laws,
 and subclasses that override ``density`` -- takes the cubature over whole
 cones, with the density at ``A d`` and at the mirror's ``-A d``, exact for
 any law; each cone's radial axis is split geometrically toward the zero
-step and integrated down to it.
+step, down to the law's scale with no cap, and integrated down to it.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ import numpy as np
 
 from .conditional import _interval, conditional_transition_1d, stay_fraction
 from .distributions import _check_law
-from .errors import NonFiniteIntegrand, ToleranceNotMet, _integer, _real
-from .geometry import ElementKind, MeshElement, _check_element, _cofactor_det
+from .errors import InputError, NonFiniteIntegrand, ToleranceNotMet, _integer, _real
+from .geometry import ElementKind, MeshElement, _check_element
 
 __all__ = [
     "QuadratureConfig",
@@ -260,12 +264,12 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, fir
     holds one integer per box that both halves of a split inherit; ``f``
     receives the ``(points, n)`` nodes and the tag of each node's box.
     ``first``, when given, is what a cache holds of the given boxes: the
-    integrand's values at their nodes, as ``_nodes`` orders them, their
-    ``_volumes`` and the sum of those; ``f`` is then called on split boxes
-    only.  A refinement pass accepts each pending box once its rule
-    disagreement is at most its volume share of the error budget not yet
-    spent, and splits the others along their longest axis; the share rate
-    never decreases, so the accepted error stays below the budget.  The
+    integrand's values at their nodes, as ``_nodes`` orders them; ``f`` is
+    then called on split boxes only.  A refinement pass accepts each
+    pending box once its rule disagreement is at most its share of the
+    error budget not yet spent, by its volume among the pending boxes', and
+    splits the others along their longest axis; the share rate never
+    decreases, so the accepted error stays below the budget.  The
     first budget comes from the first estimate; when the relative goal of
     the accepted value is tighter, the accepted leaves are refined again
     against it.  The relative tolerance applies to ``reported(value)``:
@@ -276,25 +280,21 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, fir
     """
     n = lo.shape[1]
     nodes_per_box = 15**n
-    if first is None:
-        volumes = _volumes(lo, hi)
-        total_volume = float(volumes.sum())
-        high, err = _evaluate(f, lo, hi, tag, volumes)
-    else:
-        values, volumes, total_volume = first
-        high, err = _apply_rule(values, volumes, n)
+    volumes = _volumes(lo, hi)
+    high, err = _evaluate(f, lo, hi, tag, volumes) if first is None else _apply_rule(first, volumes, n)
     n_evals = high.size * nodes_per_box
     n_splits = 0
     high_sum = _checked_sum(high)
     budget = max(config.abs_tol, config.rel_tol * reported(high_sum))
     while True:
         value = error = 0.0
-        remaining_volume = total_volume
         # (ok, lo, hi, tag, high, err) of each generation: the rows where
         # ok is set are its accepted leaves, taken out only for a re-pass
         accepted = []
         while True:
-            rate = (budget - error) / remaining_volume
+            # the pending boxes' volume, summed afresh: on a deep ladder a
+            # running difference from the first total rounds to 0
+            rate = (budget - error) / float(volumes.sum())
             ok = err <= rate * volumes
             accepted.append((ok, lo, hi, tag, high, err))
             if ok.all():  # the last generation of a pass: no box to split
@@ -303,7 +303,6 @@ def _integrate_boxes(f, lo, hi, tag, config: QuadratureConfig, reported=abs, fir
                 break
             value += float(high[ok].sum())
             error += float(err[ok].sum())
-            remaining_volume -= float(volumes[ok].sum())
             split = ~ok
             lo, hi, tag = lo[split], hi[split], tag[split]
             if n_splits + lo.shape[0] > config.max_subdivisions:
@@ -637,19 +636,17 @@ class _Cones:
         """The facet boxes that start every radial solve, and their node data.
 
         They are the boxes of ``boxes([0, 1])`` without the radial axis: the
-        corners ``lo, hi``, the cone of each box, the boxes' ``_volumes`` and
-        their sum, and ``radial_nodes`` at the boxes' nodes, with the rays
-        C-contiguous; the arrays are read-only.  Built on first use, once
-        per cell.
+        corners ``lo, hi`` and the cone of each box, and ``radial_nodes`` at
+        the boxes' nodes, with the rays C-contiguous; the arrays are
+        read-only.  Built on first use, once per cell.
         """
         lo, hi, k = self.boxes([0.0, 1.0])
         lo, hi = lo[:, 1:], hi[:, 1:]
-        volumes = _volumes(lo, hi)
         rays, jac, stay = self.radial_nodes(_nodes(lo, hi), np.repeat(k, 15 ** lo.shape[1]))
-        boxes, nodes = (lo, hi, k, volumes), (np.ascontiguousarray(rays), jac, stay)
+        boxes, nodes = (lo, hi, k), (np.ascontiguousarray(rays), jac, stay)
         for array in (*boxes, *nodes):
             array.flags.writeable = False
-        return (*boxes, float(volumes.sum())), nodes
+        return boxes, nodes
 
 
 def _cones(kind: ElementKind) -> _Cones:
@@ -678,9 +675,11 @@ def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
 
     The interval is halved geometrically toward the zero step, down to the
     local scale of the step density, so that a density core cannot fall
-    between the quadrature nodes of the first generation.  An extent of 0
-    yields no interval.  ``op_norm`` is the 2-norm of the local-to-global
-    step map.
+    between the quadrature nodes of the first generation.  The ladder has
+    no cap of its own: however far the law is narrower than the cell, it
+    reaches the law's scale, and it stops short of it only where a break
+    would leave the normal floats.  An extent of 0 yields no interval.
+    ``op_norm`` is the 2-norm of the local-to-global step map.
     """
     if extent <= 0.0:
         return []
@@ -688,8 +687,11 @@ def _radial_breaks(extent: float, dist, op_norm: float) -> list[float]:
     local_scale = math.inf if scale is None else scale / op_norm
     levels = 0
     if extent > local_scale:
-        levels = min(45, int(math.ceil(math.log2(extent / local_scale))))
-    return [0.0] + [extent * 0.5**j for j in range(levels, -1, -1)]
+        # in logarithms where the quotient leaves the float range
+        ratio = extent / local_scale if local_scale > 0.0 else math.inf
+        depth = math.log2(ratio) if ratio < math.inf else math.log2(extent) + math.log2(op_norm) - math.log2(scale)
+        levels = min(math.ceil(depth), math.frexp(extent)[1] + 1021)
+    return [0.0] + [math.ldexp(extent, -j) for j in range(levels, -1, -1)]
 
 
 def _transition_boxes(a, b, c, d, dist):
@@ -777,13 +779,13 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
     amap = element.affine_map
     mixture = _mixture_hook(dist)
     if mixture is not None:
-        (lo, hi, k, volumes, total_volume), nodes = cones.first_pass
-        frame = _unit_frame(amap)
+        (lo, hi, k), nodes = cones.first_pass
+        frame = element._frame
 
         def f(w: np.ndarray, k: np.ndarray) -> np.ndarray:
             return _facet_values(cones.radial_nodes(w, k), frame, mixture)
 
-        first = (_facet_values(nodes, frame, mixture), volumes, total_volume)
+        first = _facet_values(nodes, frame, mixture)
         return _solve(f, lo, hi, k, config, start, complement=True, first=first)
     lo, hi, k = cones.boxes(_radial_breaks(1.0, dist, float(np.linalg.norm(amap.matrix, 2))))
 
@@ -798,27 +800,6 @@ def escape_probability_det(element: MeshElement, dist, config: QuadratureConfig 
         return stay_fraction(kind, local_steps) * (density[:len(t)] + density[len(t):]) * (amap.abs_det * jac)
 
     return _solve(f, lo, hi, k, config, start, complement=True)
-
-
-def _unit_frame(amap) -> tuple[np.ndarray, float, float]:
-    """``A`` as ``unit * scale``, with ``scale`` a power of two, and ``|det A|^(1/n)``.
-
-    Taken once per solve.  On a cell between ``2^-256`` and ``2^256``
-    across, whose ``|A b|^2`` are normal floats, ``unit`` is ``A`` and the
-    root is taken of ``|det A|``.  Any other cell is scaled exactly to
-    ``|det unit|`` in ``[1, 2^n)``, so ``|unit b|`` times ``scale`` keeps
-    the digits of ``|A b|`` where its square would leave the normal range,
-    and the root is taken of ``|det unit|``, by cofactor expansion as
-    ``MeshElement`` takes ``|det A|``, which may have lost digits there to
-    underflow.
-    """
-    n = amap.dim
-    exponent = (math.frexp(amap.abs_det)[1] - 1) // n
-    if -256 < exponent < 256:
-        return amap.matrix, 1.0, amap.abs_det ** (1.0 / n)
-    unit = np.ldexp(amap.matrix, -exponent)
-    scale = math.ldexp(1.0, exponent)
-    return unit, scale, abs(_cofactor_det(unit.tolist())) ** (1.0 / n) * scale
 
 
 # From this many step widths out, |A b| / sigma >= _FAR, so alpha >= 2^63 and
@@ -838,32 +819,38 @@ def _facet_values(nodes, frame, mixture) -> np.ndarray:
     on a simplex, so under a Gaussian of scale ``sigma`` the radial integral
     ``integral_0^1 t^(n-1) prod_i (1 - t a_i) exp(-alpha t^2) dt`` is
     ``sum_j c_j M_(n-1+j)(alpha)`` with ``alpha = |A b(w)|^2 / (2 sigma^2)``.
-    ``frame`` is the element's ``_unit_frame`` and ``mixture`` the law's
-    ``_scale_mixture`` hook; its scales' terms are summed in order.
+    ``frame`` is the element's ``_frame``, in which every length is
+    ``2^-e`` times its own: ``A / 2^e``, ``2^-e`` and
+    ``|det A|^(1/n) / 2^e``.  ``mixture`` is the law's ``_scale_mixture``
+    hook; its scales' terms are summed in order, each scale taken into the
+    frame, where no quotient of two lengths changes.
     """
     rays, jac, stay = nodes
-    unit, scale, root_det = frame
+    matrix, shrink, root_det = frame
     # |A b|^2 summed over the coordinate rows in order, as numpy reduces a
     # leading axis: one running sum per node
-    g = unit @ rays
+    g = matrix @ rays
     radii = np.sqrt(np.add.reduce(np.square(g, out=g), axis=0))
-    if scale != 1.0:
-        radii *= scale
-    # the largest |A b| / sigma, as numpy would divide it: each node's is
-    # below _FAR unless some node is far (radii < _FAR * sigma makes
-    # ratio <= _FAR, and ratio = _FAR only within an ulp of it)
+    # each node's |A b| / sigma is below _FAR unless some node is far
+    # (radii < _FAR * sigma makes ratio <= _FAR, and ratio = _FAR only
+    # within an ulp of it); the test does not divide, since a scale far
+    # below the cell may be 0 in the frame
     top = float(radii.max())
     total = None
     for sigma, weight in mixture():
-        highest = top / sigma
-        if highest < _FAR:
+        sigma *= shrink
+        if top < _FAR * sigma:
+            highest = top / sigma
             terms = _near_terms(radii / sigma, stay, sigma, weight, root_det, highest * highest)
         else:
-            # each side's terms may overflow where the other side's are taken
+            # each side's terms may overflow where the other side's are
+            # taken; a scale of 0 leaves no node near
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ratio = radii / sigma
-                terms = np.where(radii < _FAR * sigma, _near_terms(ratio, stay, sigma, weight, root_det),
-                                 _far_terms(ratio, radii, stay, weight, root_det))
+                terms = _far_terms(ratio, radii, stay, weight, root_det)
+                near = radii < _FAR * sigma
+                if near.any():
+                    terms = np.where(near, _near_terms(ratio, stay, sigma, weight, root_det), terms)
         total = terms if total is None else total + terms
     return total * jac
 
@@ -908,10 +895,15 @@ def transition_probability_det_1d(source, target, dist, config: QuadratureConfig
     the initial subdivision, and a window containing the zero step is split
     there and laddered toward it as in the escape solver, so a density
     that diverges at the zero step is integrated down to it.  The intervals
-    are checked as in :func:`conditional_transition_1d`.
+    are checked as in :func:`conditional_transition_1d`, and a window
+    whose ends reach beyond half the float64 range, where the sum of two
+    steps overflows, raises ``InputError`` naming ``target``.
     """
     a, b = _interval("source", source)
     c, d = _interval("target", target)
+    # a box of the window takes the sum of its ends for its midpoint
+    if not math.isfinite(2.0 * max(abs(c - b), abs(d - a))):
+        raise InputError("target", f"the steps from [{a}, {b}] into [{c}, {d}] reach beyond half the float64 range")
     _check_law(dist, 1)
     start = time.perf_counter()
     lo, hi = _transition_boxes(a, b, c, d, dist)

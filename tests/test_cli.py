@@ -57,6 +57,8 @@ def files(tmp_path):
         "mixed_bool_vertices": write("mixed_bool_vertices.json", {"kind": "segment", "vertices": [[0.5], [True]]}),
         "huge_int_vertices": write("huge_int_vertices.json", {"kind": "segment", "vertices": [[0], [10**400]]}),
         "overflowing_segment": write("overflowing_segment.json", {"kind": "segment", "vertices": [[1e308], [-1e308]]}),
+        "huge_segment": write("huge_segment.json", {"kind": "segment", "vertices": [[0], [1e308]]}),
+        "huge_negative_segment": write("huge_negative_segment.json", {"kind": "segment", "vertices": [[-1e308], [0]]}),
         "wide_segment": write("wide_segment.json", {"kind": "segment", "vertices": [[0], [1e10]]}),
         "wiener_tiny": write("wiener_tiny.json", {"law": "wiener", "dt": 1e-290}),
         "deep_vertices": write("deep_vertices.json", {"kind": "segment", "vertices": nested}),
@@ -362,6 +364,10 @@ EXIT_CODE_TABLE = {
         ["escape", "--geometry", "huge_int_vertices", "--distribution", "wiener"], None, 2, "vertices"),
     "edges-beyond-float": (
         ["escape", "--geometry", "overflowing_segment", "--distribution", "wiener"], None, 2, "vertices"),
+    # each segment is a valid element, but the steps between them leave the float range
+    "transition-window-beyond-float": (
+        ["transition", "--source", "huge_segment", "--target", "huge_negative_segment", "--distribution", "wiener"],
+        None, 2, "target"),
     "missing-geometry": (
         ["escape", "--geometry", "missing", "--distribution", "wiener"], None, 2, "geometry"),
     "missing-source": (

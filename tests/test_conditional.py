@@ -232,6 +232,9 @@ class TestStayProperties:
         signs = rng.choice([-1.0, 1.0], size=len(steps))
         steps[np.arange(len(steps)), bump] = signs * rng.uniform(1.0, 4.0, size=len(steps))
         assert np.all(stay_fraction(cell, steps) == 0.0)
+        # finite steps whose coordinate sum overflows, on either side, warn of nothing
+        for far in (1e308, -1e308):
+            assert stay_fraction(cell, np.full(n, far)) == 0.0
 
 
 class TestConditionalEscape:
@@ -262,6 +265,12 @@ class TestConditionalEscape:
         tiny = mesh_element("triangle", [[0, 0], [1e-3, 0], [0, 1e-3]])
         with pytest.raises(DimensionMismatch, match="non-finite"):
             conditional_escape(tiny, step)
+
+    @pytest.mark.parametrize("step", [[1e308, 1e308], [-1e308, -1e308]])
+    def test_step_whose_coordinate_sum_overflows_escapes(self, step):
+        # the overflow of the simplex sum warned, where the answer 1 is right
+        unit = mesh_element("triangle", [[0, 0], [1, 0], [0, 1]])
+        assert conditional_escape(unit, step) == 1.0
 
     def test_batch_of_steps(self, benchmark_elements):
         steps = [[0.5, 0.0], [2.0, 0.0], [0.0, 0.0]]

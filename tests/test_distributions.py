@@ -225,6 +225,29 @@ class TestVelocityJumpDensity:
         assert value == pytest.approx(3.0201177148989548e-28, rel=1e-14)
         assert beside[0] == pytest.approx(value, rel=1e-14)
 
+    @pytest.mark.parametrize("rate, dim, radius", [
+        # the integrand overflowed before the factor rate^n scaled it back
+        (1e-30, 2, 1e-299),
+        (1e-30, 3, 1e-150),
+        # rate^n (2 pi)^(-n/2) fell below the normal floats: the density read 0
+        (1e-200, 2, 1.0),
+        (1e-110, 3, 1.0),
+    ])
+    def test_tiny_rate_takes_its_factor_into_the_exponent(self, rate, dim, radius):
+        # s = rate |dx| is far below 1, where the density is its small-s
+        # limit rate / (2 pi |dx|) sqrt(pi / 2) in 2D and
+        # rate / ((2 pi)^(3/2) |dx|^2) in 3D
+        if dim == 2:
+            limit = rate / (2.0 * math.pi * radius) * math.sqrt(math.pi / 2.0)
+        else:
+            limit = rate / ((2.0 * math.pi) ** 1.5 * radius**2)
+        step = np.zeros(dim)
+        step[0] = radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = VelocityJumpStep(rate=rate, dim=dim).density(step)
+        assert value == pytest.approx(limit, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("rate, dim", [(2e154, 2), (1e110, 3)])
     def test_rate_beyond_the_float_range(self, rate, dim):
         # rate**dim overflows a double: the library's error, not Python's OverflowError

@@ -396,6 +396,19 @@ class TestContains:
         with pytest.raises(DimensionMismatch):
             contains(benchmark_elements["segment"], [0.5, 0.5])
 
+    @pytest.mark.parametrize("kind, length, point", [
+        ("triangle", 1.0, [1e308, 1e308]), ("triangle", 1.0, [-1e308, -1e308]),
+        ("tetrahedron", 1.0, [1e308, 1e308, 1e308]), ("tetrahedron", 1.0, [1e308, 1e308, -1e308]),
+        # the local coordinates themselves overflow
+        ("triangle", 1e-3, [1e308, 1e308]), ("parallelogram", 1e-3, [1e308, -1e308]),
+    ])
+    def test_point_whose_coordinates_overflow_is_outside(self, kind, length, point):
+        # the overflow warned, where the answer is right
+        n = len(point)
+        cell = mesh_element(kind, np.vstack([np.zeros(n), length * np.eye(n)]))
+        assert contains(cell, point) is False
+        assert not contains(cell, [point]).any()
+
     def test_tolerance_band_at_every_facet(self, benchmark_elements):
         # Points CONTAINMENT_TOL/2 beyond a facet count as inside, points
         # 10 CONTAINMENT_TOL beyond it as outside, one at a time and as a batch.
